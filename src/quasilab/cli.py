@@ -98,6 +98,13 @@ def _resolve_a(args, which: str = "") -> float:
     return hopping_from_coupling(float(lam))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_output_options(p, formats=("csv", "json", "svg")):
     p.add_argument("--format", choices=formats, default="csv", dest="fmt")
     p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
@@ -145,10 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dos1d", help="integrated density of states curve")
     _add_model1d(p)
     p.add_argument("--N", type=int, default=2048, dest="n")
-    p.add_argument("--grid", type=int, default=401)
+    p.add_argument("--grid", type=_positive_int, default=401)
     p.add_argument("--emin", type=float, default=None)
     p.add_argument("--emax", type=float, default=None)
-    p.add_argument("--phases", type=int, default=1,
+    p.add_argument("--phases", type=_positive_int, default=1,
                    help="sample this many random rotation phases (seeded) and report the spread")
     _add_output_options(p)
 
@@ -163,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dos2d", help="2D counting-measure CDF and histogram")
     _add_model2d(p)
     p.add_argument("--N", type=int, default=512, dest="n")
-    p.add_argument("--grid", type=int, default=401)
+    p.add_argument("--grid", type=_positive_int, default=401)
     p.add_argument("--bins", type=int, default=256, help="histogram bins")
     p.add_argument("--histogram-output", default=None)
     _add_output_options(p)

@@ -10,6 +10,13 @@ zero-diagonal symmetric tridiagonal matrix.  Eigenvalue counting runs through a
 Sturm (LDL^T inertia) recurrence vectorised over energies, and full spectra come
 from bisection on those counts; the integrated density of states (IDS) is the
 normalised counting function.
+
+The recurrence runs in plain IEEE arithmetic with no pivot guard, as in Kahan's
+bisection and LAPACK ``dstebz``: a zero pivot makes the next pivot an infinity,
+b^2 / inf = 0 makes the one after it -E again, and a pivot counts as negative
+when its sign bit is set, so -0.0 and -inf count.  Kahan's analysis, carried
+over to IEEE infinities by Demmel, Dhillon and Ren (ETNA 1995), shows that this
+count is monotone in the energy, which bisection needs.
 """
 
 from __future__ import annotations
@@ -22,12 +29,6 @@ import numpy as np
 from .errors import ResourceLimitError
 from .measures import EmpiricalMeasure
 from .words import DEFAULT_WORD_CAP, prefix, rotation_sequence
-
-#: Pivot safeguard for the inertia recurrence.  A pivot smaller than this in
-#: magnitude is replaced by a signed tiny value; that can shift a count by at
-#: most one, which bisection absorbs.
-PIVMIN = 1e-300
-
 
 def coupling_constant(a: float, b: float = 1.0) -> float:
     """|a^2 - b^2| / (ab), the single parameter controlling the spectral type."""
@@ -56,8 +57,8 @@ class ModelParams:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be a positive integer")
-        if not (self.a > 0):
-            raise ValueError("the hopping value a must be positive")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"the hopping value a must be positive and finite, got {self.a}")
 
     @property
     def coupling(self) -> float:
@@ -144,9 +145,15 @@ def build_window(
 # ---------------------------------------------------------------------------
 # Sturm counting and bisection
 
+#: Pivot rows held before their sign bits are counted in one pass (at most
+#: 255, so that a block's per-energy count fits the uint8 accumulator).
+_COUNT_BLOCK = 32
 
-def _guard_pivots(q: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(q) < PIVMIN, np.copysign(PIVMIN, q), q)
+
+def _count_sign_bits(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Per-column number of entries with the sign bit set (-0.0 and -inf count)."""
+    signs = np.signbit(rows, out=signs[: rows.shape[0]])
+    return np.add.reduce(signs.view(np.uint8), axis=0, dtype=np.uint8)
 
 
 def count_below_offdiag(offdiag, energies) -> np.ndarray:
@@ -154,18 +161,30 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
 
     ``offdiag`` holds the N-1 couplings of an N x N matrix.  The LDL^T pivot
     recurrence q_1 = -E, q_k = -E - b_{k-1}^2 / q_{k-1} counts eigenvalues through
-    the number of negative pivots; the computation is vectorised across energies.
-    At an energy that is itself an eigenvalue of a leading submatrix the guarded
-    count may land on either side of the jump.
+    the number of pivots with the sign bit set, in IEEE arithmetic without a
+    pivot guard (see the module docstring); the computation is vectorised
+    across energies.  At an energy that is itself an eigenvalue of a leading
+    submatrix the count may land on either side of the jump.
     """
     off2 = np.square(np.asarray(offdiag, dtype=float))
-    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    neg_e = np.negative(np.atleast_1d(np.asarray(energies, dtype=float)))
+    buf = np.empty((min(_COUNT_BLOCK, off2.size + 1), neg_e.size))
+    signs = np.empty(buf.shape, dtype=bool)
+    t = np.empty_like(neg_e)
+    count = np.zeros(neg_e.size, dtype=np.int64)
+    q = buf[0]
+    np.copyto(q, neg_e)
+    row = 1
     with np.errstate(divide="ignore", over="ignore"):
-        q = _guard_pivots(-e)
-        count = (q < 0).astype(np.int64)
         for b2 in off2:
-            q = _guard_pivots(-e - b2 / q)
-            count += q < 0
+            if row == buf.shape[0]:
+                count += _count_sign_bits(buf, signs)
+                row = 0
+            np.divide(b2, q, out=t)
+            q = buf[row]
+            np.subtract(neg_e, t, out=q)
+            row += 1
+    count += _count_sign_bits(buf[:row], signs)
     return count
 
 
@@ -177,8 +196,11 @@ def eig_count_below(window: HoppingWindow, energy: float) -> int:
 def eigenvalues_offdiag(offdiag, tol: float = 1e-10, search_bound: float | None = None) -> np.ndarray:
     """All eigenvalues of the zero-diagonal tridiagonal matrix, by bisection.
 
-    Every eigenvalue is bracketed to a width of at most ``tol`` inside the
-    symmetric search interval (default a Gershgorin-style bound 2(1 + max|b|)).
+    One count on a uniform grid of 4N+1 energies over the symmetric search
+    interval (default a Gershgorin-style bound 2(1 + max|b|)) seeds a bracket
+    for every eigenvalue; each bracket is then halved until its width is at
+    most ``tol`` or its midpoint rounds to an endpoint.  Eigenvalues outside
+    the search interval come back pinned at its nearer end.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -186,16 +208,21 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10, search_bound: float | None 
     n = off.size + 1
     if search_bound is None:
         search_bound = 2.0 * (1.0 + (float(np.max(np.abs(off))) if off.size else 0.0))
-    lo = np.full(n, -search_bound)
-    hi = np.full(n, search_bound)
+    grid = np.linspace(-search_bound, search_bound, 4 * n + 1)
     k = np.arange(n)
-    while float(np.max(hi - lo)) > tol:
+    # the kth smallest eigenvalue lies in [grid[j-1], grid[j]) for the first j
+    # whose count exceeds k; j = 0 or j = grid.size pins it at an end
+    j = np.searchsorted(count_below_offdiag(off, grid), k, side="right")
+    lo = grid[np.maximum(j - 1, 0)]
+    hi = grid[np.minimum(j, grid.size - 1)]
+    while True:
         mid = 0.5 * (lo + hi)
-        c = count_below_offdiag(off, mid)
-        above = c > k  # kth smallest eigenvalue lies below mid
+        if not np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
+            break
+        above = count_below_offdiag(off, mid) > k
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    return np.sort(0.5 * (lo + hi))
+    return np.sort(mid)
 
 
 def eigenvalues(window: HoppingWindow, tol: float = 1e-10) -> EmpiricalMeasure:

@@ -51,8 +51,10 @@ class LabyrinthParams:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be a positive integer")
-        if not (self.a1 > 0 and self.a2 > 0):
-            raise ValueError("hopping values must be positive")
+        if not all(math.isfinite(a) and a > 0 for a in (self.a1, self.a2)):
+            raise ValueError(
+                f"hopping values must be positive and finite, got a1={self.a1}, a2={self.a2}"
+            )
 
     @property
     def couplings(self) -> tuple[float, float]:

@@ -158,9 +158,14 @@ def _survives(params: ModelParams, energy: float, level: int, radius: float) -> 
 
 
 def _refine_edge(params, e_surviving, e_escaping, level, radius, resolution) -> float:
-    """Bisect a survival/escape bracket; returns the escaping-side endpoint."""
+    """Bisect a survival/escape bracket; returns the escaping-side endpoint.
+
+    Stops at width ``resolution`` or when the midpoint rounds to an endpoint.
+    """
     while abs(e_escaping - e_surviving) > resolution:
         mid = 0.5 * (e_surviving + e_escaping)
+        if mid == e_surviving or mid == e_escaping:
+            break
         if _survives(params, mid, level, radius):
             e_surviving = mid
         else:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quasilab
 from quasilab.cli import main
 
 
@@ -201,6 +204,49 @@ class TestErrorsAndDeterminism:
         data = json.loads(out)["data"]
         assert [r["number"] for r in data] == [2, 12]
         assert all(r["passed"] for r in data)
+
+
+def run_cli_subprocess(args, timeout):
+    """Run the CLI in a child process; a run past ``timeout`` seconds raises."""
+    src = str(Path(quasilab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "quasilab.cli", *args],
+        capture_output=True, text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("args", [
+        ["dos1d", "--a", "inf", "--N", "16", "--grid", "5"],
+        ["dos1d", "--lambda", "inf", "--N", "16", "--grid", "5"],
+        ["dos2d", "--a1", "inf", "--a2", "1", "--N", "4", "--grid", "5"],
+        ["dos2d", "--a1", "2", "--a2", "nan", "--N", "4", "--grid", "5"],
+        ["dos1d", "--a", "2", "--N", "16", "--grid", "0"],
+        ["dos2d", "--a1", "2", "--a2", "1", "--N", "4", "--grid", "0"],
+        ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--phases", "0"],
+    ])
+    def test_rejected_with_exit_2_and_one_json_line(self, args):
+        code, out, err = run_cli(args)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-config"
+
+
+class TestBisectionTerminates:
+    # both commands looped forever while bisection stopped only on width:
+    # the requested width is below the float spacing at the bracket
+    @pytest.mark.parametrize("args", [
+        ["dos2d", "--a1", "1e5", "--a2", "1", "--N", "4"],
+        ["spectrum1d", "--a", "4", "--level", "5", "--resolution", "1e-17"],
+    ])
+    def test_tolerance_below_float_spacing(self, args):
+        proc = run_cli_subprocess(args, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert len([l for l in proc.stdout.splitlines() if not l.startswith("#")]) > 1
 
 
 class TestConsoleScript:

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasilab.dense import symmetric_eigenvalues
@@ -55,6 +56,11 @@ class TestCoupling:
         assert ModelParams.from_coupling(1, 1.5).a == pytest.approx(2.0)
         with pytest.raises(ValueError):
             ModelParams(0, 1.0)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+    def test_model_params_rejects_nonpositive_or_nonfinite_hopping(self, a):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ModelParams(1, a)
 
 
 class TestBuildWindow:
@@ -128,6 +134,62 @@ class TestCountBelow:
         assert lo == 0 and hi == 20
 
 
+def sturm_count_reference(offdiag, energy) -> int:
+    """The IEEE Sturm count one energy at a time, without blocks or vectors."""
+    e = np.float64(energy)
+    with np.errstate(divide="ignore", over="ignore"):
+        q = -e
+        count = int(np.signbit(q))
+        for b in offdiag:
+            q = -e - np.float64(b) ** 2 / q
+            count += int(np.signbit(q))
+    return count
+
+
+class TestIEEECount:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 100])
+    def test_blocked_count_matches_scalar_loop(self, n):
+        # sizes straddle the pivot-block boundaries of the vectorised count
+        off = build_window(ModelParams(2, 1.7), n).interior_offdiagonals()
+        energies = np.concatenate([np.linspace(-6.0, 6.0, 97), [0.0, -0.0, 1.0, math.inf, -math.inf]])
+        got = count_below_offdiag(off, energies)
+        want = [sturm_count_reference(off, e) for e in energies]
+        assert got.tolist() == want
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(min_value=0.1, max_value=4.0), min_size=1, max_size=24),
+           st.floats(min_value=-12.0, max_value=12.0))
+    def test_count_matches_dense_away_from_eigenvalues(self, weights, e):
+        w = HoppingWindow(weights)
+        eigs = np.linalg.eigvalsh(w.to_dense())
+        assume(np.min(np.abs(eigs - e)) > 1e-9)
+        assert count_below_offdiag(w.interior_offdiagonals(), e)[0] == int(np.sum(eigs < e))
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 33, 65])
+    def test_zero_energy_odd_size_within_one_of_jump(self, n):
+        # zero is an eigenvalue for odd N, so every pivot is -0.0 or +inf at E = 0
+        off = build_window(ModelParams(1, 2.0), n).interior_offdiagonals()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = int(count_below_offdiag(off, 0.0)[0])
+        assert (n - 1) // 2 <= c <= (n + 1) // 2
+
+    def test_zero_pivot_inside_chain_keeps_count_exact(self):
+        # free chain at E = 1: q_1 = -1, q_2 = -1 + 1 = 0 exactly, q_3 = -inf, q_4 = -1;
+        # E = 1 is not an eigenvalue of the 4-site chain (+-1.618, +-0.618)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert count_below_offdiag(np.ones(3), 1.0)[0] == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 64])
+    def test_infinite_energies_count_none_and_all(self, n):
+        off = build_window(ModelParams(1, 3.0), n).interior_offdiagonals()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = count_below_offdiag(off, [-math.inf, math.inf])
+        assert lo == 0 and hi == n
+
+
 class TestEigenvalues:
     def test_free_chain_formula(self):
         for n in (2, 5, 16, 33):
@@ -155,6 +217,23 @@ class TestEigenvalues:
             w = build_window(ModelParams(1, 2.0), n)
             e = eigenvalues(w, tol=1e-12).support
             assert np.min(np.abs(e)) < 1e-11
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 33, 64, 257])
+    def test_within_1e10_of_eigvalsh(self, s, n):
+        for a in (0.5, 2.0, 4.0):
+            w = build_window(ModelParams(s, a), n)
+            got = eigenvalues_offdiag(w.interior_offdiagonals(), tol=1e-11)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - np.linalg.eigvalsh(w.to_dense()))) <= 1e-10
+
+    def test_search_bound_below_spectral_radius_pins_outer_eigenvalues(self):
+        # free 16-site chain: eigenvalues 2cos(k pi/17) span about [-1.97, 1.97]
+        want = free_chain_eigs(16)
+        got = eigenvalues_offdiag(np.ones(15), tol=1e-12, search_bound=1.0)
+        inside = np.abs(want) < 1.0
+        assert np.max(np.abs(got[inside] - want[inside])) < 1e-11
+        assert np.all(np.abs(got[~inside] - np.sign(want[~inside])) <= 1e-12)
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,8 @@ class TestParams:
             LabyrinthParams(0, 1.0, 1.0)
         with pytest.raises(ValueError):
             LabyrinthParams(1, -1.0, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            LabyrinthParams(1, 1.0, math.inf)
 
 
 class TestBuild2D:
