@@ -335,8 +335,14 @@ def format_table(results) -> str:
 
 
 def run_determinism_check() -> tuple[CriterionResult, list[CriterionResult]]:
-    """Criterion 14: run the full suite twice and compare the rendered tables."""
+    """Criterion 14: run the full suite twice and compare the rendered tables.
+
+    The in-process memo of 1D eigenvalue lists is cleared before each run, so
+    the second run recomputes everything instead of reusing the first's lists.
+    """
+    labyrinth.axis_eigenvalues.cache_clear()
     first = run_all()
+    labyrinth.axis_eigenvalues.cache_clear()
     second = run_all()
     identical = format_table(first) == format_table(second)
     result = CriterionResult(

@@ -98,10 +98,26 @@ def _resolve_a(args, which: str = "") -> float:
     return hopping_from_coupling(float(lam))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def _int_at_least(lowest: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    parse.__name__ = f"int >= {lowest}"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+#: The trace-map sampler needs both ends of its energy interval.
+_cover_grid = _int_at_least(2)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 
 
@@ -136,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="substitution words, twins, parity patterns")
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--n", type=int, default=8, help="substitution iterations")
-    p.add_argument("--beta", type=float, default=None, help="emit the rotation coding at this phase instead")
+    p.add_argument("--beta", type=_finite_float, default=None, help="emit the rotation coding at this phase instead")
     p.add_argument("--twin-k", type=int, default=None, help="also emit a twin witness report for C(k)")
     _add_output_options(p, formats=("csv", "json"))
 
@@ -145,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=15)
     p.add_argument("--levels", default=None, help="comma-separated nested levels for stacked output")
     p.add_argument("--resolution", type=float, default=1e-4)
-    p.add_argument("--grid", type=int, default=tracemap.DEFAULT_GRID)
+    p.add_argument("--grid", type=_cover_grid, default=tracemap.DEFAULT_GRID)
     p.add_argument("--escape-radius", type=float, default=None)
     _add_output_options(p)
 
@@ -163,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model2d(p)
     p.add_argument("--level", type=int, default=15)
     p.add_argument("--resolution", type=float, default=1e-4)
-    p.add_argument("--grid", type=int, default=tracemap.DEFAULT_GRID)
+    p.add_argument("--grid", type=_cover_grid, default=tracemap.DEFAULT_GRID)
     p.add_argument("--escape-radius", type=float, default=None)
     _add_output_options(p)
 

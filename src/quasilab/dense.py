@@ -1,10 +1,8 @@
-"""Dense symmetric eigensolver built on cyclic Jacobi rotations.
+"""Dense symmetric eigenvalues through LAPACK (``np.linalg.eigvalsh``).
 
-Rotations are scheduled in round-robin rounds so every pair (p, q) is visited
-once per sweep and the pairs inside a round are disjoint; that lets a whole
-round of rotations apply as one batched row/column update.  Convergence is the
-usual quadratic Jacobi behaviour; the stopping test is on the off-diagonal
-Frobenius norm.  Deterministic: the schedule and rotation order are fixed.
+The 2D checks compare the product formula, built on the Sturm bisection of
+``jacobi1d``, with a dense solve of the whole Labyrinth box.  LAPACK shares no
+code with the Sturm path, so that comparison stays an independent check.
 """
 
 from __future__ import annotations
@@ -12,73 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def _round_robin_rounds(n: int) -> list[np.ndarray]:
-    """Pairings of {0..n-1} (round-robin circle method); dummy seat for odd n."""
-    m = n if n % 2 == 0 else n + 1
-    seats = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [(seats[i], seats[m - 1 - i]) for i in range(m // 2)]
-        pairs = [(min(p, q), max(p, q)) for p, q in pairs if p < n and q < n]
-        rounds.append(np.array(sorted(pairs), dtype=np.intp))
-        seats = [seats[0], seats[-1]] + seats[1:-1]
-    return rounds
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def symmetric_eigenvalues(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
+def symmetric_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, sorted ascending.
 
-    ``tol`` is relative: sweeps stop once the off-diagonal Frobenius norm drops
-    below tol * ||A||_F.  Raises if the matrix is not square/symmetric or if the
-    iteration fails to converge within ``max_sweeps`` sweeps (it never does for
-    sane inputs; Jacobi converges quadratically).
+    Raises ``ValueError`` if the matrix is not square or not symmetric.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.allclose(a, a.T, atol=1e-12 * (1.0 + float(np.max(np.abs(a))))):
         raise ValueError("expected a symmetric matrix")
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n)
-    rounds = _round_robin_rounds(n)
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= tol * scale:
-            return np.sort(np.diag(a))
-        for pairs in rounds:
-            p, q = pairs[:, 0], pairs[:, 1]
-            apq = a[p, q]
-            active = apq != 0.0
-            if not np.any(active):
-                continue
-            # symmetric Schur angles; inactive pairs get the identity rotation
-            safe = np.where(active, apq, 1.0)
-            with np.errstate(over="ignore"):
-                tau = (a[q, q] - a[p, p]) / (2.0 * safe)
-                abs_tau = np.abs(tau)
-                tt = 1.0 / (abs_tau + np.sqrt(1.0 + abs_tau * abs_tau))
-            t = np.where(np.isfinite(tau), np.where(tau >= 0.0, tt, -tt), 0.0)
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            cc, ss = c[:, None], s[:, None]
-            rp, rq = a[p, :], a[q, :]
-            a[p, :] = cc * rp - ss * rq
-            a[q, :] = ss * rp + cc * rq
-            cp, cq = a[:, p], a[:, q]
-            a[:, p] = cp * cc.T - cq * ss.T
-            a[:, q] = cp * ss.T + cq * cc.T
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-    if _offdiag_norm(a) <= tol * scale:  # pragma: no cover
-        return np.sort(np.diag(a))
-    raise RuntimeError("Jacobi iteration did not converge")  # pragma: no cover
+    return np.linalg.eigvalsh(a)

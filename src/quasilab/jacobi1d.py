@@ -57,8 +57,10 @@ class ModelParams:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be a positive integer")
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"the hopping value a must be positive and finite, got {self.a}")
+        if not (self.a > 0 and math.isfinite(self.a * self.a)):
+            raise ValueError(
+                f"the hopping value a must be positive and finite, and so must its square, got {self.a}"
+            )
 
     @property
     def coupling(self) -> float:

@@ -15,6 +15,7 @@ rule that boundary bonds are dropped; the 2D coupling from (m, n) to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,9 @@ DIRECT_COUNT_CAP = 2048
 #: Default tolerance for the 1D eigenvalue lists feeding product formulas.
 DEFAULT_EIG_TOL = 1e-11
 
+#: Number of 1D eigenvalue lists :func:`axis_eigenvalues` keeps in memory.
+AXIS_MEMO_SIZE = 32
+
 _CONVENTION = "box0-v1"
 
 
@@ -51,9 +55,10 @@ class LabyrinthParams:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be a positive integer")
-        if not all(math.isfinite(a) and a > 0 for a in (self.a1, self.a2)):
+        if not all(a > 0 and math.isfinite(a * a) for a in (self.a1, self.a2)):
             raise ValueError(
-                f"hopping values must be positive and finite, got a1={self.a1}, a2={self.a2}"
+                f"hopping values must be positive and finite, and so must their squares, "
+                f"got a1={self.a1}, a2={self.a2}"
             )
 
     @property
@@ -132,42 +137,47 @@ def build_2d(p: LabyrinthParams, n: int, sublattice: str = "full") -> Sparse2DOp
     return Sparse2DOperator(n, sublattice, sites, entries)
 
 
-def dense_eigs_2d(op: Sparse2DOperator, tol: float = 1e-12) -> EmpiricalMeasure:
-    """All eigenvalues of the operator through the dense rotation solver."""
+def dense_eigs_2d(op: Sparse2DOperator) -> EmpiricalMeasure:
+    """All eigenvalues of the operator through the dense LAPACK solver."""
     if op.n > DENSE_SIDE_CAP:
         raise ResourceLimitError(
             f"dense solves are capped at side {DENSE_SIDE_CAP}, got {op.n}"
         )
-    return EmpiricalMeasure(symmetric_eigenvalues(op.to_dense(), tol=tol))
+    return EmpiricalMeasure(symmetric_eigenvalues(op.to_dense()))
 
 
-def eigs_1d_axes(p: LabyrinthParams, n: int, tol: float = DEFAULT_EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue lists of the two 1D restrictions to [0, N-1].
+@functools.lru_cache(maxsize=AXIS_MEMO_SIZE)
+def axis_eigenvalues(s: int, a: float, n: int, tol: float) -> np.ndarray:
+    """Sorted, read-only eigenvalues of one 1D chain restricted to [0, N-1].
 
     For odd N the middle eigenvalue snaps to exactly zero: a zero-diagonal
     tridiagonal matrix of odd size is singular (its determinant recurrence
     det_N = -b^2 det_{N-2} bottoms out at det_1 = 0), and bisection puts the
-    computed value within tol of it anyway.  Results are memoised on disk when
-    QUASILAB_CACHE_DIR is set.
+    computed value within tol of it anyway.  The last AXIS_MEMO_SIZE lists are
+    memoised in process; a miss goes through the disk cache, which is active
+    when QUASILAB_CACHE_DIR is set.
     """
 
+    def compute():
+        if n == 1:
+            return np.zeros(1)
+        off = build_window(ModelParams(s, a), n - 1).weights
+        bound = 2.0 * (1.0 + float(np.max(off)))
+        eigs = eigenvalues_offdiag(off, tol, search_bound=bound)
+        if n % 2 == 1:
+            eigs[n // 2] = 0.0
+        return eigs
+
+    eigs = cached_eigenvalues(cache_key(s, a, n, _CONVENTION, tol), n, compute)
+    eigs.setflags(write=False)
+    return eigs
+
+
+def eigs_1d_axes(p: LabyrinthParams, n: int, tol: float = DEFAULT_EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue lists of the two 1D restrictions to [0, N-1] (see :func:`axis_eigenvalues`)."""
     if n < 1:
         raise ValueError("N must be positive")
-
-    def solve(axis: ModelParams):
-        def compute():
-            if n == 1:
-                return np.zeros(1)
-            off = build_window(axis, n - 1).weights
-            bound = 2.0 * (1.0 + float(np.max(off)))
-            eigs = eigenvalues_offdiag(off, tol, search_bound=bound)
-            if n % 2 == 1:
-                eigs[n // 2] = 0.0
-            return eigs
-
-        return cached_eigenvalues(cache_key(axis.s, axis.a, n, _CONVENTION, tol), compute)
-
-    return solve(p.axis1), solve(p.axis2)
+    return axis_eigenvalues(p.s, p.a1, n, tol), axis_eigenvalues(p.s, p.a2, n, tol)
 
 
 def product_eigs(p: LabyrinthParams, n: int, tol: float = DEFAULT_EIG_TOL) -> EmpiricalMeasure:

@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from quasilab import labyrinth
 
 settings.register_profile(
     "default",
@@ -6,3 +9,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Empty the axis memo and record the size of every 1D eigensolve behind it."""
+    labyrinth.axis_eigenvalues.cache_clear()
+    sizes = []
+    solve = labyrinth.eigenvalues_offdiag
+
+    def counting(off, *args, **kwargs):
+        sizes.append(len(off) + 1)
+        return solve(off, *args, **kwargs)
+
+    monkeypatch.setattr(labyrinth, "eigenvalues_offdiag", counting)
+    return sizes

@@ -84,3 +84,20 @@ def test_criterion_14_determinism():
     # the determinism re-run must also have produced an all-green table
     assert all(r.passed for r in first_run), "underlying criteria failed during the re-run"
     assert result.passed, result.detail
+
+
+def test_criterion_14_recomputes_the_1d_lists(monkeypatch, solves):
+    # the second run must repeat every 1D solve, not reuse the first run's memo
+    per_run = []
+    run_all = acceptance.run_all
+
+    def counted_run_all():
+        before = len(solves)
+        results = run_all([6, 7, 8])  # the criteria that read 1D lists
+        per_run.append(len(solves) - before)
+        return results
+
+    monkeypatch.setattr(acceptance, "run_all", counted_run_all)
+    result, _ = acceptance.run_determinism_check()
+    assert result.passed
+    assert len(per_run) == 2 and per_run[0] == per_run[1] > 0

@@ -225,6 +225,19 @@ class TestInvalidInput:
         ["dos1d", "--a", "2", "--N", "16", "--grid", "0"],
         ["dos2d", "--a1", "2", "--a2", "1", "--N", "4", "--grid", "0"],
         ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--phases", "0"],
+        # hopping values whose square overflows
+        ["dos1d", "--a", "1e200", "--N", "64", "--grid", "5"],
+        ["dos1d", "--lambda", "1e200", "--N", "64", "--grid", "5"],
+        ["dos2d", "--a1", "1e200", "--a2", "1", "--N", "8"],
+        ["spectrum1d", "--a", "1e200", "--level", "5"],
+        ["spectrum2d", "--a1", "2", "--lambda2", "1e200", "--level", "5"],
+        # the trace-map sampler needs at least two grid points
+        ["spectrum1d", "--a", "2", "--levels", "3,5", "--grid", "1"],
+        ["spectrum1d", "--a", "2", "--grid", "0"],
+        ["spectrum1d", "--a", "2", "--grid", "1"],
+        ["spectrum2d", "--a1", "2", "--a2", "1", "--grid", "1"],
+        ["sequence", "--beta", "nan"],
+        ["sequence", "--beta", "inf"],
     ])
     def test_rejected_with_exit_2_and_one_json_line(self, args):
         code, out, err = run_cli(args)

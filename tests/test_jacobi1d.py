@@ -57,7 +57,7 @@ class TestCoupling:
         with pytest.raises(ValueError):
             ModelParams(0, 1.0)
 
-    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan, 1e200])
     def test_model_params_rejects_nonpositive_or_nonfinite_hopping(self, a):
         with pytest.raises(ValueError, match="positive and finite"):
             ModelParams(1, a)
@@ -199,7 +199,7 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("s,a,n", [(1, 2.0, 4), (1, 0.5, 6), (2, 3.0, 7), (3, 1.3, 8)])
     def test_oracle_equivalence_dense(self, s, a, n):
-        # bisection against the independent dense rotation solver
+        # bisection against the independent dense LAPACK solver
         w = build_window(ModelParams(s, a), n)
         bis = eigenvalues(w, tol=1e-10).support
         dense = symmetric_eigenvalues(w.to_dense())

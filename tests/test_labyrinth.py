@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quasilab.errors import ResourceLimitError
 from quasilab.labyrinth import (
     LabyrinthParams,
+    axis_eigenvalues,
     build_2d,
     count_products_leq,
     dense_eigs_2d,
@@ -39,6 +40,8 @@ class TestParams:
             LabyrinthParams(1, -1.0, 1.0)
         with pytest.raises(ValueError, match="positive and finite"):
             LabyrinthParams(1, 1.0, math.inf)
+        with pytest.raises(ValueError, match="their squares"):
+            LabyrinthParams(1, 1e200, 1.0)  # a * a overflows
 
 
 class TestBuild2D:
@@ -127,6 +130,47 @@ class TestProductEigs:
     def test_snapped_zero_for_odd_n(self):
         e1, e2 = eigs_1d_axes(GENERIC, 7)
         assert e1[3] == 0.0 and e2[3] == 0.0
+
+
+class TestAxisMemo:
+    def test_repeat_call_makes_no_solve(self, solves):
+        first = eigs_1d_axes(GENERIC, 9)
+        assert solves == [9, 9]
+        second = eigs_1d_axes(GENERIC, 9)
+        assert solves == [9, 9]
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_equal_axes_solve_once(self, solves):
+        e1, e2 = eigs_1d_axes(LabyrinthParams(1, 1.5, 1.5), 8)
+        assert solves == [8]
+        assert e1 is e2
+
+    def test_other_tol_or_size_misses(self, solves):
+        eigs_1d_axes(FREE, 8)
+        eigs_1d_axes(FREE, 8, tol=1e-9)
+        eigs_1d_axes(FREE, 9)
+        assert solves == [8, 8, 9]
+
+    def test_lists_are_read_only(self, solves):
+        for e in eigs_1d_axes(GENERIC, 7):
+            with pytest.raises(ValueError):
+                e[0] = 1.0
+
+    def test_warm_memo_gives_identical_outputs(self, solves):
+        n, grid = 9, np.linspace(-5.0, 5.0, 41)
+        queries = [
+            lambda: product_eigs(GENERIC, n).support.tobytes(),
+            lambda: dos2d_cdf(GENERIC, grid, n).tobytes(),
+            lambda: log_convolution_cdf(GENERIC, (-1.0, 2.0), n, 64),
+            lambda: zero_product_mass(GENERIC, n),
+        ]
+        cold = []
+        for query in queries:
+            axis_eigenvalues.cache_clear()
+            cold.append(query())
+        warm = [query() for query in queries]
+        assert solves == [n, n] * len(queries)
+        assert warm == cold
 
 
 class TestProductCounting:
