@@ -28,13 +28,18 @@ DEFAULT_LOG_FLOOR = 1e-12
 
 
 def merge_intervals(pairs, *, merge_tol: float = 0.0, cap: int = DEFAULT_INTERVAL_CAP):
-    """Sort [lo, hi] pairs and merge overlaps (and gaps up to ``merge_tol``)."""
-    arr = np.asarray(list(pairs), dtype=float).reshape(-1, 2)
+    """Sort [lo, hi] pairs and merge overlaps (and gaps up to ``merge_tol``).
+
+    ``pairs`` is an (n, 2) array or a sequence of pairs.
+    """
+    arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if arr.size == 0:
         return ()
     if not np.all(arr[:, 1] >= arr[:, 0]):
         raise ValueError("intervals must satisfy lo <= hi")
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
+    # no pair whose lower end ties an earlier one can start a run, so the
+    # order among ties does not change the result
+    order = np.argsort(arr[:, 0])
     lo = arr[order, 0]
     hi = arr[order, 1]
     run_hi = np.maximum.accumulate(hi)

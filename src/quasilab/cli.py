@@ -84,6 +84,13 @@ def _fail(kind: str, message: str, code: int):
     raise SystemExit(code)
 
 
+def _require_bands(cover, grid: int):
+    """Exit 1 with an error line, before any artifact is written, on an empty cover."""
+    if cover.is_empty:
+        _fail("empty-cover", f"no sample survived to level {cover.level} "
+              f"(--grid {grid}); try a denser --grid", 1)
+
+
 def _resolve_a(args, which: str = "") -> float:
     a = getattr(args, f"a{which}", None)
     lam = getattr(args, f"lam{which}", None)
@@ -299,7 +306,7 @@ def _cmd_spectrum1d(args) -> int:
     else:
         covers = [tracemap.spectrum_cover(params, args.level, args.resolution,
                                           initial_grid=args.grid, escape_radius=args.escape_radius)]
-    final = covers[-1]
+    _require_bands(covers[-1], args.grid)
     if args.fmt == "svg":
         _write(args.output, svg.band_stack_svg(covers, cfg.metadata()))
     elif args.fmt == "json":
@@ -307,7 +314,7 @@ def _cmd_spectrum1d(args) -> int:
     else:
         rows = [(c.level, lo, hi) for c in covers for lo, hi in c.intervals]
         _write(args.output, _csv_text(cfg.metadata(), "level,band_lo,band_hi", rows))
-    return 0 if not final.is_empty else 1
+    return 0
 
 
 def _cmd_dos1d(args) -> int:
@@ -363,6 +370,7 @@ def _cmd_spectrum2d(args) -> int:
         labyrinth.LabyrinthParams(args.s, a1, a2), args.level, args.resolution,
         initial_grid=args.grid, escape_radius=args.escape_radius,
     )
+    _require_bands(cover, args.grid)
     if args.fmt == "svg":
         _write(args.output, svg.band_stack_svg([cover], cfg.metadata()))
     elif args.fmt == "json":
@@ -370,7 +378,7 @@ def _cmd_spectrum2d(args) -> int:
     else:
         rows = [(cover.level, lo, hi) for lo, hi in cover.intervals]
         _write(args.output, _csv_text(cfg.metadata(), "level,band_lo,band_hi", rows))
-    return 0 if not cover.is_empty else 1
+    return 0
 
 
 def _cmd_dos2d(args) -> int:

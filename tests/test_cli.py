@@ -248,6 +248,23 @@ class TestInvalidInput:
         assert json.loads(lines[0])["error"] == "invalid-config"
 
 
+    @pytest.mark.parametrize("args", [
+        # the two grid points are the ends of the search interval, and both escape
+        ["spectrum1d", "--a", "2", "--grid", "2", "--level", "3"],
+        ["spectrum1d", "--a", "2", "--grid", "2", "--levels", "2,3"],
+        ["spectrum2d", "--a1", "2", "--a2", "1", "--grid", "2", "--level", "3"],
+    ])
+    def test_empty_cover_exits_1_with_one_json_line_and_no_artifact(self, args, tmp_path):
+        out_file = tmp_path / "cover.csv"
+        code, out, err = run_cli(args + ["--output", str(out_file)])
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "empty-cover"
+        assert not out_file.exists()
+
+
 class TestBisectionTerminates:
     # both commands looped forever while bisection stopped only on width:
     # the requested width is below the float spacing at the bracket

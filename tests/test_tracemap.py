@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasilab.jacobi1d import ModelParams, free_ids
+from quasilab import tracemap
+from quasilab.bands import BandCover, merge_intervals
+from quasilab.errors import ResourceLimitError
+from quasilab.jacobi1d import ModelParams, free_ids, hopping_from_coupling
 from quasilab.tracemap import (
+    DEFAULT_GRID,
     TraceVector,
     apply_p,
     apply_u,
@@ -25,6 +29,61 @@ from quasilab.tracemap import (
 )
 
 coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+# ---------------------------------------------------------------------------
+# reference cover builder: one escape_steps call per band and a scalar
+# bisection per edge, the plain reading of the construction that the batched
+# builder must reproduce bit for bit
+
+
+def _ref_refine_edge(params, e_surviving, e_escaping, level, radius, resolution):
+    while abs(e_escaping - e_surviving) > resolution:
+        mid = 0.5 * (e_surviving + e_escaping)
+        if mid == e_surviving or mid == e_escaping:
+            break
+        if escape_time(params.s, line_point(params, mid), level, radius) is None:
+            e_surviving = mid
+        else:
+            e_escaping = mid
+    return e_escaping
+
+
+def _ref_bands_from_samples(params, e, level, radius, resolution):
+    pts = line_point(params, e)
+    surv = escape_steps(params.s, pts.x, pts.y, pts.z, level, radius) < 0
+    padded = np.concatenate([[False], surv, [False]])
+    starts = np.flatnonzero(padded[1:] & ~padded[:-1])
+    ends = np.flatnonzero(~padded[1:] & padded[:-1]) - 1
+    bands = []
+    for i0, i1 in zip(starts, ends):
+        lo = float(e[0]) if i0 == 0 else _ref_refine_edge(
+            params, float(e[i0]), float(e[i0 - 1]), level, radius, resolution)
+        hi = float(e[-1]) if i1 == e.size - 1 else _ref_refine_edge(
+            params, float(e[i1]), float(e[i1 + 1]), level, radius, resolution)
+        bands.append((lo, hi))
+    return bands
+
+
+def reference_cover_sequence(params, levels, resolution, initial_grid=DEFAULT_GRID):
+    radius = default_escape_radius(params.coupling)
+    bound = 2.0 * (1.0 + params.a)
+    spacing = 2.0 * bound / (initial_grid - 1)
+    grid = np.linspace(-bound, bound, initial_grid)
+    bands = _ref_bands_from_samples(params, grid, levels[0], radius, resolution)
+    out = [BandCover(merge_intervals(bands), level=levels[0], s=params.s,
+                     coupling=params.coupling, resolution=resolution)]
+    for lvl in levels[1:]:
+        pieces = []
+        for lo, hi in out[-1].intervals:
+            m = max(17, int(math.ceil((hi - lo) / spacing)) + 1)
+            pts = np.linspace(lo, hi, m)
+            if lo < 0.0 < hi:
+                pts = np.unique(np.append(pts, 0.0))
+            pieces.extend(_ref_bands_from_samples(params, pts, lvl, radius, resolution))
+        out.append(BandCover(merge_intervals(pieces), level=lvl, s=params.s,
+                             coupling=params.coupling, resolution=resolution))
+    return out
 
 
 class TestMapAlgebra:
@@ -133,6 +192,11 @@ class TestEscape:
         for e, step in zip(energies, steps):
             scalar = escape_time(p.s, line_point(p, float(e)), 40, radius)
             assert (scalar is None and step == -1) or scalar == step
+        # the steps of a lane do not depend on which lanes share its call
+        cuts = np.sort(np.random.default_rng(3).choice(np.arange(1, energies.size), 9, replace=False))
+        chunks = [escape_steps(p.s, q.x, q.y, q.z, 40, radius)
+                  for q in (line_point(p, part) for part in np.split(energies, cuts))]
+        assert np.array_equal(np.concatenate(chunks), steps)
 
 
 class TestSpectrumCover:
@@ -165,6 +229,64 @@ class TestSpectrumCover:
         assert c.level == 6 and c.s == 2
         assert c.coupling == pytest.approx(1.5)
         assert c.resolution == 1e-3
+
+    # (s, coupling, levels, resolution, initial_grid)
+    REFERENCE_CASES = [
+        (1, 3.75, [12, 15], 1e-4, DEFAULT_GRID),  # few bands, strong coupling
+        (1, 3.75, [1, 2, 3, 4, 5, 6, 7, 8], 1e-4, DEFAULT_GRID),
+        (1, 3.0, [5, 10, 14], 1e-6, DEFAULT_GRID),
+        (2, 0.3, [3, 6, 9], 1e-4, DEFAULT_GRID),  # many bands, s = 2 ladder
+        (2, 1.0, [2, 4, 6, 8], 1e-9, 257),
+        (1, 1.25, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], 1e-12, DEFAULT_GRID),
+        (1, 1.0, [4, 7], 1e-17, DEFAULT_GRID),  # resolution below the float spacing
+        (1, 0.5, [1, 2, 3], 1e-3, 3),  # the grid is (-b, 0, b)
+        (2, 0.5, [2, 3], 1e-3, 2),  # the grid is the two ends, which escape
+        (1, 0.8, [3, 6], 1e-2, 33),
+    ]
+
+    @pytest.mark.parametrize("s, lam, levels, resolution, grid", REFERENCE_CASES)
+    def test_batched_builder_matches_reference(self, s, lam, levels, resolution, grid):
+        p = ModelParams(s, hopping_from_coupling(lam))
+        ref = reference_cover_sequence(p, levels, resolution, grid)
+        got = cover_sequence(p, levels, resolution, initial_grid=grid)
+        # repr keeps the sign of a zero endpoint, which == would not
+        assert repr(got) == repr(ref)
+        flat = spectrum_cover(p, levels[-1], resolution, initial_grid=grid)
+        assert repr(flat) == repr(reference_cover_sequence(p, levels[-1:], resolution, grid)[0])
+
+    def test_reference_grid_reaches_the_cases_it_names(self):
+        counts = {}
+        for s, lam, levels, resolution, grid in self.REFERENCE_CASES:
+            seq = cover_sequence(ModelParams(s, hopping_from_coupling(lam)), levels, resolution,
+                                 initial_grid=grid)
+            counts[(s, lam, tuple(levels))] = [c.count for c in seq]
+            if grid == 3:
+                assert seq[1].contains(0.0)
+                assert any(lo < 0.0 < hi for lo, hi in seq[1].intervals)
+        # at most 24 edges: the flat level bisects in scalar passes
+        assert counts[(1, 3.75, (12, 15))][0] <= 12
+        assert counts[(2, 0.3, (3, 6, 9))][-1] > 100
+        assert counts[(2, 0.5, (2, 3))] == [0, 0]
+
+    def test_band_cap_applies_to_the_level_total_before_refinement(self, monkeypatch):
+        p = ModelParams(1, hopping_from_coupling(1.25))
+        seq = cover_sequence(p, [5, 9], 1e-4)
+        flat = spectrum_cover(p, 9, 1e-4)
+        # no band of level 5 holds cap + 1 bands of level 9: only the level total trips the cap
+        per_band = [sum(lo <= a and b <= hi for a, b in seq[1].intervals) for lo, hi in seq[0].intervals]
+        assert max(per_band) < seq[1].count - 1
+
+        refine = tracemap._refine_edges
+
+        def refine_below_level_9(params, surviving, escaping, level, *rest):
+            assert level < 9, "edges refined before the band cap was checked"
+            return refine(params, surviving, escaping, level, *rest)
+
+        monkeypatch.setattr(tracemap, "_refine_edges", refine_below_level_9)
+        with pytest.raises(ResourceLimitError, match="bands exceed the cap"):
+            cover_sequence(p, [5, 9], 1e-4, band_cap=seq[1].count - 1)
+        with pytest.raises(ResourceLimitError, match="bands exceed the cap"):
+            spectrum_cover(p, 9, 1e-4, band_cap=flat.count - 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
