@@ -13,65 +13,45 @@ invalid configuration or domain errors, 3 for resource caps.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__, acceptance, bands, labyrinth, svg, tracemap, words
+from . import __version__, bands, labyrinth, svg, tracemap, words
 from .errors import ResourceLimitError
 from .jacobi1d import ModelParams, free_ids, hopping_from_coupling, ids_curve
+
+#: Caps on the sizes of what the CLI allocates itself; above them it exits 3.
+ENERGY_GRID_CAP = 65537
+HISTOGRAM_BIN_CAP = 65536
+PHASES_CAP = 64
+SWEEP_STEPS_CAP = 64
+
+#: Namespace attributes written into every artifact's metadata, in this order,
+#: when they are set; a handler stores the values it resolves on the namespace.
+_META_KEYS = (
+    "subcommand", "s", "a", "a2", "n", "level", "levels", "resolution", "max_iter",
+    "escape_radius", "grid", "bins", "beta", "phases", "emin", "emax", "lambda_min",
+    "lambda_max", "steps", "criteria", "twin_k", "fmt", "output", "histogram_output",
+    "gaps_output", "seed", "jobs",
+)
+
+
+def _metadata(args) -> dict:
+    meta = {"tool": "quasilab", "version": __version__}
+    for key in _META_KEYS:
+        value = getattr(args, key, None)
+        if value is not None:
+            meta[key] = value
+    return meta
 
 
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Resolved invocation: subcommand plus every numeric knob it uses."""
-
-    subcommand: str
-    s: int = 1
-    a: float | None = None
-    a2: float | None = None
-    n: int | None = None
-    level: int | None = None
-    levels: tuple | None = None
-    resolution: float | None = None
-    max_iter: int | None = None
-    escape_radius: float | None = None
-    grid: int | None = None
-    bins: int | None = None
-    beta: float | None = None
-    phases: int | None = None
-    emin: float | None = None
-    emax: float | None = None
-    lambda_min: float | None = None
-    lambda_max: float | None = None
-    steps: int | None = None
-    criteria: tuple | None = None
-    twin_k: int | None = None
-    fmt: str = "csv"
-    output: str = "-"
-    histogram_output: str | None = None
-    gaps_output: str | None = None
-    seed: int = 0
-    jobs: int = 1
-
-    def metadata(self) -> dict:
-        meta = {"tool": "quasilab", "version": __version__}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                meta[f.name] = list(v) if isinstance(v, tuple) else v
-        return meta
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,33 +72,29 @@ def _require_bands(cover, grid: int):
 
 
 def _resolve_a(args, which: str = "") -> float:
-    a = getattr(args, f"a{which}", None)
-    lam = getattr(args, f"lam{which}", None)
-    if (a is None) == (lam is None):
-        _fail("invalid-config", f"give exactly one of --a{which} / --lambda{which}", 2)
-    if a is not None:
-        if a <= 0:
-            _fail("invalid-config", f"--a{which} must be positive", 2)
-        return float(a)
-    if lam < 0:
-        _fail("invalid-config", f"--lambda{which} must be nonnegative", 2)
-    return hopping_from_coupling(float(lam))
+    """The hopping value from --a or --lambda; the model parameters validate it."""
+    lam = getattr(args, f"lam{which}")
+    return getattr(args, f"a{which}") if lam is None else hopping_from_coupling(lam)
 
 
-def _int_at_least(lowest: int):
+def _int_at_least(lowest: int, cap: int | None = None, what: str = ""):
+    """argparse type for an int >= ``lowest``; above ``cap`` it raises ResourceLimitError."""
+
     def parse(text: str) -> int:
         value = int(text)
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        if cap is not None and value > cap:
+            raise ResourceLimitError(f"{value} {what} exceed the cap of {cap}")
         return value
 
     parse.__name__ = f"int >= {lowest}"
     return parse
 
 
-_positive_int = _int_at_least(1)
 #: The trace-map sampler needs both ends of its energy interval.
 _cover_grid = _int_at_least(2)
+_energy_grid = _int_at_least(1, ENERGY_GRID_CAP, "energy grid points")
 
 
 def _finite_float(text: str) -> float:
@@ -134,29 +110,24 @@ def _add_output_options(p, formats=("csv", "json", "svg")):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_model1d(p):
+def _add_model(p, *axes):
+    """--s plus one required --a<axis> / --lambda<axis> pair per axis suffix."""
     p.add_argument("--s", type=int, default=1)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--a", type=float)
-    g.add_argument("--lambda", type=float, dest="lam")
-
-
-def _add_model2d(p):
-    p.add_argument("--s", type=int, default=1)
-    g1 = p.add_mutually_exclusive_group(required=True)
-    g1.add_argument("--a1", type=float)
-    g1.add_argument("--lambda1", type=float, dest="lam1")
-    g2 = p.add_mutually_exclusive_group(required=True)
-    g2.add_argument("--a2", type=float)
-    g2.add_argument("--lambda2", type=float, dest="lam2")
+    for axis in axes:
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument(f"--a{axis}", type=float)
+        g.add_argument(f"--lambda{axis}", type=float, dest=f"lam{axis}")
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="quasilab", description=__doc__)
     top.add_argument("--version", action="version", version=f"quasilab {__version__}")
+    # no option sets jobs; every artifact keeps its jobs=1 line, so its bytes stay stable
+    top.set_defaults(jobs=1)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("sequence", help="substitution words, twins, parity patterns")
+    p.set_defaults(run=_cmd_sequence)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--n", type=int, default=8, help="substitution iterations")
     p.add_argument("--beta", type=_finite_float, default=None, help="emit the rotation coding at this phase instead")
@@ -164,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p, formats=("csv", "json"))
 
     p = sub.add_parser("spectrum1d", help="outer band cover of a 1D spectrum")
-    _add_model1d(p)
+    p.set_defaults(run=_cmd_spectrum1d)
+    _add_model(p, "")
     p.add_argument("--level", type=int, default=15)
     p.add_argument("--levels", default=None, help="comma-separated nested levels for stacked output")
     p.add_argument("--resolution", type=float, default=1e-4)
@@ -173,17 +145,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
 
     p = sub.add_parser("dos1d", help="integrated density of states curve")
-    _add_model1d(p)
+    p.set_defaults(run=_cmd_dos1d)
+    _add_model(p, "")
     p.add_argument("--N", type=int, default=2048, dest="n")
-    p.add_argument("--grid", type=_positive_int, default=401)
-    p.add_argument("--emin", type=float, default=None)
-    p.add_argument("--emax", type=float, default=None)
-    p.add_argument("--phases", type=_positive_int, default=1,
+    p.add_argument("--grid", type=_energy_grid, default=401)
+    p.add_argument("--emin", type=_finite_float, default=None)
+    p.add_argument("--emax", type=_finite_float, default=None)
+    p.add_argument("--phases", type=_int_at_least(1, PHASES_CAP, "phases"), default=1,
                    help="sample this many random rotation phases (seeded) and report the spread")
     _add_output_options(p)
 
     p = sub.add_parser("spectrum2d", help="product band cover of the 2D spectrum")
-    _add_model2d(p)
+    p.set_defaults(run=_cmd_spectrum2d)
+    _add_model(p, "1", "2")
     p.add_argument("--level", type=int, default=15)
     p.add_argument("--resolution", type=float, default=1e-4)
     p.add_argument("--grid", type=_cover_grid, default=tracemap.DEFAULT_GRID)
@@ -191,15 +165,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
 
     p = sub.add_parser("dos2d", help="2D counting-measure CDF and histogram")
-    _add_model2d(p)
+    p.set_defaults(run=_cmd_dos2d)
+    _add_model(p, "1", "2")
     p.add_argument("--N", type=int, default=512, dest="n")
-    p.add_argument("--grid", type=_positive_int, default=401)
-    p.add_argument("--bins", type=int, default=256, help="histogram bins")
+    p.add_argument("--grid", type=_energy_grid, default=401)
+    p.add_argument("--bins", type=_int_at_least(1, HISTOGRAM_BIN_CAP, "histogram bins"), default=256,
+                   help="histogram bins")
     p.add_argument("--histogram-output", default=None)
     _add_output_options(p)
 
     p = sub.add_parser("thickness", help="gap structure, thickness, dimension estimate")
-    _add_model1d(p)
+    p.set_defaults(run=_cmd_thickness)
+    _add_model(p, "")
     p.add_argument("--level", type=int, default=15)
     p.add_argument("--levels", default=None,
                    help="comma-separated refinement levels (default three up to --level)")
@@ -208,16 +185,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p, formats=("csv", "json"))
 
     p = sub.add_parser("sweep", help="classify the product spectrum over a coupling grid")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--lambda-min", type=float, default=0.05)
-    p.add_argument("--lambda-max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=4)
+    p.add_argument("--lambda-min", type=_finite_float, default=0.05)
+    p.add_argument("--lambda-max", type=_finite_float, default=1.0)
+    p.add_argument("--steps", type=_int_at_least(1, SWEEP_STEPS_CAP, "sweep steps"), default=4)
     p.add_argument("--level", type=int, default=12)
     p.add_argument("--resolution", type=float, default=1e-4)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_output_options(p)
 
     p = sub.add_parser("verify", help="run the acceptance criteria and print a table")
+    p.set_defaults(run=_cmd_verify, s=1)
     p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,2,12")
     p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     p.add_argument("--output", "-o", default="-")
@@ -254,8 +232,6 @@ def _json_text(meta: dict, data) -> str:
 
 
 def _cmd_sequence(args) -> int:
-    cfg = RunConfig("sequence", s=args.s, n=args.n, beta=args.beta, twin_k=args.twin_k,
-                    fmt=args.fmt, output=args.output, seed=args.seed)
     if args.beta is None:
         word = words.iterate(args.s, args.n)
     else:
@@ -271,13 +247,13 @@ def _cmd_sequence(args) -> int:
         data = {"word": word, "length": len(word), "parity_pattern": parity}
         if twin:
             data["twin"] = twin
-        _write(args.output, _json_text(cfg.metadata(), data))
+        _write(args.output, _json_text(_metadata(args), data))
     else:
         rows = [("word", word), ("length", len(word)),
                 ("parity_pattern", "".join(map(str, parity)))]
         if twin:
             rows.append(("twin_offset", twin["report"]["offset"] if twin["report"] else ""))
-        _write(args.output, _csv_text(cfg.metadata(), "key,value", rows))
+        _write(args.output, _csv_text(_metadata(args), "key,value", rows))
     return 0
 
 
@@ -292,39 +268,35 @@ def _parse_levels(raw: str | None, top: int) -> list[int]:
 
 
 def _cmd_spectrum1d(args) -> int:
-    a = _resolve_a(args)
-    cfg = RunConfig("spectrum1d", s=args.s, a=a, level=args.level, max_iter=args.level,
-                    resolution=args.resolution, grid=args.grid,
-                    escape_radius=args.escape_radius, fmt=args.fmt, output=args.output,
-                    seed=args.seed)
-    params = ModelParams(args.s, a)
+    args.a = _resolve_a(args)
+    args.max_iter = args.level
+    params = ModelParams(args.s, args.a)
+    args.levels = _parse_levels(args.levels, args.level) if args.levels else None
     if args.levels:
-        levels = _parse_levels(args.levels, args.level)
-        covers = tracemap.cover_sequence(params, levels, args.resolution,
+        covers = tracemap.cover_sequence(params, args.levels, args.resolution,
                                          initial_grid=args.grid, escape_radius=args.escape_radius)
-        cfg.levels = tuple(levels)
     else:
         covers = [tracemap.spectrum_cover(params, args.level, args.resolution,
                                           initial_grid=args.grid, escape_radius=args.escape_radius)]
     _require_bands(covers[-1], args.grid)
+    meta = _metadata(args)
     if args.fmt == "svg":
-        _write(args.output, svg.band_stack_svg(covers, cfg.metadata()))
+        _write(args.output, svg.band_stack_svg(covers, meta))
     elif args.fmt == "json":
-        _write(args.output, _json_text(cfg.metadata(), [c.to_json_obj() for c in covers]))
+        _write(args.output, _json_text(meta, [c.to_json_obj() for c in covers]))
     else:
         rows = [(c.level, lo, hi) for c in covers for lo, hi in c.intervals]
-        _write(args.output, _csv_text(cfg.metadata(), "level,band_lo,band_hi", rows))
+        _write(args.output, _csv_text(meta, "level,band_lo,band_hi", rows))
     return 0
 
 
 def _cmd_dos1d(args) -> int:
-    a = _resolve_a(args)
-    cfg = RunConfig("dos1d", s=args.s, a=a, n=args.n, grid=args.grid, phases=args.phases,
-                    emin=args.emin, emax=args.emax, fmt=args.fmt, output=args.output,
-                    seed=args.seed)
-    params = ModelParams(args.s, a)
-    hi = args.emax if args.emax is not None else 2.0 * max(a, 1.0) + 0.5
+    args.a = _resolve_a(args)
+    params = ModelParams(args.s, args.a)
+    hi = args.emax if args.emax is not None else 2.0 * max(args.a, 1.0) + 0.5
     lo = args.emin if args.emin is not None else -hi
+    if not lo < hi:
+        _fail("invalid-config", f"the energy range needs emin < emax, got [{lo}, {hi}]", 2)
     grid = np.linspace(lo, hi, args.grid)
     curves = [("substitution:0", ids_curve(params, grid, args.n))]
     if args.phases > 1:
@@ -336,7 +308,7 @@ def _cmd_dos1d(args) -> int:
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
             spread = max(spread, float(np.max(np.abs(curves[i][1] - curves[j][1]))))
-    meta = cfg.metadata()
+    meta = _metadata(args)
     meta["max_pairwise_spread"] = spread
     if args.fmt == "svg":
         _write(args.output, svg.curve_svg(grid, curves[0][1], meta))
@@ -360,35 +332,27 @@ def _cmd_dos1d(args) -> int:
 
 
 def _cmd_spectrum2d(args) -> int:
-    a1 = _resolve_a(args, "1")
-    a2 = _resolve_a(args, "2")
-    cfg = RunConfig("spectrum2d", s=args.s, a=a1, a2=a2, level=args.level, max_iter=args.level,
-                    resolution=args.resolution, grid=args.grid,
-                    escape_radius=args.escape_radius, fmt=args.fmt, output=args.output,
-                    seed=args.seed)
+    args.a, args.a2 = _resolve_a(args, "1"), _resolve_a(args, "2")
+    args.max_iter = args.level
     cover = labyrinth.spectrum_2d(
-        labyrinth.LabyrinthParams(args.s, a1, a2), args.level, args.resolution,
+        labyrinth.LabyrinthParams(args.s, args.a, args.a2), args.level, args.resolution,
         initial_grid=args.grid, escape_radius=args.escape_radius,
     )
     _require_bands(cover, args.grid)
+    meta = _metadata(args)
     if args.fmt == "svg":
-        _write(args.output, svg.band_stack_svg([cover], cfg.metadata()))
+        _write(args.output, svg.band_stack_svg([cover], meta))
     elif args.fmt == "json":
-        _write(args.output, _json_text(cfg.metadata(), cover.to_json_obj()))
+        _write(args.output, _json_text(meta, cover.to_json_obj()))
     else:
         rows = [(cover.level, lo, hi) for lo, hi in cover.intervals]
-        _write(args.output, _csv_text(cfg.metadata(), "level,band_lo,band_hi", rows))
+        _write(args.output, _csv_text(meta, "level,band_lo,band_hi", rows))
     return 0
 
 
 def _cmd_dos2d(args) -> int:
-    a1 = _resolve_a(args, "1")
-    a2 = _resolve_a(args, "2")
-    cfg = RunConfig("dos2d", s=args.s, a=a1, a2=a2, n=args.n, grid=args.grid, bins=args.bins,
-                    fmt=args.fmt, output=args.output, histogram_output=args.histogram_output,
-                    seed=args.seed)
-    p = labyrinth.LabyrinthParams(args.s, a1, a2)
-    prods = labyrinth.product_eigs(p, args.n)
+    args.a, args.a2 = _resolve_a(args, "1"), _resolve_a(args, "2")
+    prods = labyrinth.product_eigs(labyrinth.LabyrinthParams(args.s, args.a, args.a2), args.n)
     hull = float(np.max(np.abs(prods.support)))
     grid = np.linspace(-1.05 * hull, 1.05 * hull, args.grid)
     cdf = prods.cdf(grid)
@@ -396,7 +360,7 @@ def _cmd_dos2d(args) -> int:
                                range=(-1.05 * hull, 1.05 * hull))
     hist = hist / prods.size
     centers = 0.5 * (edges[:-1] + edges[1:])
-    meta = cfg.metadata()
+    meta = _metadata(args)
     if args.fmt == "svg":
         _write(args.output, svg.curve_svg(grid, cdf, meta))
     elif args.fmt == "json":
@@ -416,16 +380,12 @@ def _cmd_dos2d(args) -> int:
 
 
 def _cmd_thickness(args) -> int:
-    a = _resolve_a(args)
-    levels = _parse_levels(args.levels, args.level)
-    cfg = RunConfig("thickness", s=args.s, a=a, level=args.level, levels=tuple(levels),
-                    resolution=args.resolution, fmt=args.fmt, output=args.output,
-                    gaps_output=args.gaps_output, seed=args.seed)
-    params = ModelParams(args.s, a)
-    covers = tracemap.cover_sequence(params, levels, args.resolution)
+    args.a = _resolve_a(args)
+    args.levels = _parse_levels(args.levels, args.level)
+    covers = tracemap.cover_sequence(ModelParams(args.s, args.a), args.levels, args.resolution)
     stats = bands.cantor_stats(covers)
     gap_list = bands.gaps(covers[-1])
-    meta = cfg.metadata()
+    meta = _metadata(args)
     if args.fmt == "json":
         data = stats.to_json_obj()
         data["band_count"] = covers[-1].count
@@ -449,44 +409,26 @@ def _cmd_thickness(args) -> int:
     return 0
 
 
-def _sweep_cell(task) -> tuple:
-    s, lam, level, resolution = task
-    a = hopping_from_coupling(lam)
-    cover = tracemap.spectrum_cover(ModelParams(s, a), level, resolution)
-    return lam, cover
-
-
 def _cmd_sweep(args) -> int:
-    if args.steps < 1 or args.lambda_min < 0 or args.lambda_max < args.lambda_min:
-        _fail("invalid-config", "need 0 <= lambda-min <= lambda-max and steps >= 1", 2)
-    cfg = RunConfig("sweep", s=args.s, lambda_min=args.lambda_min, lambda_max=args.lambda_max,
-                    steps=args.steps, level=args.level, resolution=args.resolution,
-                    fmt=args.fmt, output=args.output, seed=args.seed, jobs=args.jobs)
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    tasks = [(args.s, float(lam), args.level, args.resolution) for lam in lams]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            covers = dict(pool.map(_sweep_cell, tasks))
-    else:
-        covers = dict(map(_sweep_cell, tasks))
+    if not 0 <= args.lambda_min <= args.lambda_max:
+        _fail("invalid-config", "need 0 <= lambda-min <= lambda-max", 2)
+    lams = np.linspace(args.lambda_min, args.lambda_max, args.steps).tolist()
+    covers = {lam: tracemap.spectrum_cover(ModelParams.from_coupling(args.s, lam), args.level,
+                                           args.resolution)
+              for lam in lams}
     rows = []
-    verdicts = {}
     for l1 in lams:
         for l2 in lams:
-            c1, c2 = covers[float(l1)], covers[float(l2)]
+            c1, c2 = covers[l1], covers[l2]
             prod = bands.product_set(c1, c2)
             check = bands.is_interval(prod, 4.0 * args.resolution)
             gap_total = sum(hi - lo for lo, hi in bands.gaps(prod))
-            rows.append((
-                float(l1), float(l2), int(bool(check)), gap_total,
-                bands.thickness(c1), bands.thickness(c2),
-            ))
-            verdicts[(float(l1), float(l2))] = bool(check)
-    meta = cfg.metadata()
+            rows.append((l1, l2, int(bool(check)), gap_total, bands.thickness(c1), bands.thickness(c2)))
+    meta = _metadata(args)
     header = "lambda1,lambda2,is_interval,total_gap_length,thickness1,thickness2"
     if args.fmt == "svg":
-        colors = [["#2a9d3a" if verdicts[(float(l1), float(l2))] else "#c43131" for l2 in lams]
-                  for l1 in lams]
+        k = len(lams)
+        colors = [["#2a9d3a" if row[2] else "#c43131" for row in rows[i * k:(i + 1) * k]] for i in range(k)]
         _write(args.output, svg.heat_grid_svg(lams, lams, colors, meta))
     elif args.fmt == "json":
         data = [dict(zip(header.split(","), row)) for row in rows]
@@ -497,6 +439,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import acceptance
+
     wanted = list(range(1, 15))
     if args.criteria:
         wanted = sorted({int(x) for x in args.criteria.split(",") if x.strip()})
@@ -508,30 +452,20 @@ def _cmd_verify(args) -> int:
         results = results + [det]
     ok = all(r.ok for r in results)
     if args.fmt == "json":
-        cfg = RunConfig("verify", criteria=tuple(wanted), fmt="json", output=args.output,
-                        seed=args.seed)
-        _write(args.output, _json_text(cfg.metadata(), [r.to_json_obj() for r in results]))
+        args.criteria = wanted
+        _write(args.output, _json_text(_metadata(args), [r.to_json_obj() for r in results]))
     else:
         _write(args.output, acceptance.format_table(results))
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "sequence": _cmd_sequence,
-    "spectrum1d": _cmd_spectrum1d,
-    "dos1d": _cmd_dos1d,
-    "spectrum2d": _cmd_spectrum2d,
-    "dos2d": _cmd_dos2d,
-    "thickness": _cmd_thickness,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-}
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args)
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
     except ResourceLimitError as exc:
         _fail("resource-limit", str(exc), 3)
     except ValueError as exc:

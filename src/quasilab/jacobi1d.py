@@ -57,7 +57,7 @@ class ModelParams:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be a positive integer")
-        if not (self.a > 0 and math.isfinite(self.a * self.a)):
+        if not (self.a > 0 and 0.0 < self.a * self.a < math.inf):
             raise ValueError(
                 f"the hopping value a must be positive and finite, and so must its square, got {self.a}"
             )

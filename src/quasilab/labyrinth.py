@@ -32,6 +32,9 @@ from .measures import EmpiricalMeasure, ks_distance
 #: Dense solves are limited to boxes with at most this side length (N^2 <= 256).
 DENSE_SIDE_CAP = 16
 
+#: Product eigenvalue lists are limited to boxes with at most this side length.
+PRODUCT_SIDE_CAP = 4096
+
 #: Above this size the product CDF switches to the sorted two-pointer counter.
 DIRECT_COUNT_CAP = 2048
 
@@ -55,7 +58,7 @@ class LabyrinthParams:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be a positive integer")
-        if not all(a > 0 and math.isfinite(a * a) for a in (self.a1, self.a2)):
+        if not all(a > 0 and 0.0 < a * a < math.inf for a in (self.a1, self.a2)):
             raise ValueError(
                 f"hopping values must be positive and finite, and so must their squares, "
                 f"got a1={self.a1}, a2={self.a2}"
@@ -186,6 +189,8 @@ def product_eigs(p: LabyrinthParams, n: int, tol: float = DEFAULT_EIG_TOL) -> Em
     By the tensor factorisation these are exactly the eigenvalues of the full
     2D box.
     """
+    if n > PRODUCT_SIDE_CAP:
+        raise ResourceLimitError(f"product lists are capped at side {PRODUCT_SIDE_CAP}, got {n}")
     e1, e2 = eigs_1d_axes(p, n, tol)
     return EmpiricalMeasure(np.multiply.outer(e1, e2).ravel())
 

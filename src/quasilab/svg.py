@@ -7,7 +7,7 @@ embedded as an escaped JSON payload in a <metadata> element.  No interactivity.
 from __future__ import annotations
 
 import json
-from xml.sax.saxutils import escape
+from html import escape
 
 WIDTH = 800.0
 HEIGHT = 400.0
@@ -24,7 +24,7 @@ def _document(body: list[str], metadata: dict | None) -> str:
         f'viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
     ]
     if metadata is not None:
-        head.append("<metadata>" + escape(json.dumps(metadata, sort_keys=True)) + "</metadata>")
+        head.append("<metadata>" + escape(json.dumps(metadata, sort_keys=True), quote=False) + "</metadata>")
     head.append(f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="white"/>')
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
@@ -54,7 +54,7 @@ def band_stack_svg(covers, metadata: dict | None = None) -> str:
         y = MARGIN + i * row_h
         label = f"level {cover.level}" if cover.level is not None else f"row {i}"
         body.append(
-            f'<text x="4" y="{_fmt(y + 0.6 * row_h)}" font-size="11">{escape(label)}</text>'
+            f'<text x="4" y="{_fmt(y + 0.6 * row_h)}" font-size="11">{escape(label, quote=False)}</text>'
         )
         for a, b in cover.intervals:
             w = max(to_x(b) - to_x(a), 0.3)

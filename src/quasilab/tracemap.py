@@ -32,6 +32,9 @@ DEFAULT_GRID = 4097
 #: Cap on the number of bands a cover may carry.
 DEFAULT_BAND_CAP = 10**6
 
+#: Cap on the number of points in the initial energy grid.
+GRID_CAP = 10**6
+
 
 class TraceVector(NamedTuple):
     x: float
@@ -90,6 +93,14 @@ def default_escape_radius(coupling: float) -> float:
     return coupling + 3.0
 
 
+def _check_escape_args(max_iter: int, radius: float) -> None:
+    """The argument check both escape evaluators share."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    if not 2.0 < radius < math.inf:
+        raise ValueError(f"escape radius must be finite and exceed 2, got {radius}")
+
+
 def escape_time(s: int, v, max_iter: int, radius: float) -> int | None:
     """Step at which the orbit of ``v`` under T_s is flagged as escaping, else None.
 
@@ -97,10 +108,7 @@ def escape_time(s: int, v, max_iter: int, radius: float) -> int | None:
     norm(v_t) > norm(v_{t-1}) > norm(v_{t-2}), or a nonfinite coordinate.  The
     two-step growth requirement guards against transient excursions.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    if radius <= 2.0:
-        raise ValueError("escape radius must exceed 2")
+    _check_escape_args(max_iter, radius)
     x, y, z = (float(c) for c in v)
     prev = max(abs(x), abs(y), abs(z))
     prev2 = math.inf
@@ -125,6 +133,7 @@ def escape_steps(s: int, x, y, z, max_iter: int, radius: float) -> np.ndarray:
     result is identical to the scalar routine on every lane and independent of
     how lanes are grouped.
     """
+    _check_escape_args(max_iter, radius)
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
     z = np.array(z, dtype=float)
@@ -247,8 +256,10 @@ def spectrum_cover(
     """
     if level < 1:
         raise ValueError("level must be positive")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    if initial_grid > GRID_CAP:
+        raise ResourceLimitError(f"{initial_grid} grid points exceed the cap of {GRID_CAP}")
     radius = default_escape_radius(params.coupling) if escape_radius is None else escape_radius
     bound = 2.0 * (1.0 + params.a)
     grid = np.linspace(-bound, bound, initial_grid)

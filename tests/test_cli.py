@@ -2,11 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quasilab
+from quasilab import cli, labyrinth, tracemap
 from quasilab.cli import main
 
 
@@ -136,27 +141,17 @@ class TestSweepCommand:
     def test_small_grid(self):
         code, out, _ = run_cli([
             "sweep", "--lambda-min", "0.1", "--lambda-max", "1.0", "--steps", "2",
-            "--level", "8", "--jobs", "1",
+            "--level", "8",
         ])
         assert code == 0
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         assert rows[0] == "lambda1,lambda2,is_interval,total_gap_length,thickness1,thickness2"
         assert len(rows) == 5
 
-    def test_parallel_matches_serial(self):
-        args = ["sweep", "--lambda-min", "0.2", "--lambda-max", "0.8", "--steps", "2",
-                "--level", "6"]
-        _, serial, _ = run_cli(args + ["--jobs", "1"])
-        _, parallel, _ = run_cli(args + ["--jobs", "2"])
-        # worker count is part of the embedded config; the data must agree
-        strip = lambda text: [l for l in text.splitlines() if not l.startswith("# jobs")]
-        assert strip(serial) == strip(parallel)
-
     def test_heat_grid_svg(self, tmp_path):
         path = tmp_path / "sweep.svg"
         code, _, _ = run_cli([
-            "sweep", "--steps", "2", "--level", "6", "--format", "svg",
-            "--jobs", "1", "-o", str(path),
+            "sweep", "--steps", "2", "--level", "6", "--format", "svg", "-o", str(path),
         ])
         assert code == 0
         assert "<rect" in path.read_text()
@@ -185,13 +180,18 @@ class TestErrorsAndDeterminism:
         ["sequence", "--s", "2", "--n", "6", "--format", "json"],
         ["spectrum1d", "--lambda", "0.5", "--level", "10", "--resolution", "1e-3"],
         ["dos1d", "--lambda", "0.3", "--N", "128", "--grid", "21", "--phases", "2"],
-        ["sweep", "--steps", "2", "--level", "6", "--jobs", "1"],
+        ["sweep", "--steps", "2", "--level", "6"],
     ])
     def test_byte_identical_reruns(self, args):
         code1, out1, _ = run_cli(args)
         code2, out2, _ = run_cli(args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_main_reuses_one_parser(self, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main rebuilt the parser"))
+        code, out, _ = run_cli(["sequence", "--n", "3"])
+        assert code == 0 and "word,abaab" in out
 
     def test_verify_subset_runs(self):
         code, out, _ = run_cli(["verify", "--criteria", "2"])
@@ -238,6 +238,22 @@ class TestInvalidInput:
         ["spectrum2d", "--a1", "2", "--a2", "1", "--grid", "1"],
         ["sequence", "--beta", "nan"],
         ["sequence", "--beta", "inf"],
+        # escape radii outside (2, inf) on the vectorised and the scalar evaluator
+        ["spectrum1d", "--s", "2", "--lambda", "0.3", "--level", "12", "--escape-radius", "1.0"],
+        ["spectrum1d", "--a", "4", "--level", "1", "--escape-radius", "0.5"],
+        ["spectrum1d", "--a", "4", "--level", "5", "--escape-radius", "nan"],
+        ["spectrum1d", "--a", "4", "--level", "5", "--escape-radius", "inf"],
+        ["spectrum2d", "--a1", "2", "--a2", "1", "--level", "5", "--grid", "9", "--escape-radius", "nan"],
+        # NaN knobs and an empty or reversed energy range
+        ["spectrum1d", "--a", "2", "--level", "5", "--resolution", "nan"],
+        ["thickness", "--a", "2", "--level", "5", "--resolution", "nan"],
+        ["sweep", "--steps", "2", "--level", "5", "--resolution", "nan"],
+        ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--emin", "nan"],
+        ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--emax", "inf"],
+        ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--emin", "3", "--emax", "1"],
+        ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--emin", "1", "--emax", "1"],
+        ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--emin", "9"],
+        ["sweep", "--steps", "2", "--level", "5", "--lambda-min", "nan"],
     ])
     def test_rejected_with_exit_2_and_one_json_line(self, args):
         code, out, err = run_cli(args)
@@ -263,6 +279,168 @@ class TestInvalidInput:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "empty-cover"
         assert not out_file.exists()
+
+
+class TestResourceCaps:
+    # each flag is run just above its cap only: a missing guard then costs
+    # one allocation of about cap size, never gigabytes
+    @pytest.mark.parametrize("args", [
+        ["spectrum1d", "--a", "2", "--level", "5", "--grid", str(tracemap.GRID_CAP + 1)],
+        ["spectrum2d", "--a1", "2", "--a2", "1", "--level", "5", "--grid", str(tracemap.GRID_CAP + 1)],
+        ["dos1d", "--a", "2", "--N", "16", "--grid", str(cli.ENERGY_GRID_CAP + 1)],
+        ["dos2d", "--a1", "2", "--a2", "1", "--N", "4", "--grid", str(cli.ENERGY_GRID_CAP + 1)],
+        ["dos2d", "--a1", "2", "--a2", "1", "--N", "4", "--bins", str(cli.HISTOGRAM_BIN_CAP + 1)],
+        ["dos2d", "--a1", "2", "--a2", "1", "--N", str(labyrinth.PRODUCT_SIDE_CAP + 1)],
+        ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--phases", str(cli.PHASES_CAP + 1)],
+        ["sweep", "--level", "5", "--steps", str(cli.SWEEP_STEPS_CAP + 1)],
+    ])
+    def test_exit_3_with_one_json_line(self, args):
+        code, out, err = run_cli(args)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "resource-limit"
+
+
+class TestMetadata:
+    # ordered metadata of one argv per subcommand: a change to any key, its
+    # position or its value changes the bytes of every artifact of that kind
+    @pytest.mark.parametrize("args, expected", [
+        (["sequence", "--s", "2", "--n", "5", "--twin-k", "3", "--format", "json"],
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "sequence", "s": 2, "n": 5,
+          "twin_k": 3, "fmt": "json", "output": "-", "seed": 0, "jobs": 1}),
+        (["spectrum1d", "--lambda", "0.5", "--level", "6", "--levels", "3,6", "--resolution", "1e-3",
+          "--format", "json"],
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "spectrum1d", "s": 1,
+          "a": 1.2807764064044151, "level": 6, "levels": [3, 6], "resolution": 0.001, "max_iter": 6,
+          "grid": 4097, "fmt": "json", "output": "-", "seed": 0, "jobs": 1}),
+        (["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--emin", "-1", "--phases", "2",
+          "--seed", "3", "--format", "json"],
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "dos1d", "s": 1, "a": 2.0, "n": 16,
+          "grid": 5, "phases": 2, "emin": -1.0, "fmt": "json", "output": "-", "seed": 3, "jobs": 1,
+          "max_pairwise_spread": 0.0625}),
+        (["spectrum2d", "--a1", "2", "--lambda2", "0.5", "--level", "6", "--resolution", "1e-3",
+          "--escape-radius", "7", "--format", "json"],
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "spectrum2d", "s": 1, "a": 2.0,
+          "a2": 1.2807764064044151, "level": 6, "resolution": 0.001, "max_iter": 6,
+          "escape_radius": 7.0, "grid": 4097, "fmt": "json", "output": "-", "seed": 0, "jobs": 1}),
+        (["dos2d", "--lambda1", "0.5", "--a2", "1.5", "--N", "8", "--grid", "5", "--bins", "4",
+          "--histogram-output", "hist.csv", "--format", "json"],
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "dos2d", "s": 1,
+          "a": 1.2807764064044151, "a2": 1.5, "n": 8, "grid": 5, "bins": 4, "fmt": "json",
+          "output": "-", "histogram_output": "hist.csv", "seed": 0, "jobs": 1}),
+        (["thickness", "--a", "4", "--level", "9", "--gaps-output", "gaps.csv", "--format", "json"],
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "thickness", "s": 1, "a": 4.0,
+          "level": 9, "levels": [1, 4, 9], "resolution": 0.0001, "fmt": "json", "output": "-",
+          "gaps_output": "gaps.csv", "seed": 0, "jobs": 1}),
+        (["sweep", "--steps", "2", "--level", "6", "--format", "json"],
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "sweep", "s": 1, "level": 6,
+          "resolution": 0.0001, "lambda_min": 0.05, "lambda_max": 1.0, "steps": 2, "fmt": "json",
+          "output": "-", "seed": 0, "jobs": 1}),
+        (["verify", "--criteria", "2", "--format", "json"],
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "verify", "s": 1, "criteria": [2],
+          "fmt": "json", "output": "-", "seed": 0, "jobs": 1}),
+    ])
+    def test_keys_and_values_in_order(self, args, expected, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(args)
+        assert code == 0
+        assert list(json.loads(out)["meta"].items()) == list(expected.items())
+
+
+# argv grammar: every subcommand at small sizes.  A knob is (flag, good values,
+# awkward values, required); each example gives at most one knob an awkward
+# value, so that the value reaches its own check.  Flags are written
+# --flag=value, so that argparse takes "-inf" as a value, not as an option.
+_AWKWARD = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1.5", "1e-300", "1e300"])
+_COUPLING = st.floats(0.0, 4.0)
+_BAD_INT = st.integers(-2, 0)
+_MODEL1D = [(("--a", "--lambda"), st.floats(0.05, 4.0), _AWKWARD, True)]
+_MODEL2D = [(("--a1", "--lambda1"), st.floats(0.05, 4.0), _AWKWARD, True),
+            (("--a2", "--lambda2"), st.floats(0.05, 4.0), _AWKWARD, True)]
+_S = ("--s", st.integers(1, 3), _BAD_INT, False)
+_LEVEL = ("--level", st.integers(1, 10), _BAD_INT, True)
+_LEVELS = ("--levels", st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True)
+           .map(lambda ls: ",".join(map(str, sorted(ls)))),
+           st.sampled_from(["", ",", "3,3", "5,2", "0,4", "x"]), False)
+_RESOLUTION = ("--resolution", st.floats(1e-6, 1e-2), _AWKWARD, False)
+_RADIUS = ("--escape-radius", st.floats(2.5, 20.0), _AWKWARD, False)
+_COVER_GRID = ("--grid", st.integers(2, 257), st.integers(-1, 1), True)
+_DOS_GRID = ("--grid", st.integers(1, 257), _BAD_INT, True)
+_N = ("--N", st.integers(1, 64), _BAD_INT, True)
+
+
+def _format(*choices):
+    return ("--format", st.sampled_from(choices), st.just("xml"), False)
+
+
+def _argv(name, *knobs):
+    @st.composite
+    def build(draw):
+        argv = [name]
+        spoil = draw(st.integers(0, len(knobs) - 1)) if draw(st.booleans()) else None
+        for i, (flag, good, bad, required) in enumerate(knobs):
+            if i == spoil:
+                value = draw(bad)
+            elif required or draw(st.booleans()):
+                value = draw(good)
+            else:
+                continue
+            if isinstance(flag, tuple):
+                flag = draw(st.sampled_from(flag))
+            argv.append(f"{flag}={value}")
+        return argv
+
+    return build()
+
+
+_GRAMMAR = {
+    "sequence": _argv("sequence", _S, ("--n", st.integers(0, 10), st.just(-1), False),
+                      ("--beta", st.floats(0.0, 1.0), _AWKWARD, False),
+                      ("--twin-k", st.integers(1, 6), _BAD_INT, False), _format("csv", "json")),
+    "spectrum1d": _argv("spectrum1d", *_MODEL1D, _S, _LEVEL, _LEVELS, _RESOLUTION, _COVER_GRID, _RADIUS,
+                        _format("csv", "json", "svg")),
+    "dos1d": _argv("dos1d", *_MODEL1D, _S, _N, _DOS_GRID,
+                   ("--emin", st.floats(-6.0, 0.0), _AWKWARD, False),
+                   ("--emax", st.floats(0.0, 6.0), _AWKWARD, False),
+                   ("--phases", st.integers(1, 4), _BAD_INT, False),
+                   ("--seed", st.integers(0, 5), st.just(-1), False), _format("csv", "json", "svg")),
+    "spectrum2d": _argv("spectrum2d", *_MODEL2D, _S, _LEVEL, _RESOLUTION, _COVER_GRID, _RADIUS,
+                        _format("csv", "json", "svg")),
+    "dos2d": _argv("dos2d", *_MODEL2D, _S, _N, _DOS_GRID, ("--bins", st.integers(1, 512), _BAD_INT, False),
+                   _format("csv", "json", "svg")),
+    "thickness": _argv("thickness", *_MODEL1D, _S, _LEVEL, _LEVELS, _RESOLUTION, _format("csv", "json")),
+    "sweep": _argv("sweep", _S, ("--lambda-min", _COUPLING, _AWKWARD, False),
+                   ("--lambda-max", _COUPLING, _AWKWARD, False),
+                   ("--steps", st.integers(1, 3), _BAD_INT, True), _LEVEL, _RESOLUTION,
+                   _format("csv", "json", "svg")),
+    # criteria 1, 2, 7 and 12 take milliseconds; an empty --criteria would run all 14
+    "verify": _argv("verify", ("--criteria", st.lists(st.sampled_from(["1", "2", "7", "12"]), min_size=1,
+                                                      max_size=3).map(",".join),
+                               st.sampled_from(["0", "15", "-3", "x", " ", ",", "2,,99"]), True),
+                    _format("text", "json")),
+}
+
+
+class TestArgvGrammar:
+    @settings(max_examples=600, deadline=timedelta(seconds=20))
+    @given(st.one_of(*_GRAMMAR.values()))
+    # a hopping value whose square underflows to 0 gave NaN Sturm pivots
+    @example(["dos2d", "--lambda1", "3.5", "--a2", "1e-300", "--N", "7", "--grid", "23"])
+    def test_exit_contract(self, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv)
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert "nan" not in out.lower()
+        else:
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert "error" in json.loads(lines[0])
 
 
 class TestBisectionTerminates:

@@ -57,7 +57,7 @@ class TestCoupling:
         with pytest.raises(ValueError):
             ModelParams(0, 1.0)
 
-    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan, 1e200])
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan, 1e200, 1e-300])
     def test_model_params_rejects_nonpositive_or_nonfinite_hopping(self, a):
         with pytest.raises(ValueError, match="positive and finite"):
             ModelParams(1, a)

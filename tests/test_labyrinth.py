@@ -42,6 +42,8 @@ class TestParams:
             LabyrinthParams(1, 1.0, math.inf)
         with pytest.raises(ValueError, match="their squares"):
             LabyrinthParams(1, 1e200, 1.0)  # a * a overflows
+        with pytest.raises(ValueError, match="their squares"):
+            LabyrinthParams(1, 1.0, 1e-300)  # a * a underflows to a zero coupling
 
 
 class TestBuild2D:

@@ -183,6 +183,16 @@ class TestEscape:
         with pytest.raises(ValueError):
             escape_time(1, (0.0, 0.0, 0.0), 10, 1.0)
 
+    @pytest.mark.parametrize("max_iter, radius", [
+        (10, math.nan), (10, math.inf), (10, 2.0), (10, 0.5), (0, 3.0),
+    ])
+    def test_vectorised_validation_matches_scalar(self, max_iter, radius):
+        zeros = np.zeros(30)
+        with pytest.raises(ValueError):
+            escape_steps(1, zeros, zeros, zeros, max_iter, radius)
+        with pytest.raises(ValueError):
+            escape_time(1, (0.0, 0.0, 0.0), max_iter, radius)
+
     def test_vectorised_matches_scalar(self):
         p = ModelParams(2, 2.5)
         radius = default_escape_radius(p.coupling)
@@ -293,6 +303,10 @@ class TestSpectrumCover:
             spectrum_cover(ModelParams(1, 1.0), 0, 1e-3)
         with pytest.raises(ValueError):
             spectrum_cover(ModelParams(1, 1.0), 5, -1.0)
+        with pytest.raises(ValueError):
+            spectrum_cover(ModelParams(1, 1.0), 5, math.nan)
+        with pytest.raises(ResourceLimitError):
+            spectrum_cover(ModelParams(1, 1.0), 5, 1e-3, initial_grid=tracemap.GRID_CAP + 1)
         with pytest.raises(ValueError):
             cover_sequence(ModelParams(1, 1.0), [5, 5], 1e-3)
 
