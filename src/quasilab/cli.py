@@ -167,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dos2d", help="2D counting-measure CDF and histogram")
     p.set_defaults(run=_cmd_dos2d)
     _add_model(p, "1", "2")
-    p.add_argument("--N", type=int, default=512, dest="n")
+    p.add_argument("--N", type=_int_at_least(1, labyrinth.PRODUCT_SIDE_CAP, "sites per box side"),
+                   default=512, dest="n")
     p.add_argument("--grid", type=_energy_grid, default=401)
     p.add_argument("--bins", type=_int_at_least(1, HISTOGRAM_BIN_CAP, "histogram bins"), default=256,
                    help="histogram bins")
@@ -235,7 +236,8 @@ def _cmd_sequence(args) -> int:
     if args.beta is None:
         word = words.iterate(args.s, args.n)
     else:
-        word = words.rotation_sequence(args.s, args.beta, range(1, words.word_length(args.s, args.n) + 1))
+        length = words.word_length(args.s, args.n, words.DEFAULT_WORD_CAP)
+        word = words.rotation_sequence(args.s, args.beta, range(1, length + 1))
     parity = words.parity_pattern(args.s, max(args.n, 3))
     twin = None
     if args.twin_k is not None:
@@ -352,13 +354,16 @@ def _cmd_spectrum2d(args) -> int:
 
 def _cmd_dos2d(args) -> int:
     args.a, args.a2 = _resolve_a(args, "1"), _resolve_a(args, "2")
-    prods = labyrinth.product_eigs(labyrinth.LabyrinthParams(args.s, args.a, args.a2), args.n)
-    hull = float(np.max(np.abs(prods.support)))
+    e1, e2 = labyrinth.eigs_1d_axes(labyrinth.LabyrinthParams(args.s, args.a, args.a2), args.n)
+    # counts of the N^2 float products, which are never formed (see count_products_leq);
+    # |fl(x * y)| = fl(|x| * |y|) grows with |x| and |y|, so this is the largest |product|
+    hull = float(np.max(np.abs(e1))) * float(np.max(np.abs(e2)))
     grid = np.linspace(-1.05 * hull, 1.05 * hull, args.grid)
-    cdf = prods.cdf(grid)
-    hist, edges = np.histogram(prods.support, bins=args.bins,
-                               range=(-1.05 * hull, 1.05 * hull))
-    hist = hist / prods.size
+    cdf = labyrinth.count_products_leq(e1, e2, grid) / (args.n * args.n)
+    # np.histogram's bins: [edge_k, edge_k+1), the last one closed
+    edges = np.histogram_bin_edges([], args.bins, range=(-1.05 * hull, 1.05 * hull))
+    below = labyrinth.count_products_leq(e1, e2, np.append(np.nextafter(edges[:-1], -np.inf), edges[-1]))
+    hist = np.diff(below) / (args.n * args.n)
     centers = 0.5 * (edges[:-1] + edges[1:])
     meta = _metadata(args)
     if args.fmt == "svg":

@@ -35,8 +35,8 @@ DENSE_SIDE_CAP = 16
 #: Product eigenvalue lists are limited to boxes with at most this side length.
 PRODUCT_SIDE_CAP = 4096
 
-#: Above this size the product CDF switches to the sorted two-pointer counter.
-DIRECT_COUNT_CAP = 2048
+#: Rows x energies elements in one pass of :func:`count_products_leq`.
+_COUNT_BLOCK = 2**16
 
 #: Default tolerance for the 1D eigenvalue lists feeding product formulas.
 DEFAULT_EIG_TOL = 1e-11
@@ -103,13 +103,6 @@ class Sparse2DOperator:
         return mat
 
 
-def _axis_couplings(p: LabyrinthParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """omega_i(1 .. N-1): the in-box couplings along each axis."""
-    w1 = build_window(p.axis1, n - 1).weights
-    w2 = build_window(p.axis2, n - 1).weights
-    return w1, w2
-
-
 def build_2d(p: LabyrinthParams, n: int, sublattice: str = "full") -> Sparse2DOperator:
     """Assemble the Labyrinth operator on [0, N-1]^2 with Dirichlet boundary.
 
@@ -120,7 +113,8 @@ def build_2d(p: LabyrinthParams, n: int, sublattice: str = "full") -> Sparse2DOp
         raise ValueError("the box needs side length at least 2")
     if sublattice not in ("full", "even", "odd"):
         raise ValueError(f"unknown sublattice {sublattice!r}")
-    w1, w2 = _axis_couplings(p, n)
+    # omega_i(1 .. N-1): the in-box couplings along each axis
+    w1, w2 = (build_window(axis, n - 1).weights for axis in (p.axis1, p.axis2))
     want = {"full": (0, 1), "even": (0,), "odd": (1,)}[sublattice]
     sites = tuple(
         (m, k) for m in range(n) for k in range(n) if (m + k) % 2 in want
@@ -207,83 +201,63 @@ def zero_product_mass(p: LabyrinthParams, n: int, tol: float = DEFAULT_EIG_TOL) 
 # product counting
 
 
-def _count_leq_direct(e1: np.ndarray, e2: np.ndarray, energy: float) -> int:
-    return int(np.count_nonzero(np.multiply.outer(e1, e2) <= energy))
+def _row_counts(a: np.ndarray, b: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """#{j: fl(a[i] * b[j]) <= e[k]} as an (i, k) array, for a >= 0 and ascending b."""
+    x = a[:, None]
+    c = np.searchsorted(b, e / x, side="right")
+    below = (c == 0) | (x * b[np.maximum(c, 1) - 1] <= e)
+    above = (c == b.size) | (x * b[np.minimum(c, b.size - 1)] > e)
+    i, k = np.nonzero(~(below & above))
+    # bisect the other entries on the actual products: the largest m with fl(a * b[m-1]) <= e
+    ai, ek, m = a[i], e[k], np.zeros(i.size, dtype=np.intp)
+    bit = 1 << (b.size.bit_length() - 1)
+    while bit:
+        t = m + bit
+        m += bit * ((t <= b.size) & (ai * b[np.minimum(t, b.size) - 1] <= ek))
+        bit >>= 1
+    c[i, k] = m
+    return c
 
 
-def _pairs_leq_two_pointer(a: np.ndarray, b: np.ndarray, bound: float) -> int:
-    """#{(i, j): a[i] * b[j] <= bound} for ascending positive arrays."""
-    total = 0
-    j = b.size
-    for x in a:
-        while j > 0 and x * b[j - 1] > bound:
-            j -= 1
-        total += j
-    return total
+def count_products_leq(e1, e2, energies):
+    """#{(i, j): fl(e1[i] * e2[j]) <= E} for a scalar energy E or each of an array.
 
-
-def _pairs_geq_two_pointer(a: np.ndarray, b: np.ndarray, bound: float) -> int:
-    """#{(i, j): a[i] * b[j] >= bound} for ascending positive arrays."""
-    total = 0
-    j = 0
-    for x in reversed(a):
-        while j < b.size and x * b[j] < bound:
-            j += 1
-        total += b.size - j
-    return total
-
-
-def _count_leq_sorted(e1: np.ndarray, e2: np.ndarray, energy: float) -> int:
-    """Sign-quadrant two-pointer count of pairs with product <= energy.
-
-    Uses the same floating-point products as the direct counter (negations are
-    exact), so the two paths agree exactly wherever both run.
+    Exact without forming the products.  Rounding is monotone and negation is
+    exact, so with a = |e1[i]| the row's products fl(a * e2[j]), or fl(a * -e2[j])
+    when e1[i] < 0, are nondecreasing along e2 ascending (along -e2 ascending),
+    and the pairs with product <= E form a prefix of that order.  Its length is
+    guessed by ``searchsorted`` on E / a and kept where the actual products on
+    either side of it straddle E; other entries (zero rows, a quotient rounded
+    across the split, NaN) are bisected on the actual products.  So the count is
+    the one the N1 x N2 comparison gives, and #{p < E} is the count at
+    ``np.nextafter(E, -inf)``.  Energies go in chunks of about _COUNT_BLOCK
+    rows x energies elements.
     """
-    neg1 = np.sort(-e1[e1 < 0])
-    pos1 = e1[e1 > 0]
-    neg2 = np.sort(-e2[e2 < 0])
-    pos2 = e2[e2 > 0]
-    z1 = e1.size - neg1.size - pos1.size
-    z2 = e2.size - neg2.size - pos2.size
-    if energy >= 0.0:
-        mixed = neg1.size * pos2.size + pos1.size * neg2.size
-        zero = z1 * e2.size + z2 * e1.size - z1 * z2
-        same = _pairs_leq_two_pointer(neg1, neg2, energy) + _pairs_leq_two_pointer(pos1, pos2, energy)
-        return mixed + zero + same
-    # negative threshold: only opposite-sign products can reach it
-    return _pairs_geq_two_pointer(neg1, pos2, -energy) + _pairs_geq_two_pointer(pos1, neg2, -energy)
-
-
-def count_products_leq(e1, e2, energy: float, method: str = "auto") -> int:
-    """Number of pairs with e1[i] * e2[j] <= energy.
-
-    ``method`` is "direct" (full N^2 enumeration), "sorted" (two-pointer sweeps
-    per sign quadrant, O(N log N)), or "auto" (direct up to side 2048).
-    """
-    e1 = np.sort(np.asarray(e1, dtype=float))
+    e1 = np.asarray(e1, dtype=float)
     e2 = np.sort(np.asarray(e2, dtype=float))
-    if method == "auto":
-        method = "direct" if max(e1.size, e2.size) <= DIRECT_COUNT_CAP else "sorted"
-    if method == "direct":
-        return _count_leq_direct(e1, e2, energy)
-    if method == "sorted":
-        return _count_leq_sorted(e1, e2, energy)
-    raise ValueError(f"unknown counting method {method!r}")
+    energies = np.asarray(energies, dtype=float)
+    flat = energies.reshape(-1)
+    counts = np.zeros(flat.size, dtype=np.int64)
+    for a, b in ((np.abs(e1[e1 >= 0]), e2), (-e1[e1 < 0], -e2[::-1])):
+        if a.size == 0 or b.size == 0:
+            continue
+        step = max(1, _COUNT_BLOCK // a.size)
+        # E / 0, E / tiny and overflowing products are guesses or the very floats compared
+        with np.errstate(all="ignore"):
+            for k in range(0, flat.size, step):
+                counts[k:k + step] += _row_counts(a, b, flat[k:k + step]).sum(axis=0)
+    return int(counts[0]) if energies.ndim == 0 else counts.reshape(energies.shape)
 
 
-def dos2d_cdf(p: LabyrinthParams, energy, n: int, *, tol: float = DEFAULT_EIG_TOL,
-              method: str = "auto") -> float | np.ndarray:
+def dos2d_cdf(p: LabyrinthParams, energy, n: int, *, tol: float = DEFAULT_EIG_TOL) -> float | np.ndarray:
     """Finite-volume 2D DOS: (1/N^2) #{(k1, k2): E_{1,k1} * E_{2,k2} <= E}.
 
     This is the double-integral product formula for the 2D counting measure,
-    evaluated exactly on the finite eigenvalue lists.
+    evaluated exactly on the finite eigenvalue lists by :func:`count_products_leq`
+    for a scalar energy or an array of them.
     """
     e1, e2 = eigs_1d_axes(p, n, tol)
-    scalar = np.isscalar(energy) or np.asarray(energy).ndim == 0
-    energies = [float(energy)] if scalar else list(np.asarray(energy, dtype=float))
-    vals = np.array([count_products_leq(e1, e2, e, method) for e in energies], dtype=float)
-    vals /= float(n) * float(n)
-    return float(vals[0]) if scalar else vals
+    return count_products_leq(e1, e2, energy) / (float(n) * float(n))
 
 
 # ---------------------------------------------------------------------------

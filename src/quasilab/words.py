@@ -44,14 +44,22 @@ def substitute(word: str, s: int) -> str:
     return "".join(out)
 
 
-def word_length(s: int, n: int) -> int:
-    """Length of the n-th substitution iterate, via L(n+1) = s*L(n) + L(n-1)."""
+def word_length(s: int, n: int, max_len: float = math.inf) -> int:
+    """Length of the n-th substitution iterate, via L(n+1) = s*L(n) + L(n-1).
+
+    Raises ResourceLimitError once the length passes ``max_len``, which stops
+    the recurrence after a few dozen steps however large n is.
+    """
     _check_s(s)
     if n < 0:
         raise ValueError("iteration index must be nonnegative")
     prev, cur = 1, 1  # L(-1) = |"b"| = 1, L(0) = 1
     for _ in range(n):
+        if cur > max_len:
+            break
         prev, cur = cur, s * cur + prev
+    if cur > max_len:
+        raise ResourceLimitError(f"the word would exceed the cap of {max_len} letters")
     return cur
 
 
@@ -62,11 +70,7 @@ def iterate(s: int, n: int, max_len: int = DEFAULT_WORD_CAP) -> str:
     identity the test suite checks letter by letter.  Raises ResourceLimitError if
     the result would exceed ``max_len`` letters.
     """
-    total = word_length(s, n)
-    if total > max_len:
-        raise ResourceLimitError(
-            f"iterate({s}, {n}) has {total} letters, exceeding the cap of {max_len}"
-        )
+    word_length(s, n, max_len)
     prev, cur = "b", "a"
     for _ in range(n):
         prev, cur = cur, cur * s + prev
@@ -211,7 +215,7 @@ def twin_witness(s: int, k: int, max_len: int = DEFAULT_WORD_CAP) -> str:
     _check_s(s)
     if k < 1:
         raise ValueError("twin witnesses are defined for k >= 1")
-    lk = word_length(s, k)
+    lk = word_length(s, k, max_len)
     if lk % 2 == 1:
         total = 2 * lk
     else:

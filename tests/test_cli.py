@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quasilab
-from quasilab import cli, labyrinth, tracemap
+from quasilab import cli, labyrinth, tracemap, words
 from quasilab.cli import main
 
 
@@ -123,6 +123,36 @@ class TestDosCommands:
         assert code == 0
         assert "energy,cdf" in cdf_path.read_text()
         assert "center,mass" in hist_path.read_text()
+
+
+class TestDos2dMatchesEnumeration:
+    # dos2d counts products without forming them; its artifacts must equal
+    # what the sorted N^2 product list gives, bit for bit
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
+    @pytest.mark.parametrize("bins", [1, 4, 256])
+    def test_json_and_histogram_csv(self, n, bins, tmp_path):
+        import numpy as np
+
+        argv = ["dos2d", "--s", "2", "--a1", "2.5", "--a2", "0.6", "--N", str(n), "--bins", str(bins)]
+        code, out, _ = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        data = json.loads(out)["data"]
+        hist_path = tmp_path / "hist.csv"
+        code, _, _ = run_cli(argv + ["-o", str(tmp_path / "cdf.csv"), "--histogram-output", str(hist_path)])
+        assert code == 0
+        rows = [line.split(",") for line in hist_path.read_text().splitlines() if not line.startswith("#")]
+
+        prods = labyrinth.product_eigs(labyrinth.LabyrinthParams(2, 2.5, 0.6), n)
+        hull = float(np.max(np.abs(prods.support)))
+        grid = np.linspace(-1.05 * hull, 1.05 * hull, 401)
+        hist, edges = np.histogram(prods.support, bins=bins, range=(-1.05 * hull, 1.05 * hull))
+        centers = (0.5 * (edges[:-1] + edges[1:])).tolist()
+        mass = (hist / prods.size).tolist()
+        assert data["energies"] == grid.tolist()
+        assert data["cdf"] == prods.cdf(grid).tolist()
+        assert data["histogram"] == {"centers": centers, "mass": mass}
+        assert rows[0] == ["center", "mass"]
+        assert [[float(c), float(m)] for c, m in rows[1:]] == [list(pair) for pair in zip(centers, mass)]
 
 
 class TestThicknessCommand:
@@ -281,6 +311,10 @@ class TestInvalidInput:
         assert not out_file.exists()
 
 
+_FIRST_N_OVER_WORD_CAP = 29  # at s = 1
+_LEVEL_OVER_WORK_CAP = tracemap.TRACE_WORK_CAP // tracemap.DEFAULT_GRID + 1
+
+
 class TestResourceCaps:
     # each flag is run just above its cap only: a missing guard then costs
     # one allocation of about cap size, never gigabytes
@@ -293,6 +327,18 @@ class TestResourceCaps:
         ["dos2d", "--a1", "2", "--a2", "1", "--N", str(labyrinth.PRODUCT_SIDE_CAP + 1)],
         ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--phases", str(cli.PHASES_CAP + 1)],
         ["sweep", "--level", "5", "--steps", str(cli.SWEEP_STEPS_CAP + 1)],
+        # word lengths: the recurrence stops at the cap, and no length is printed
+        ["sequence", "--n", "40000"],
+        ["sequence", "--n", "3", "--twin-k", "40000"],
+        ["sequence", "--n", "40000", "--beta", "0.3"],
+        ["sequence", "--beta", "0.3", "--n", str(_FIRST_N_OVER_WORD_CAP)],
+        # trace-map work: level x s x grid at the default grid of 4097 points
+        ["spectrum1d", "--a", "2", "--level", str(_LEVEL_OVER_WORK_CAP)],
+        ["spectrum1d", "--a", "2", "--levels", f"1,{_LEVEL_OVER_WORK_CAP}"],
+        ["spectrum1d", "--a", "2", "--s", str(_LEVEL_OVER_WORK_CAP), "--level", "1"],
+        ["spectrum2d", "--a1", "2", "--a2", "1", "--level", str(_LEVEL_OVER_WORK_CAP)],
+        ["thickness", "--a", "2", "--level", str(_LEVEL_OVER_WORK_CAP)],
+        ["sweep", "--steps", "2", "--level", str(_LEVEL_OVER_WORK_CAP)],
     ])
     def test_exit_3_with_one_json_line(self, args):
         code, out, err = run_cli(args)
@@ -301,6 +347,11 @@ class TestResourceCaps:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "resource-limit"
+        assert len(lines[0]) < 160
+
+    def test_first_word_over_the_cap(self):
+        assert words.word_length(1, _FIRST_N_OVER_WORD_CAP - 1) <= words.DEFAULT_WORD_CAP
+        assert words.word_length(1, _FIRST_N_OVER_WORD_CAP) > words.DEFAULT_WORD_CAP
 
 
 class TestMetadata:

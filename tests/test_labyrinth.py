@@ -175,30 +175,49 @@ class TestAxisMemo:
         assert warm == cold
 
 
+# ties, signed zeros, and values whose products underflow to subnormals or to 0
+_EIG_VALUES = st.one_of(
+    st.floats(min_value=-4, max_value=4),
+    st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e-170, -1e-170, 3e-160, -3e-160]),
+)
+_EIG_LISTS = st.lists(_EIG_VALUES, min_size=1, max_size=18)
+
+
+def _enumerated(e1, e2) -> np.ndarray:
+    """The oracle: all N1 x N2 float products, sorted."""
+    return np.sort(np.multiply.outer(np.asarray(e1, dtype=float), np.asarray(e2, dtype=float)).ravel())
+
+
 class TestProductCounting:
-    @given(
-        st.lists(st.floats(min_value=-4, max_value=4), min_size=1, max_size=18),
-        st.lists(st.floats(min_value=-4, max_value=4), min_size=1, max_size=18),
-        st.floats(min_value=-17, max_value=17),
-    )
-    def test_sorted_matches_direct_exactly(self, e1, e2, bound):
-        assert count_products_leq(e1, e2, bound, "sorted") == count_products_leq(
-            e1, e2, bound, "direct"
+    @given(_EIG_LISTS, _EIG_LISTS, st.data())
+    def test_matches_sorted_enumeration(self, e1, e2, data):
+        prods = _enumerated(e1, e2)
+        atom = st.sampled_from(prods.tolist())
+        energy = st.one_of(
+            atom,
+            atom.map(lambda p: float(np.nextafter(p, math.inf))),
+            st.floats(min_value=-17, max_value=17),
+            st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-320, -1e-320, math.inf, -math.inf]),
         )
+        energies = np.array(data.draw(st.lists(energy, min_size=1, max_size=8)))
+        leq = np.searchsorted(prods, energies, side="right")
+        less = np.searchsorted(prods, energies, side="left")
+        assert count_products_leq(e1, e2, energies).tolist() == leq.tolist()
+        # strict counts through the next float below
+        assert count_products_leq(e1, e2, np.nextafter(energies, -math.inf)).tolist() == less.tolist()
+        scalar = count_products_leq(e1, e2, float(energies[0]))
+        assert type(scalar) is int and scalar == leq[0]
 
-    @given(
-        st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=16),
-        st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=16),
-        st.sampled_from([-4.0, -1.0, -0.0, 0.0, 0.25, 1.0, 4.0]),
-    )
-    def test_sorted_matches_direct_with_ties(self, e1, e2, bound):
-        assert count_products_leq(e1, e2, bound, "sorted") == count_products_leq(
-            e1, e2, bound, "direct"
-        )
-
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            count_products_leq([1.0], [1.0], 0.0, "magic")
+    def test_chunked_energies_keep_shape_and_counts(self):
+        rng = np.random.default_rng(5)
+        e1, e2 = rng.normal(size=300), np.round(rng.normal(size=200), 2)
+        energies = rng.normal(scale=2.0, size=(40, 50))
+        energies[0, :3] = (0.0, -0.0, float(np.multiply.outer(e1, e2).ravel()[7]))
+        got = count_products_leq(e1, e2, energies)
+        assert got.shape == energies.shape
+        want = np.searchsorted(_enumerated(e1, e2), energies, side="right")
+        assert np.array_equal(got, want)
 
 
 class TestDos2dCdf:

@@ -310,6 +310,14 @@ class TestSpectrumCover:
         with pytest.raises(ValueError):
             cover_sequence(ModelParams(1, 1.0), [5, 5], 1e-3)
 
+    def test_work_cap(self):
+        # just above the cap, at the deepest level only; nothing is iterated
+        level = tracemap.TRACE_WORK_CAP // (2 * 257) + 1
+        with pytest.raises(ResourceLimitError, match="level x s x grid"):
+            spectrum_cover(ModelParams(2, 1.5), level, 1e-3, initial_grid=257)
+        with pytest.raises(ResourceLimitError, match="level x s x grid"):
+            cover_sequence(ModelParams(2, 1.5), [1, level], 1e-3, initial_grid=257)
+
 
 class TestTorusFactor:
     def test_factor_at_origin(self):

@@ -80,6 +80,14 @@ class TestIterate:
         with pytest.raises(ResourceLimitError):
             iterate(1, 40)
 
+    def test_capped_length_stops_at_the_cap(self):
+        # uncapped, this loops 40000 times over integers of thousands of digits
+        with pytest.raises(ResourceLimitError, match="cap of 1000 letters"):
+            word_length(1, 40000, max_len=1000)
+        with pytest.raises(ResourceLimitError):
+            iterate(1, 0, max_len=0)
+        assert word_length(1, 10, max_len=144) == 144
+
     def test_prefix_is_prefix(self):
         full = iterate(2, 6)
         assert prefix(2, 50) == full[:50]
