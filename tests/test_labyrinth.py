@@ -189,7 +189,28 @@ def _enumerated(e1, e2) -> np.ndarray:
     return np.sort(np.multiply.outer(np.asarray(e1, dtype=float), np.asarray(e2, dtype=float)).ravel())
 
 
+def _direct_count(e1, e2, bound) -> int:
+    """Count of the N1 x N2 float products that are <= bound, by enumeration."""
+    return int(np.count_nonzero(_enumerated(e1, e2) <= bound))
+
+
 class TestProductCounting:
+    @given(
+        st.lists(st.floats(min_value=-4, max_value=4), min_size=1, max_size=18),
+        st.lists(st.floats(min_value=-4, max_value=4), min_size=1, max_size=18),
+        st.floats(min_value=-17, max_value=17),
+    )
+    def test_sorted_matches_direct_exactly(self, e1, e2, bound):
+        assert count_products_leq(e1, e2, bound) == _direct_count(e1, e2, bound)
+
+    @given(
+        st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=16),
+        st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=16),
+        st.sampled_from([-4.0, -1.0, -0.0, 0.0, 0.25, 1.0, 4.0]),
+    )
+    def test_sorted_matches_direct_with_ties(self, e1, e2, bound):
+        assert count_products_leq(e1, e2, bound) == _direct_count(e1, e2, bound)
+
     @given(_EIG_LISTS, _EIG_LISTS, st.data())
     def test_matches_sorted_enumeration(self, e1, e2, data):
         prods = _enumerated(e1, e2)
