@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bands, labyrinth, tracemap, words
-from .jacobi1d import ModelParams, build_window, eigenvalues_offdiag, free_ids, ids_curve
+from .jacobi1d import ModelParams, build_window, eigenvalues_offdiag, free_ids, hopping_from_coupling, ids_curve
 
 _SEED = 20260810
 
@@ -73,10 +73,6 @@ class VerifyContext:
 
     def all_covers(self):
         return list(self._covers.values())
-
-
-def _a_from_lambda(lam: float) -> float:
-    return (lam + math.sqrt(lam * lam + 4.0)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +187,7 @@ def criterion_product_cdf(ctx: VerifyContext) -> CriterionResult:
 
 def criterion_log_convolution(ctx: VerifyContext) -> CriterionResult:
     n, nbins = 1024, 1024
-    a = _a_from_lambda(0.5)
+    a = hopping_from_coupling(0.5)
     p = labyrinth.LabyrinthParams(1, a, a)
     prods = labyrinth.product_eigs(p, n)
     qs = np.quantile(prods.support, np.linspace(0.02, 0.98, 21))
@@ -209,7 +205,7 @@ def criterion_log_convolution(ctx: VerifyContext) -> CriterionResult:
 
 def criterion_small_coupling_interval(ctx: VerifyContext) -> CriterionResult:
     res = 1e-4
-    a = _a_from_lambda(0.1)
+    a = hopping_from_coupling(0.1)
     c1 = ctx.cover(1, a, 15, res)
     prod = bands.product_set(c1, c1)
     check = bands.is_interval(prod, 4.0 * res)
@@ -235,13 +231,13 @@ def criterion_large_coupling_cantor(ctx: VerifyContext) -> CriterionResult:
 def criterion_zero_in_spectrum(ctx: VerifyContext) -> CriterionResult:
     survived = True
     for lam in (0.0, 0.5, 1.5, 3.75):
-        p = ModelParams(1, _a_from_lambda(lam))
+        p = ModelParams(1, hopping_from_coupling(lam))
         v = tracemap.line_point(p, 0.0)
         if tracemap.escape_time(1, v, 10_000, tracemap.default_escape_radius(lam)) is not None:
             survived = False
     # make sure a representative family of covers exists, then check all of them
     ctx.cover(1, 1.0, 20, 1e-4)
-    ctx.cover(1, _a_from_lambda(0.1), 15, 1e-4)
+    ctx.cover(1, hopping_from_coupling(0.1), 15, 1e-4)
     ctx.cover_sequence(1, 4.0, (5, 10, 15), 1e-4)
     covers = ctx.all_covers()
     missing = [c for c in covers if not c.contains(0.0)]
@@ -278,7 +274,7 @@ def criterion_twins(ctx: VerifyContext) -> CriterionResult:
 
 def criterion_thickness_trend(ctx: VerifyContext) -> CriterionResult:
     lams = (1.0, 0.5, 0.2, 0.1)
-    taus = [bands.thickness(ctx.cover(1, _a_from_lambda(lam), 15, 1e-4)) for lam in lams]
+    taus = [bands.thickness(ctx.cover(1, hopping_from_coupling(lam), 15, 1e-4)) for lam in lams]
     inversions = []
     for i in range(len(taus) - 1):
         if taus[i + 1] < taus[i]:

@@ -358,10 +358,14 @@ def _cmd_dos2d(args) -> int:
     # counts of the N^2 float products, which are never formed (see count_products_leq);
     # |fl(x * y)| = fl(|x| * |y|) grows with |x| and |y|, so this is the largest |product|
     hull = float(np.max(np.abs(e1))) * float(np.max(np.abs(e2)))
-    grid = np.linspace(-1.05 * hull, 1.05 * hull, args.grid)
+    lim = 1.05 * hull
+    if not math.isfinite(2.0 * lim):
+        _fail("invalid-config", f"the energy range [-{lim:.3g}, {lim:.3g}] is wider than the "
+              "largest float; use smaller hopping values", 2)
+    grid = np.linspace(-lim, lim, args.grid)
     cdf = labyrinth.count_products_leq(e1, e2, grid) / (args.n * args.n)
     # np.histogram's bins: [edge_k, edge_k+1), the last one closed
-    edges = np.histogram_bin_edges([], args.bins, range=(-1.05 * hull, 1.05 * hull))
+    edges = np.histogram_bin_edges([], args.bins, range=(-lim, lim))
     below = labyrinth.count_products_leq(e1, e2, np.append(np.nextafter(edges[:-1], -np.inf), edges[-1]))
     hist = np.diff(below) / (args.n * args.n)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .measures import EmpiricalMeasure
 from .words import DEFAULT_WORD_CAP, prefix, rotation_sequence
 
 def coupling_constant(a: float, b: float = 1.0) -> float:
@@ -190,11 +189,6 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
     return count
 
 
-def eig_count_below(window: HoppingWindow, energy: float) -> int:
-    """Number of Dirichlet-restriction eigenvalues strictly below ``energy``."""
-    return int(count_below_offdiag(window.interior_offdiagonals(), energy)[0])
-
-
 def eigenvalues_offdiag(offdiag, tol: float = 1e-10, search_bound: float | None = None) -> np.ndarray:
     """All eigenvalues of the zero-diagonal tridiagonal matrix, by bisection.
 
@@ -225,19 +219,6 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10, search_bound: float | None 
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return np.sort(mid)
-
-
-def eigenvalues(window: HoppingWindow, tol: float = 1e-10) -> EmpiricalMeasure:
-    """Eigenvalues of the window's Dirichlet restriction as an empirical measure.
-
-    The multiset is symmetric about the origin to within ``tol`` (flipping the
-    sign of every other component of an eigenvector negates its eigenvalue), and
-    for odd N zero is an exact eigenvalue of the underlying matrix.
-    """
-    bound = 2.0 * (1.0 + float(np.max(window.weights)))
-    return EmpiricalMeasure(
-        eigenvalues_offdiag(window.interior_offdiagonals(), tol, search_bound=bound)
-    )
 
 
 def ids_curve(params: ModelParams, energies, n: int, *, source: str = "substitution",

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import tracemap
 from .bands import BandCover, product_set
-from .cache import cache_key, cached_eigenvalues
 from .dense import symmetric_eigenvalues
 from .errors import ResourceLimitError
 from .jacobi1d import ModelParams, build_window, eigenvalues_offdiag
@@ -43,8 +42,6 @@ DEFAULT_EIG_TOL = 1e-11
 
 #: Number of 1D eigenvalue lists :func:`axis_eigenvalues` keeps in memory.
 AXIS_MEMO_SIZE = 32
-
-_CONVENTION = "box0-v1"
 
 
 @dataclass(frozen=True)
@@ -150,22 +147,17 @@ def axis_eigenvalues(s: int, a: float, n: int, tol: float) -> np.ndarray:
     For odd N the middle eigenvalue snaps to exactly zero: a zero-diagonal
     tridiagonal matrix of odd size is singular (its determinant recurrence
     det_N = -b^2 det_{N-2} bottoms out at det_1 = 0), and bisection puts the
-    computed value within tol of it anyway.  The last AXIS_MEMO_SIZE lists are
-    memoised in process; a miss goes through the disk cache, which is active
-    when QUASILAB_CACHE_DIR is set.
+    computed value within tol of it anyway.  The list is sorted after the snap.
+    The last AXIS_MEMO_SIZE lists are memoised in process.
     """
-
-    def compute():
-        if n == 1:
-            return np.zeros(1)
+    eigs = np.zeros(1)
+    if n > 1:
         off = build_window(ModelParams(s, a), n - 1).weights
         bound = 2.0 * (1.0 + float(np.max(off)))
         eigs = eigenvalues_offdiag(off, tol, search_bound=bound)
         if n % 2 == 1:
             eigs[n // 2] = 0.0
-        return eigs
-
-    eigs = cached_eigenvalues(cache_key(s, a, n, _CONVENTION, tol), n, compute)
+        eigs = np.sort(eigs)
     eigs.setflags(write=False)
     return eigs
 

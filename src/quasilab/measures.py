@@ -1,6 +1,6 @@
 """Finite empirical measures: sorted supports with uniform weights.
 
-These carry finite-volume eigenvalue lists and sampled distributions; the CDF is
+These carry finite-volume eigenvalue lists and their products; the CDF is
 the right-continuous step function with mass 1/n at every support point.
 """
 
@@ -43,20 +43,6 @@ class EmpiricalMeasure:
     def mass(self, lo: float, hi: float) -> float:
         """Mass of the half-open interval (lo, hi]."""
         return float(self.cdf(hi) - self.cdf(lo))
-
-    def negated(self) -> "EmpiricalMeasure":
-        return EmpiricalMeasure(-self.support)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_csv_text(self) -> str:
-        """One support value per line, 17 significant digits."""
-        return "\n".join(format(v, ".17g") for v in self.support) + "\n"
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "EmpiricalMeasure":
-        vals = [float(line) for line in text.splitlines() if line.strip() and not line.startswith("#")]
-        return cls(np.array(vals))
 
     def to_json_obj(self) -> dict:
         return {"count": self.size, "weight": 1.0 / self.size, "support": self.support.tolist()}

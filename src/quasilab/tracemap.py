@@ -24,7 +24,6 @@ import numpy as np
 from .bands import BandCover, merge_intervals
 from .errors import ResourceLimitError
 from .jacobi1d import ModelParams
-from .measures import EmpiricalMeasure
 
 #: Number of points in the initial energy grid (odd, so 0 is always sampled).
 DEFAULT_GRID = 4097
@@ -35,10 +34,16 @@ DEFAULT_BAND_CAP = 10**6
 #: Cap on the number of points in the initial energy grid.
 GRID_CAP = 10**6
 
-#: Cap on level * s * initial grid points, the map applications of a cover's
-#: first pass.  A free-chain cover at the cap takes about 7 s at grid 257 and
-#: 40 s at grid 3 on a 2-core x86 machine.
+#: Cap on level * s * max(initial grid points, WORK_GRID_FLOOR), the map
+#: applications of a cover's first pass.  A free-chain cover at the cap takes
+#: about 7 s at grid 257 on a 2-core x86 machine.
 TRACE_WORK_CAP = 5 * 10**7
+
+#: Below this many grid points a pass costs about as much per level as at it
+#: (a map application took 21-29 us at grids 25-257 and up to 8 us lane by lane
+#: at grids 3-24), so the work cap counts a smaller grid as this many points.
+#: Without the floor, grid 3 ran for 40 s just below the cap.
+WORK_GRID_FLOOR = 257
 
 
 class TraceVector(NamedTuple):
@@ -81,17 +86,6 @@ def line_point(params: ModelParams, energy) -> TraceVector:
     a = params.a
     e = energy
     return TraceVector((e * e - a * a - 1.0) / (2.0 * a), e / (2.0 * a), e / 2.0)
-
-
-def onsite_line_point(lam: float, energy) -> TraceVector:
-    """Initial condition ((E^2 - lam*E - 2)/2, (E - lam)/2, E/2) of the on-site model.
-
-    At lam = 0 this coincides with ``line_point`` for the free chain, and it sits
-    on the same invariant surface G = lam^2 / 4; the bounded-orbit description of
-    the spectrum carries over verbatim to the on-site family through this line.
-    """
-    e = energy
-    return TraceVector((e * e - lam * e - 2.0) / 2.0, (e - lam) / 2.0, e / 2.0)
 
 
 def default_escape_radius(coupling: float) -> float:
@@ -244,8 +238,9 @@ def _level_bands(params, segments, level, radius, resolution, cap) -> tuple:
 def _check_work(params: ModelParams, level: int, initial_grid: int) -> None:
     if initial_grid > GRID_CAP:
         raise ResourceLimitError(f"{initial_grid} grid points exceed the cap of {GRID_CAP}")
-    if level * params.s * initial_grid > TRACE_WORK_CAP:
-        raise ResourceLimitError(f"level x s x grid points exceed the cap of {TRACE_WORK_CAP}")
+    if level * params.s * max(initial_grid, WORK_GRID_FLOOR) > TRACE_WORK_CAP:
+        raise ResourceLimitError(f"level x s x grid points (counted as at least {WORK_GRID_FLOOR}) "
+                                 f"exceed the cap of {TRACE_WORK_CAP}")
 
 
 def spectrum_cover(
@@ -340,16 +335,3 @@ def factor_map(theta, phi) -> TraceVector:
     """
     tp = 2.0 * np.pi
     return TraceVector(np.cos(tp * (theta + phi)), np.cos(tp * theta), np.cos(tp * phi))
-
-
-def pushforward_free_dos(num_samples: int) -> EmpiricalMeasure:
-    """Push the uniform measure on the diagonal segment {(t, t), t in [0, 1/2]}
-    through E = 2 cos(2 pi t), by deterministic stratified (midpoint) sampling.
-
-    The resulting empirical CDF converges to the free-chain IDS with sup error
-    at most 2 / num_samples.
-    """
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
-    t = (np.arange(num_samples) + 0.5) / (2.0 * num_samples)
-    return EmpiricalMeasure(2.0 * np.cos(2.0 * np.pi * t))

@@ -1,5 +1,5 @@
-"""Metallic-mean substitution words: generation, rotation codings, twin occurrences,
-and empirical linear-recurrence constants.
+"""Metallic-mean substitution words: generation, rotation codings, twin occurrences
+and parity patterns.
 
 The substitution a -> a^s b, b -> a (s >= 1) generates the metallic-mean family of
 sequences; s = 1 is the golden mean (Fibonacci) case, s = 2 the silver mean, s = 3
@@ -27,21 +27,6 @@ DEFAULT_WORD_CAP = 10**6
 def _check_s(s: int) -> None:
     if not isinstance(s, (int, np.integer)) or s < 1:
         raise ValueError(f"substitution parameter s must be a positive integer, got {s!r}")
-
-
-def substitute(word: str, s: int) -> str:
-    """Apply the substitution a -> a^s b, b -> a to every letter of ``word``."""
-    _check_s(s)
-    image_a = "a" * s + "b"
-    out = []
-    for ch in word:
-        if ch == "a":
-            out.append(image_a)
-        elif ch == "b":
-            out.append("a")
-        else:
-            raise ValueError(f"letter {ch!r} is not in the alphabet {{a, b}}")
-    return "".join(out)
 
 
 def word_length(s: int, n: int, max_len: float = math.inf) -> int:
@@ -99,24 +84,12 @@ def metallic_alpha(s: int) -> float:
     return float((s + 2 - math.sqrt(s * s + 4)) / (2 * s))
 
 
-def metallic_alpha_star(s: int) -> float:
-    """The companion frequency [0; s, s, s, ...] = (sqrt(s^2 + 4) - s) / 2.
-
-    Coding the rotation by this number swaps the roles of the two letters; for
-    s = 1 the swapped sequence coincides with the golden-mean sequence on the
-    exchanged alphabet, so the two conventions found in the literature agree up
-    to relabelling.
-    """
-    _check_s(s)
-    return float((math.sqrt(s * s + 4) - s) / 2)
-
-
 def _alpha_longdouble(s: int) -> np.longdouble:
     s_ld = np.longdouble(s)
     return (s_ld + 2 - np.sqrt(s_ld * s_ld + 4)) / (2 * s_ld)
 
 
-def rotation_sequence(s, beta, indices, *, alpha=None) -> str:
+def rotation_sequence(s, beta, indices) -> str:
     """Sturmian coding of the circle rotation with the metallic-mean frequency.
 
     The letter at index n is b exactly when n*alpha + beta mod 1 falls in the
@@ -127,13 +100,12 @@ def rotation_sequence(s, beta, indices, *, alpha=None) -> str:
 
     Arithmetic runs in extended precision (80-bit on x86) and alpha is irrational,
     so the membership test never sits exactly on the window boundary for the index
-    ranges supported here; no epsilon is applied.  ``alpha`` may be overridden,
-    e.g. with :func:`metallic_alpha_star`, to generate the letter-swapped coding.
+    ranges supported here; no epsilon is applied.
 
     ``indices`` is any iterable of integers (typically ``range(1, N + 1)``).
     """
     _check_s(s)
-    al = _alpha_longdouble(s) if alpha is None else np.longdouble(alpha)
+    al = _alpha_longdouble(s)
     be = np.longdouble(beta)
     n = np.asarray(list(indices), dtype=np.int64)
     frac = np.mod(n * al + be, np.longdouble(1.0))
@@ -242,77 +214,3 @@ def parity_pattern(s: int, n_max: int) -> list[int]:
         out.append(cur % 2)
         prev, cur = cur, (s * cur + prev) % 2
     return out
-
-
-# ---------------------------------------------------------------------------
-# empirical linear-recurrence constants
-
-
-@dataclass(frozen=True)
-class RecurrenceEstimate:
-    """Empirical windowed-recurrence constant of a metallic-mean prefix.
-
-    ``constant`` is the smallest K such that, inside the examined prefix, every
-    factor of length l occurs in every window of length ceil(K * l), for all
-    l up to the requested maximum.  ``window_by_length`` records the minimal
-    window per factor length.
-    """
-
-    constant: float
-    prefix_length: int
-    window_by_length: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "constant": self.constant,
-            "prefix_length": self.prefix_length,
-            "window_by_length": [list(t) for t in self.window_by_length],
-        }
-
-
-def _min_window(text: str, factor: str) -> int:
-    """Smallest W such that every length-W window of ``text`` contains ``factor``."""
-    m = len(text)
-    ell = len(factor)
-    starts = occurrences(factor, text)
-    w = max(starts[0] + ell - 1, m - starts[-1] + 1)
-    for i in range(1, len(starts)):
-        w = max(w, starts[i] - starts[i - 1] + ell - 1)
-    return w
-
-
-def recurrence_constant_estimate(
-    s: int, max_len: int, prefix_len: int | None = None, word_cap: int = DEFAULT_WORD_CAP
-) -> RecurrenceEstimate:
-    """Estimate the linear-recurrence constant of u_s by exhaustive window scan.
-
-    Always >= 1 (a factor must fit inside its window).  The estimate is computed
-    on a finite prefix and includes its boundary windows, so it is an empirical
-    quantity, not a proof about the infinite sequence.
-    """
-    _check_s(s)
-    if max_len < 1:
-        raise ValueError("max_len must be positive")
-    if prefix_len is None:
-        prefix_len = max(4096, 64 * max_len)
-    if prefix_len > word_cap:
-        raise ResourceLimitError(f"prefix of {prefix_len} letters exceeds the cap of {word_cap}")
-    text = prefix(s, prefix_len, max_len=word_cap)
-    table = []
-    best = 1.0
-    for ell in range(1, max_len + 1):
-        factors = sorted({text[i : i + ell] for i in range(len(text) - ell + 1)})
-        w = max(_min_window(text, f) for f in factors)
-        table.append((ell, w))
-        best = max(best, w / ell)
-    return RecurrenceEstimate(best, len(text), tuple(table))
-
-
-def twin_constant_bound(s: int, recurrence_constant: float) -> float:
-    """Upper bound 3(s+1)K^2 for the odd-twin recurrence constant.
-
-    If every factor pair with K|y| < |x| forces y to occur in x, then whenever
-    3(s+1)K^2 |y| < |x| the word y occurs twice in x at odd offset.
-    """
-    _check_s(s)
-    return 3.0 * (s + 1) * recurrence_constant**2

@@ -14,12 +14,21 @@ from quasilab.bands import (
     is_interval,
     log_positive_part,
     merge_intervals,
-    middle_thirds_cover,
     product_set,
     sum_set,
     thickness,
 )
 from quasilab.errors import ResourceLimitError
+
+
+def middle_thirds_cover(level: int) -> BandCover:
+    """Stage ``level`` of the middle-thirds construction on [0, 1]."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    ivs = [(0.0, 1.0)]
+    for _ in range(level):
+        ivs = [piece for a, b in ivs for piece in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))]
+    return BandCover(tuple(ivs), level=level, resolution=3.0 ** (-level))
 
 
 def sample_points(cover, per_band=5):

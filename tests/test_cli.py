@@ -259,6 +259,8 @@ class TestInvalidInput:
         ["dos1d", "--a", "1e200", "--N", "64", "--grid", "5"],
         ["dos1d", "--lambda", "1e200", "--N", "64", "--grid", "5"],
         ["dos2d", "--a1", "1e200", "--a2", "1", "--N", "8"],
+        # finite hopping values whose product range overflows
+        ["dos2d", "--a1", "1e154", "--a2", "1e154", "--N", "4", "--grid", "5"],
         ["spectrum1d", "--a", "1e200", "--level", "5"],
         ["spectrum2d", "--a1", "2", "--lambda2", "1e200", "--level", "5"],
         # the trace-map sampler needs at least two grid points
@@ -339,6 +341,9 @@ class TestResourceCaps:
         ["spectrum2d", "--a1", "2", "--a2", "1", "--level", str(_LEVEL_OVER_WORK_CAP)],
         ["thickness", "--a", "2", "--level", str(_LEVEL_OVER_WORK_CAP)],
         ["sweep", "--steps", "2", "--level", str(_LEVEL_OVER_WORK_CAP)],
+        # a small grid is priced at the floor: just below the cap, grid 3 ran for 40 s
+        ["spectrum1d", "--lambda", "0", "--grid", "3",
+         "--level", str(tracemap.TRACE_WORK_CAP // tracemap.WORK_GRID_FLOOR + 1)],
     ])
     def test_exit_3_with_one_json_line(self, args):
         code, out, err = run_cli(args)

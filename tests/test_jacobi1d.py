@@ -14,8 +14,6 @@ from quasilab.jacobi1d import (
     build_window,
     count_below_offdiag,
     coupling_constant,
-    eig_count_below,
-    eigenvalues,
     eigenvalues_offdiag,
     free_ids,
     hopping_from_coupling,
@@ -104,21 +102,20 @@ class TestBuildWindow:
 class TestCountBelow:
     def test_free_three_site(self):
         w = HoppingWindow([1.0, 1.0, 1.0])
-        assert eig_count_below(w, 1.0) == 2  # eigenvalues -sqrt2, 0, sqrt2
-        assert eig_count_below(w, -1.0) == 1
-        assert eig_count_below(w, -10.0) == 0
-        assert eig_count_below(w, 10.0) == 3
+        # eigenvalues -sqrt2, 0, sqrt2
+        counts = count_below_offdiag(w.interior_offdiagonals(), [1.0, -1.0, -10.0, 10.0])
+        assert counts.tolist() == [2, 1, 0, 3]
 
     def test_single_site(self):
         w = HoppingWindow([5.0])
-        assert eig_count_below(w, 0.5) == 1
-        assert eig_count_below(w, -0.5) == 0
+        assert count_below_offdiag(w.interior_offdiagonals(), [0.5, -0.5]).tolist() == [1, 0]
 
     def test_matches_dense_counts(self):
         w = build_window(ModelParams(1, 2.0), 8)
         dense_eigs = symmetric_eigenvalues(w.to_dense())
-        for e in np.linspace(-4.5, 4.5, 41):
-            assert eig_count_below(w, e) == int(np.sum(dense_eigs < e))
+        energies = np.linspace(-4.5, 4.5, 41)
+        counts = count_below_offdiag(w.interior_offdiagonals(), energies)
+        assert counts.tolist() == [int(np.sum(dense_eigs < e)) for e in energies]
 
     @given(st.lists(st.floats(min_value=0.1, max_value=4.0), min_size=1, max_size=12),
            st.floats(min_value=-12.0, max_value=12.0), st.floats(min_value=0.0, max_value=3.0))
@@ -194,20 +191,20 @@ class TestEigenvalues:
     def test_free_chain_formula(self):
         for n in (2, 5, 16, 33):
             w = HoppingWindow(np.ones(n))
-            got = eigenvalues(w, tol=1e-12).support
+            got = eigenvalues_offdiag(w.interior_offdiagonals(), 1e-12)
             assert np.max(np.abs(got - free_chain_eigs(n))) < 1e-11
 
     @pytest.mark.parametrize("s,a,n", [(1, 2.0, 4), (1, 0.5, 6), (2, 3.0, 7), (3, 1.3, 8)])
     def test_oracle_equivalence_dense(self, s, a, n):
         # bisection against the independent dense LAPACK solver
         w = build_window(ModelParams(s, a), n)
-        bis = eigenvalues(w, tol=1e-10).support
+        bis = eigenvalues_offdiag(w.interior_offdiagonals(), 1e-10)
         dense = symmetric_eigenvalues(w.to_dense())
         assert np.max(np.abs(bis - dense)) < 1e-8
 
     def test_spectral_symmetry(self):
         for s, a, n in [(1, 2.0, 64), (2, 4.0, 65), (1, 0.7, 33)]:
-            e = eigenvalues(build_window(ModelParams(s, a), n), tol=1e-12).support
+            e = eigenvalues_offdiag(build_window(ModelParams(s, a), n).interior_offdiagonals(), 1e-12)
             assert np.max(np.abs(e + e[::-1])) < 1e-9
 
     def test_odd_size_has_zero_eigenvalue(self):
@@ -215,7 +212,7 @@ class TestEigenvalues:
         # det_N = -b_{N-1}^2 det_{N-2} and det_1 = 0
         for n in (3, 7, 15):
             w = build_window(ModelParams(1, 2.0), n)
-            e = eigenvalues(w, tol=1e-12).support
+            e = eigenvalues_offdiag(w.interior_offdiagonals(), 1e-12)
             assert np.min(np.abs(e)) < 1e-11
 
     @pytest.mark.parametrize("s", [1, 2])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quasilab import tracemap
 from quasilab.bands import BandCover, merge_intervals
 from quasilab.errors import ResourceLimitError
-from quasilab.jacobi1d import ModelParams, free_ids, hopping_from_coupling
+from quasilab.jacobi1d import ModelParams, hopping_from_coupling
 from quasilab.tracemap import (
     DEFAULT_GRID,
     TraceVector,
@@ -22,8 +22,6 @@ from quasilab.tracemap import (
     factor_map,
     fricke_vogt,
     line_point,
-    onsite_line_point,
-    pushforward_free_dos,
     spectrum_cover,
     trace_map,
 )
@@ -140,17 +138,6 @@ class TestLines:
         lam = p.coupling
         for e in np.linspace(-10, 10, 41):
             assert abs(fricke_vogt(line_point(p, e)) - lam * lam / 4.0) <= 1e-12
-
-    def test_onsite_line(self):
-        assert onsite_line_point(1.0, 0.0) == TraceVector(-1.0, -0.5, 0.0)
-        # lam = 0 coincides with the hopping line at a = 1
-        for e in (-1.7, 0.0, 2.4):
-            assert onsite_line_point(0.0, e) == line_point(ModelParams(1, 1.0), e)
-
-    def test_onsite_surface_membership(self):
-        for lam in (0.5, 1.5, 4.0):
-            for e in np.linspace(-10, 10, 21):
-                assert abs(fricke_vogt(onsite_line_point(lam, e)) - lam * lam / 4) <= 1e-12
 
 
 class TestEscape:
@@ -344,27 +331,3 @@ class TestTorusFactor:
             v = factor_map(t, t)
             expected = line_point(ModelParams(1, 1.0), e)
             assert np.allclose(v, expected, atol=1e-12)
-
-
-class TestPushforward:
-    def test_support_range(self):
-        m = pushforward_free_dos(257)
-        assert m.support[0] >= -2.0 and m.support[-1] <= 2.0
-
-    def test_cdf_at_zero(self):
-        assert pushforward_free_dos(1000).cdf(0.0) == pytest.approx(0.5, abs=1e-3)
-
-    @pytest.mark.parametrize("m", [64, 256, 1024])
-    def test_sup_distance_to_free_ids(self, m):
-        meas = pushforward_free_dos(m)
-        # evaluate at the jump points from both sides
-        pts = meas.support
-        err = max(
-            float(np.max(np.abs(meas.cdf(pts) - free_ids(pts)))),
-            float(np.max(np.abs(meas.cdf_left(pts) - free_ids(pts)))),
-        )
-        assert err <= 2.0 / m
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pushforward_free_dos(0)

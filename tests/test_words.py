@@ -4,20 +4,32 @@ from hypothesis import strategies as st
 
 from quasilab.errors import ResourceLimitError
 from quasilab.words import (
+    _check_s,
     find_twin,
     iterate,
     metallic_alpha,
-    metallic_alpha_star,
     occurrences,
     parity_pattern,
     prefix,
-    recurrence_constant_estimate,
     rotation_sequence,
-    substitute,
-    twin_constant_bound,
     twin_witness,
     word_length,
 )
+
+
+def substitute(word: str, s: int) -> str:
+    """Apply the substitution a -> a^s b, b -> a to every letter of ``word``."""
+    _check_s(s)
+    image_a = "a" * s + "b"
+    out = []
+    for ch in word:
+        if ch == "a":
+            out.append(image_a)
+        elif ch == "b":
+            out.append("a")
+        else:
+            raise ValueError(f"letter {ch!r} is not in the alphabet {{a, b}}")
+    return "".join(out)
 
 
 def brute_force_twin(y, x, parity):
@@ -107,15 +119,8 @@ class TestRotationSequence:
         w = iterate(s, n)
         assert rotation_sequence(s, 0.0, range(1, len(w) + 1)) == w
 
-    def test_alpha_star_swaps_letters(self):
-        idx = range(1, 200)
-        base = rotation_sequence(1, 0.0, idx)
-        swapped = rotation_sequence(1, 0.0, idx, alpha=metallic_alpha_star(1))
-        assert swapped == base.translate(str.maketrans("ab", "ba"))
-
     def test_alpha_values(self):
         assert metallic_alpha(1) == pytest.approx((3 - 5**0.5) / 2)
-        assert metallic_alpha_star(1) == pytest.approx((5**0.5 - 1) / 2)
         # frequency of b in a long prefix approaches alpha
         w = iterate(1, 15)
         assert w.count("b") / len(w) == pytest.approx(metallic_alpha(1), abs=1e-3)
@@ -206,49 +211,3 @@ class TestParityPattern:
     def test_matches_direct_lengths(self, s):
         pat = parity_pattern(s, 8)
         assert pat == [word_length(s, n) % 2 for n in range(8)]
-
-
-class TestRecurrenceConstant:
-    def brute_min_window(self, text, ell):
-        """Oracle: smallest W such that every length-W window holds every factor."""
-        factors = {text[i : i + ell] for i in range(len(text) - ell + 1)}
-        for w in range(ell, len(text) + 1):
-            if all(
-                all(f in text[i : i + w] for f in factors)
-                for i in range(len(text) - w + 1)
-            ):
-                return w
-        return len(text)
-
-    def test_window_formula_against_oracle(self):
-        text = prefix(1, 90)
-        est = recurrence_constant_estimate(1, 4, prefix_len=90)
-        for ell, w in est.window_by_length:
-            assert w == self.brute_min_window(text, ell)
-
-    def test_golden_single_letters(self):
-        # every window of length 3 of the golden-mean word contains both letters,
-        # and no shorter window does; the constant is therefore at least 3
-        est = recurrence_constant_estimate(1, 6)
-        assert est.window_by_length[0] == (1, 3)
-        assert est.constant >= 3.0
-
-    def test_at_least_one(self):
-        for s in (1, 2, 3):
-            assert recurrence_constant_estimate(s, 3).constant >= 1.0
-
-    def test_twin_bound_formula(self):
-        assert twin_constant_bound(1, 3.0) == pytest.approx(54.0)
-        assert twin_constant_bound(2, 2.0) == pytest.approx(36.0)
-
-    def test_twin_bound_produces_twins_empirically(self):
-        est = recurrence_constant_estimate(1, 3)
-        ks = twin_constant_bound(1, est.constant)
-        text = prefix(1, 2000)
-        for y in ("a", "b", "ab", "aba"):
-            x = text[: int(ks * len(y)) + 1]
-            assert find_twin(y, x, "odd") is not None
-
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            recurrence_constant_estimate(1, 4, prefix_len=10**7)
