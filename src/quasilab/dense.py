@@ -2,7 +2,8 @@
 
 The 2D checks compare the product formula, built on the Sturm bisection of
 ``jacobi1d``, with a dense solve of the whole Labyrinth box.  LAPACK shares no
-code with the Sturm path, so that comparison stays an independent check.
+code with the Sturm path, so that comparison stays an independent check; the
+spectral-symmetry criterion reads these eigenvalues for the same reason.
 """
 
 from __future__ import annotations

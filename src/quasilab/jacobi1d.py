@@ -11,6 +11,11 @@ Sturm (LDL^T inertia) recurrence vectorised over energies, and full spectra come
 from bisection on those counts; the integrated density of states (IDS) is the
 normalised counting function.
 
+The diagonal is zero, so the chain is bipartite: flipping the sign on every
+other site maps H to -H, the spectrum is symmetric about 0, and for odd N
+(det_N = -b^2 det_{N-2}, det_1 = 0) it contains 0.  The solver bisects only
+the nonnegative half and mirrors it.
+
 The recurrence runs in plain IEEE arithmetic with no pivot guard, as in Kahan's
 bisection and LAPACK ``dstebz``: a zero pivot makes the next pivot an infinity,
 b^2 / inf = 0 makes the one after it -E again, and a pivot counts as negative
@@ -165,25 +170,30 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
     the number of pivots with the sign bit set, in IEEE arithmetic without a
     pivot guard (see the module docstring); the computation is vectorised
     across energies.  At an energy that is itself an eigenvalue of a leading
-    submatrix the count may land on either side of the jump.
+    submatrix the count may land on either side of the jump.  NaN energies
+    raise ``ValueError``.
     """
     off2 = np.square(np.asarray(offdiag, dtype=float))
     neg_e = np.negative(np.atleast_1d(np.asarray(energies, dtype=float)))
+    if np.isnan(neg_e).any():
+        raise ValueError("energies must not be NaN")
     buf = np.empty((min(_COUNT_BLOCK, off2.size + 1), neg_e.size))
+    rows = list(buf)
     signs = np.empty(buf.shape, dtype=bool)
     t = np.empty_like(neg_e)
     count = np.zeros(neg_e.size, dtype=np.int64)
-    q = buf[0]
+    q = rows[0]
     np.copyto(q, neg_e)
-    row = 1
+    row, block = 1, len(rows)
+    divide, subtract = np.divide, np.subtract
     with np.errstate(divide="ignore", over="ignore"):
-        for b2 in off2:
-            if row == buf.shape[0]:
+        for b2 in off2.tolist():
+            if row == block:
                 count += _count_sign_bits(buf, signs)
                 row = 0
-            np.divide(b2, q, out=t)
-            q = buf[row]
-            np.subtract(neg_e, t, out=q)
+            divide(b2, q, out=t)
+            q = rows[row]
+            subtract(neg_e, t, out=q)
             row += 1
     count += _count_sign_bits(buf[:row], signs)
     return count
@@ -192,20 +202,26 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
 def eigenvalues_offdiag(offdiag, tol: float = 1e-10, search_bound: float | None = None) -> np.ndarray:
     """All eigenvalues of the zero-diagonal tridiagonal matrix, by bisection.
 
-    One count on a uniform grid of 4N+1 energies over the symmetric search
-    interval (default a Gershgorin-style bound 2(1 + max|b|)) seeds a bracket
-    for every eigenvalue; each bracket is then halved until its width is at
-    most ``tol`` or its midpoint rounds to an endpoint.  Eigenvalues outside
-    the search interval come back pinned at its nearer end.
+    The spectrum is symmetric (see the module docstring), so only the
+    nonnegative half is computed.  One count on a uniform grid of 2N+1 energies
+    over [0, bound] (default bound a Gershgorin-style 2(1 + max|b|)) seeds a
+    bracket for each of the floor(N/2) largest eigenvalues; each bracket is then
+    halved until its width is at most ``tol`` or its midpoint rounds to an
+    endpoint.  The result is those values, their negatives and, for odd N, an
+    exact 0.0, sorted: each e_k is bit for bit -e_(N+1-k).  Eigenvalues outside
+    the search interval come back pinned at its nearer end.  ``tol`` must be
+    positive and ``search_bound`` positive and finite.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     off = np.asarray(offdiag, dtype=float)
     n = off.size + 1
     if search_bound is None:
         search_bound = 2.0 * (1.0 + (float(np.max(np.abs(off))) if off.size else 0.0))
-    grid = np.linspace(-search_bound, search_bound, 4 * n + 1)
-    k = np.arange(n)
+    if not 0.0 < search_bound < math.inf:
+        raise ValueError("the search bound must be positive and finite")
+    grid = np.linspace(0.0, search_bound, 2 * n + 1)
+    k = np.arange(n - n // 2, n)
     # the kth smallest eigenvalue lies in [grid[j-1], grid[j]) for the first j
     # whose count exceeds k; j = 0 or j = grid.size pins it at an end
     j = np.searchsorted(count_below_offdiag(off, grid), k, side="right")
@@ -218,7 +234,8 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10, search_bound: float | None 
         above = count_below_offdiag(off, mid) > k
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    return np.sort(mid)
+    pos = np.sort(mid)
+    return np.concatenate([-pos[::-1], np.zeros(n % 2), pos])
 
 
 def ids_curve(params: ModelParams, energies, n: int, *, source: str = "substitution",

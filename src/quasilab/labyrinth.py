@@ -144,20 +144,12 @@ def dense_eigs_2d(op: Sparse2DOperator) -> EmpiricalMeasure:
 def axis_eigenvalues(s: int, a: float, n: int, tol: float) -> np.ndarray:
     """Sorted, read-only eigenvalues of one 1D chain restricted to [0, N-1].
 
-    For odd N the middle eigenvalue snaps to exactly zero: a zero-diagonal
-    tridiagonal matrix of odd size is singular (its determinant recurrence
-    det_N = -b^2 det_{N-2} bottoms out at det_1 = 0), and bisection puts the
-    computed value within tol of it anyway.  The list is sorted after the snap.
-    The last AXIS_MEMO_SIZE lists are memoised in process.
+    The couplings are the first N-1 hopping values.  The solver mirrors the
+    nonnegative half, so the list is exactly symmetric, with an exact zero for
+    odd N (see :func:`eigenvalues_offdiag`).  The last AXIS_MEMO_SIZE lists are
+    memoised in process.
     """
-    eigs = np.zeros(1)
-    if n > 1:
-        off = build_window(ModelParams(s, a), n - 1).weights
-        bound = 2.0 * (1.0 + float(np.max(off)))
-        eigs = eigenvalues_offdiag(off, tol, search_bound=bound)
-        if n % 2 == 1:
-            eigs[n // 2] = 0.0
-        eigs = np.sort(eigs)
+    eigs = eigenvalues_offdiag(build_window(ModelParams(s, a), n).weights[:-1], tol)
     eigs.setflags(write=False)
     return eigs
 

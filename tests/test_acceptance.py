@@ -6,7 +6,7 @@ or equivalently ``quasilab verify`` for the table form.
 
 import pytest
 
-from quasilab import acceptance
+from quasilab import acceptance, jacobi1d, labyrinth
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,18 @@ def test_criterion_04_free_ids(ctx):
 
 
 def test_criterion_05_spectral_symmetry(ctx):
+    _check(acceptance.run_criterion(5, ctx))
+
+
+def test_criterion_05_does_not_use_the_sturm_solver(ctx, monkeypatch):
+    # the solver mirrors its nonnegative half, so its lists are symmetric by
+    # construction; the criterion must hold without it
+    def refuse(*args, **kwargs):
+        raise AssertionError("criterion 5 called the Sturm solver")
+
+    for module in (jacobi1d, labyrinth, acceptance):
+        monkeypatch.setattr(module, "eigenvalues_offdiag", refuse, raising=False)
+    labyrinth.axis_eigenvalues.cache_clear()
     _check(acceptance.run_criterion(5, ctx))
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quasilab.dense import symmetric_eigenvalues
@@ -141,6 +141,124 @@ def sturm_count_reference(offdiag, energy) -> int:
             q = -e - np.float64(b) ** 2 / q
             count += int(np.signbit(q))
     return count
+
+
+def count_below_reference(offdiag, energies) -> np.ndarray:
+    """The blocked count loop over numpy scalars, the oracle of ``count_below_offdiag``."""
+    off2 = np.square(np.asarray(offdiag, dtype=float))
+    neg_e = np.negative(np.atleast_1d(np.asarray(energies, dtype=float)))
+    block = 32
+    buf = np.empty((min(block, off2.size + 1), neg_e.size))
+    t = np.empty_like(neg_e)
+    count = np.zeros(neg_e.size, dtype=np.int64)
+
+    def sign_bits(rows):
+        return np.add.reduce(np.signbit(rows).view(np.uint8), axis=0, dtype=np.uint8)
+
+    q = buf[0]
+    np.copyto(q, neg_e)
+    row = 1
+    with np.errstate(divide="ignore", over="ignore"):
+        for b2 in off2:
+            if row == buf.shape[0]:
+                count += sign_bits(buf)
+                row = 0
+            np.divide(b2, q, out=t)
+            q = buf[row]
+            np.subtract(neg_e, t, out=q)
+            row += 1
+    count += sign_bits(buf[:row])
+    return count
+
+
+def eigenvalues_full_range_reference(offdiag, tol):
+    """Bisection of all N eigenvalues from a 4N+1 grid over [-bound, bound], the oracle of the half solver."""
+    off = np.asarray(offdiag, dtype=float)
+    n = off.size + 1
+    bound = 2.0 * (1.0 + (float(np.max(np.abs(off))) if off.size else 0.0))
+    grid = np.linspace(-bound, bound, 4 * n + 1)
+    k = np.arange(n)
+    j = np.searchsorted(count_below_reference(off, grid), k, side="right")
+    lo = grid[np.maximum(j - 1, 0)]
+    hi = grid[np.minimum(j, grid.size - 1)]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
+            break
+        above = count_below_reference(off, mid) > k
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return np.sort(mid)
+
+
+class TestAgainstReferences:
+    """The half-spectrum solver and the count loop against full-range references."""
+
+    @settings(max_examples=25)
+    @given(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=600),
+           st.floats(min_value=0.2, max_value=20.0), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(1, 1, 2.0, 0)
+    @example(2, 2, 0.2, 0)
+    @example(3, 599, 20.0, 1)
+    @example(1, 600, 3.7, 2)
+    def test_counts_and_eigenvalues(self, s, n, a, seed):
+        w = build_window(ModelParams(s, a), n)
+        off = w.interior_offdiagonals()
+        dense = w.to_dense()
+        bound = 2.0 * (1.0 + (float(np.max(off)) if off.size else 0.0))
+        rng = np.random.default_rng(seed)
+        sub = [np.linalg.eigvalsh(dense[:m, :m]) for m in rng.integers(1, n + 1, size=3)]
+        specials = np.concatenate([[0.0, -0.0, math.inf, -math.inf], sub[0][:1], sub[1][-1:]])
+        energy_sets = [
+            sub[2][rng.integers(sub[2].size)][None],
+            np.concatenate([np.linspace(-bound, bound, 401 - specials.size), specials]),
+            np.linspace(-bound, bound, 4 * n + 1),
+        ]
+        for energies in energy_sets:
+            got = count_below_offdiag(off, energies)
+            assert got.tobytes() == count_below_reference(off, energies).tobytes()
+
+        tol = 1e-11
+        e = eigenvalues_offdiag(off, tol)
+        assert e.shape == (n,)
+        assert np.max(np.abs(e - eigenvalues_full_range_reference(off, tol))) <= tol
+        assert np.max(np.abs(e - np.linalg.eigvalsh(dense))) <= 1e-10
+        assert np.array_equal(e, -e[::-1]) and np.all(np.diff(e) >= 0)
+        zeros = np.flatnonzero(e == 0.0)
+        assert zeros.tolist() == ([n // 2] if n % 2 else [])
+        if n % 2:
+            assert not np.signbit(e[n // 2])
+
+    def test_single_site_is_exactly_zero(self):
+        e = eigenvalues_offdiag(np.empty(0))
+        assert e.tolist() == [0.0] and not np.signbit(e[0])
+
+    @pytest.mark.parametrize("off", [[0.0], [1.0, 0.0, 1.0], [2.0, 0.0, 0.0, 3.0]])
+    def test_zero_coupling_chains(self, off):
+        off = np.asarray(off)
+        dense = np.diag(off, 1) + np.diag(off, -1)
+        with np.errstate(invalid="ignore"):  # 0 / 0 at E = 0
+            got = eigenvalues_offdiag(off)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(dense))) <= 1e-10
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            eigenvalues_offdiag(np.ones(9), tol=tol)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_search_bound_must_be_positive_and_finite(self, bound):
+        with pytest.raises(ValueError, match="search bound"):
+            eigenvalues_offdiag(np.ones(9), search_bound=bound)
+
+    @pytest.mark.parametrize("nan", [math.nan, -math.nan])
+    def test_nan_energies_are_refused(self, nan):
+        off = build_window(ModelParams(1, 2.0), 10).interior_offdiagonals()
+        for energies in ([nan], [0.0, nan, 1.0]):
+            with pytest.raises(ValueError, match="NaN"):
+                count_below_offdiag(off, energies)
 
 
 class TestIEEECount:
