@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-#: Default cap on interval counts in covers produced by set arithmetic.
-DEFAULT_INTERVAL_CAP = 10**6
+#: Cap on the interval count of a merged cover and on the bands of a trace-map cover.
+INTERVAL_CAP = 10**6
 
 #: Guard on the pairwise working set of product/sum set arithmetic.
 _PAIR_GUARD = 4 * 10**6
@@ -27,10 +27,11 @@ _PAIR_GUARD = 4 * 10**6
 DEFAULT_LOG_FLOOR = 1e-12
 
 
-def merge_intervals(pairs, *, merge_tol: float = 0.0, cap: int = DEFAULT_INTERVAL_CAP):
-    """Sort [lo, hi] pairs and merge overlaps (and gaps up to ``merge_tol``).
+def merge_intervals(pairs):
+    """Sort [lo, hi] pairs and merge the ones that overlap or touch.
 
-    ``pairs`` is an (n, 2) array or a sequence of pairs.
+    ``pairs`` is an (n, 2) array or a sequence of pairs.  More than INTERVAL_CAP
+    merged intervals raise ResourceLimitError.
     """
     arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if arr.size == 0:
@@ -45,10 +46,10 @@ def merge_intervals(pairs, *, merge_tol: float = 0.0, cap: int = DEFAULT_INTERVA
     run_hi = np.maximum.accumulate(hi)
     new_run = np.empty(lo.size, dtype=bool)
     new_run[0] = True
-    new_run[1:] = lo[1:] > run_hi[:-1] + merge_tol
+    new_run[1:] = lo[1:] > run_hi[:-1]
     starts = np.flatnonzero(new_run)
-    if starts.size > cap:
-        raise ResourceLimitError(f"{starts.size} intervals exceed the cap of {cap}")
+    if starts.size > INTERVAL_CAP:
+        raise ResourceLimitError(f"{starts.size} intervals exceed the cap of {INTERVAL_CAP}")
     ends = np.append(starts[1:], lo.size)
     merged_lo = lo[starts]
     merged_hi = run_hi[ends - 1]
@@ -225,22 +226,19 @@ class CantorStats:
         }
 
 
-def box_dimension_estimate(covers, scales=None) -> float:
+def box_dimension_estimate(covers) -> float:
     """Least-squares slope of log(band count) against log(1 / scale).
 
-    By default each cover's scale is its mean band width (total length divided by
-    band count), the natural box size for a cover by unequal intervals; pass
-    explicit ``scales`` to override.  Raises ValueError when fewer than three
-    covers are given or the scales are degenerate.
+    Each cover's scale is its mean band width (total length divided by band
+    count), the natural box size for a cover by unequal intervals.  Raises
+    ValueError when fewer than three covers are given or the scales are
+    degenerate.
     """
     covers = list(covers)
     if len(covers) < 3:
         raise ValueError("need at least three refinement levels")
     counts = np.array([c.count for c in covers], dtype=float)
-    if scales is None:
-        scales = np.array([c.total_length / c.count for c in covers])
-    else:
-        scales = np.asarray(scales, dtype=float)
+    scales = np.array([c.total_length / c.count for c in covers])
     if np.unique(scales).size < 2:
         raise ValueError("degenerate fit: all scales identical")
     slope = np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0]
@@ -266,7 +264,7 @@ def cantor_stats(covers) -> CantorStats:
 # set arithmetic
 
 
-def _combine(a: BandCover, b: BandCover, kind: str, merge_tol: float, cap: int) -> tuple:
+def _combine(a: BandCover, b: BandCover, kind: str) -> tuple:
     la = np.array([iv[0] for iv in a.intervals])
     ha = np.array([iv[1] for iv in a.intervals])
     lb = np.array([iv[0] for iv in b.intervals])
@@ -287,7 +285,7 @@ def _combine(a: BandCover, b: BandCover, kind: str, merge_tol: float, cap: int) 
     else:
         lo = np.add.outer(la, lb).ravel()
         hi = np.add.outer(ha, hb).ravel()
-    return merge_intervals(np.column_stack([lo, hi]), merge_tol=merge_tol, cap=cap)
+    return merge_intervals(np.column_stack([lo, hi]))
 
 
 def _join_meta(a: BandCover, b: BandCover) -> dict:
@@ -298,20 +296,18 @@ def _join_meta(a: BandCover, b: BandCover) -> dict:
     return {"level": level, "resolution": res}
 
 
-def product_set(a: BandCover, b: BandCover, *, merge_tol: float = 0.0,
-                cap: int = DEFAULT_INTERVAL_CAP) -> BandCover:
+def product_set(a: BandCover, b: BandCover) -> BandCover:
     """Pointwise product set {xy}: pairwise interval products, merged.
 
     Each pair of bands contributes [min, max] over the four endpoint products,
     which is exact for products of intervals of any signs.
     """
-    return BandCover(_combine(a, b, "product", merge_tol, cap), **_join_meta(a, b))
+    return BandCover(_combine(a, b, "product"), **_join_meta(a, b))
 
 
-def sum_set(a: BandCover, b: BandCover, *, merge_tol: float = 0.0,
-            cap: int = DEFAULT_INTERVAL_CAP) -> BandCover:
+def sum_set(a: BandCover, b: BandCover) -> BandCover:
     """Minkowski sum {x + y} of two covers."""
-    return BandCover(_combine(a, b, "sum", merge_tol, cap), **_join_meta(a, b))
+    return BandCover(_combine(a, b, "sum"), **_join_meta(a, b))
 
 
 def log_positive_part(a: BandCover, floor: float = DEFAULT_LOG_FLOOR) -> BandCover:

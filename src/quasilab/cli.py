@@ -29,6 +29,14 @@ HISTOGRAM_BIN_CAP = 65536
 PHASES_CAP = 64
 SWEEP_STEPS_CAP = 64
 
+#: Cap on (N + DOS1D_FLOOR) x max(grid, DOS1D_FLOOR) x phases, the work of dos1d
+#: in site-energy steps of its Sturm counts.  A count costs about 1 us a site up
+#: to 1024 energies and 1.7 ns a site-energy above; writing a curve costs about
+#: 2.4 us an energy, as much as counting over 1400 more sites.  So the priciest
+#: accepted argv runs for about 10 s (2-core x86 machine).
+DOS1D_WORK_CAP = 4 * 10**9
+DOS1D_FLOOR = 1024
+
 #: Namespace attributes written into every artifact's metadata, in this order,
 #: when they are set; a handler stores the values it resolves on the namespace.
 _META_KEYS = (
@@ -293,6 +301,9 @@ def _cmd_spectrum1d(args) -> int:
 
 
 def _cmd_dos1d(args) -> int:
+    if (args.n + DOS1D_FLOOR) * max(args.grid, DOS1D_FLOOR) * args.phases > DOS1D_WORK_CAP:
+        raise ResourceLimitError(f"(N + {DOS1D_FLOOR}) x grid (at least {DOS1D_FLOOR}) x phases "
+                                 f"exceed the cap of {DOS1D_WORK_CAP}")
     args.a = _resolve_a(args)
     params = ModelParams(args.s, args.a)
     hi = args.emax if args.emax is not None else 2.0 * max(args.a, 1.0) + 0.5

@@ -27,12 +27,11 @@ count is monotone in the energy, which bisection needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .words import DEFAULT_WORD_CAP, prefix, rotation_sequence
+from .words import prefix, rotation_sequence
 
 def coupling_constant(a: float, b: float = 1.0) -> float:
     """|a^2 - b^2| / (ab), the single parameter controlling the spectral type."""
@@ -75,77 +74,25 @@ class ModelParams:
         return cls(s, hopping_from_coupling(lam))
 
 
-@dataclass(frozen=True, eq=False)
-class HoppingWindow:
-    """Hopping values omega(offset+1 .. offset+N) read off a hull element."""
+def build_window(params: ModelParams, n: int, source: str = "substitution", *, beta: float = 0.0) -> np.ndarray:
+    """Hopping values omega(1 .. N) from the substitution sequence or a rotation coding.
 
-    weights: np.ndarray = field(repr=False)
-    offset: int = 0
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("a window needs at least one weight")
-        if not np.all(w > 0):
-            raise ValueError("hopping weights must be positive")
-        object.__setattr__(self, "weights", w)
-
-    def __repr__(self):  # pragma: no cover
-        return f"HoppingWindow(n={self.size}, offset={self.offset})"
-
-    @property
-    def size(self) -> int:
-        return int(self.weights.size)
-
-    def interior_offdiagonals(self) -> np.ndarray:
-        """Couplings omega(offset+2 .. offset+N) of the Dirichlet restriction.
-
-        The window's first weight is the bond leaving the box on the left and is
-        dropped, as is the (never generated) bond leaving on the right: the matrix
-        is the principal N x N submatrix with zero diagonal.
-        """
-        return self.weights[1:]
-
-    def to_dense(self) -> np.ndarray:
-        off = self.interior_offdiagonals()
-        n = self.size
-        m = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        m[idx, idx + 1] = off
-        m[idx + 1, idx] = off
-        return m
-
-
-def build_window(
-    params: ModelParams,
-    n: int,
-    source: str = "substitution",
-    *,
-    beta: float = 0.0,
-    offset: int = 0,
-    max_len: int = DEFAULT_WORD_CAP,
-) -> HoppingWindow:
-    """Read N hopping values from the substitution sequence or a rotation coding.
-
-    ``source="substitution"`` takes letters offset+1 .. offset+N of u_s;
-    ``source="rotation"`` codes the circle rotation at phase ``beta`` over the
-    same index range.  Letters map a -> params.a, b -> 1.
+    ``source="substitution"`` takes the first N letters of u_s (at most the word
+    cap); ``source="rotation"`` codes the circle rotation at phase ``beta`` over
+    the same indices.  Letters map a -> params.a, b -> 1.  The N-site Dirichlet
+    restriction drops omega(1), the bond leaving the box on the left, and keeps
+    the N-1 couplings ``w[1:]``.
     """
     if n < 1:
         raise ValueError("window length must be positive")
     if source == "substitution":
-        if offset < 0:
-            raise ValueError("substitution windows need a nonnegative offset")
-        if offset + n > max_len:
-            raise ResourceLimitError(f"window end {offset + n} exceeds the cap of {max_len}")
-        letters = prefix(params.s, offset + n, max_len=max_len)[offset:]
+        letters = prefix(params.s, n)
     elif source == "rotation":
-        letters = rotation_sequence(params.s, beta, range(offset + 1, offset + n + 1))
+        letters = rotation_sequence(params.s, beta, range(1, n + 1))
     else:
         raise ValueError(f"unknown window source {source!r}")
     codes = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
-    weights = np.where(codes == ord("a"), params.a, 1.0)
-    return HoppingWindow(weights, offset)
+    return np.where(codes == ord("a"), params.a, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +116,21 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
     recurrence q_1 = -E, q_k = -E - b_{k-1}^2 / q_{k-1} counts eigenvalues through
     the number of pivots with the sign bit set, in IEEE arithmetic without a
     pivot guard (see the module docstring); the computation is vectorised
-    across energies.  At an energy that is itself an eigenvalue of a leading
-    submatrix the count may land on either side of the jump.  NaN energies
-    raise ``ValueError``.
+    across energies.  A zero coupling (b^2 = 0) splits the matrix into a direct
+    sum; each block is counted on its own and the counts are added, so no 0/0
+    pivot arises and the count stays monotone.  At an energy that is itself an
+    eigenvalue of a leading submatrix the count may land on either side of the
+    jump.  NaN energies raise ``ValueError``.
     """
-    off2 = np.square(np.asarray(offdiag, dtype=float))
+    off = np.asarray(offdiag, dtype=float)
+    off2 = np.square(off)
     neg_e = np.negative(np.atleast_1d(np.asarray(energies, dtype=float)))
     if np.isnan(neg_e).any():
         raise ValueError("energies must not be NaN")
+    cuts = np.flatnonzero(off2 == 0.0)
+    if cuts.size:
+        ends = np.concatenate([[-1], cuts, [off.size]])
+        return sum(count_below_offdiag(off[lo + 1:hi], energies) for lo, hi in zip(ends, ends[1:]))
     buf = np.empty((min(_COUNT_BLOCK, off2.size + 1), neg_e.size))
     rows = list(buf)
     signs = np.empty(buf.shape, dtype=bool)
@@ -199,28 +153,26 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
     return count
 
 
-def eigenvalues_offdiag(offdiag, tol: float = 1e-10, search_bound: float | None = None) -> np.ndarray:
+def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     """All eigenvalues of the zero-diagonal tridiagonal matrix, by bisection.
 
     The spectrum is symmetric (see the module docstring), so only the
     nonnegative half is computed.  One count on a uniform grid of 2N+1 energies
-    over [0, bound] (default bound a Gershgorin-style 2(1 + max|b|)) seeds a
-    bracket for each of the floor(N/2) largest eigenvalues; each bracket is then
-    halved until its width is at most ``tol`` or its midpoint rounds to an
-    endpoint.  The result is those values, their negatives and, for odd N, an
-    exact 0.0, sorted: each e_k is bit for bit -e_(N+1-k).  Eigenvalues outside
-    the search interval come back pinned at its nearer end.  ``tol`` must be
-    positive and ``search_bound`` positive and finite.
+    over [0, 2(1 + max|b|)], a Gershgorin-style bound, seeds a bracket for each
+    of the floor(N/2) largest eigenvalues; each bracket is then halved until its
+    width is at most ``tol`` or its midpoint rounds to an endpoint.  The result
+    is those values, their negatives and, for odd N, an exact 0.0, sorted: each
+    e_k is bit for bit -e_(N+1-k).  ``tol`` must be positive and the couplings
+    finite.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     off = np.asarray(offdiag, dtype=float)
     n = off.size + 1
-    if search_bound is None:
-        search_bound = 2.0 * (1.0 + (float(np.max(np.abs(off))) if off.size else 0.0))
-    if not 0.0 < search_bound < math.inf:
-        raise ValueError("the search bound must be positive and finite")
-    grid = np.linspace(0.0, search_bound, 2 * n + 1)
+    bound = 2.0 * (1.0 + (float(np.max(np.abs(off))) if off.size else 0.0))
+    if not bound < math.inf:
+        raise ValueError("couplings must be finite")
+    grid = np.linspace(0.0, bound, 2 * n + 1)
     k = np.arange(n - n // 2, n)
     # the kth smallest eigenvalue lies in [grid[j-1], grid[j]) for the first j
     # whose count exceeds k; j = 0 or j = grid.size pins it at an end
@@ -239,18 +191,12 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10, search_bound: float | None 
 
 
 def ids_curve(params: ModelParams, energies, n: int, *, source: str = "substitution",
-              beta: float = 0.0, offset: int = 0) -> np.ndarray:
+              beta: float = 0.0) -> np.ndarray:
     """Finite-volume IDS (1/N) #{eigenvalues <= E} over a vector of energies."""
     if n < 1:
         raise ValueError("N must be positive")
-    window = build_window(params, n, source, beta=beta, offset=offset)
-    counts = count_below_offdiag(window.interior_offdiagonals(), energies)
-    return counts.astype(float) / n
-
-
-def ids(params: ModelParams, energy: float, n: int, **kwargs) -> float:
-    """Finite-volume integrated density of states at a single energy."""
-    return float(ids_curve(params, [energy], n, **kwargs)[0])
+    w = build_window(params, n, source, beta=beta)
+    return count_below_offdiag(w[1:], energies).astype(float) / n
 
 
 def free_ids(energy):

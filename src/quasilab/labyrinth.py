@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tracemap
-from .bands import BandCover, product_set
+from .bands import DEFAULT_LOG_FLOOR, BandCover, product_set
 from .dense import symmetric_eigenvalues
 from .errors import ResourceLimitError
 from .jacobi1d import ModelParams, build_window, eigenvalues_offdiag
 from .measures import EmpiricalMeasure, ks_distance
 
-#: Dense solves are limited to boxes with at most this side length (N^2 <= 256).
+#: Dense matrices are limited to boxes with at most this side length (N^2 <= 256).
 DENSE_SIDE_CAP = 16
 
 #: Product eigenvalue lists are limited to boxes with at most this side length.
@@ -37,8 +37,8 @@ PRODUCT_SIDE_CAP = 4096
 #: Rows x energies elements in one pass of :func:`count_products_leq`.
 _COUNT_BLOCK = 2**16
 
-#: Default tolerance for the 1D eigenvalue lists feeding product formulas.
-DEFAULT_EIG_TOL = 1e-11
+#: Bisection tolerance of the 1D eigenvalue lists feeding product formulas.
+EIG_TOL = 1e-11
 
 #: Number of 1D eigenvalue lists :func:`axis_eigenvalues` keeps in memory.
 AXIS_MEMO_SIZE = 32
@@ -74,74 +74,44 @@ class LabyrinthParams:
         return ModelParams(self.s, self.a2)
 
 
-@dataclass(frozen=True, eq=False)
-class Sparse2DOperator:
-    """Directed coupling table of a Labyrinth box, optionally parity restricted.
+def build_2d(p: LabyrinthParams, n: int, sublattice: str = "full") -> np.ndarray:
+    """The Labyrinth operator on [0, N-1]^2 with Dirichlet boundary, as a dense matrix.
 
-    ``entries`` maps (m, n, dm, dn) with dm, dn in {-1, +1} to the bond weight
-    between sites (m, n) and (m+dm, n+dn); both directions are stored and their
-    weights agree.  ``sites`` fixes the basis order of the dense form.
-    """
-
-    n: int
-    sublattice: str
-    sites: tuple = field(repr=False)
-    entries: dict = field(repr=False)
-
-    @property
-    def num_sites(self) -> int:
-        return len(self.sites)
-
-    def to_dense(self) -> np.ndarray:
-        index = {site: i for i, site in enumerate(self.sites)}
-        mat = np.zeros((self.num_sites, self.num_sites))
-        for (m, n, dm, dn), w in self.entries.items():
-            mat[index[(m, n)], index[(m + dm, n + dn)]] = w
-        return mat
-
-
-def build_2d(p: LabyrinthParams, n: int, sublattice: str = "full") -> Sparse2DOperator:
-    """Assemble the Labyrinth operator on [0, N-1]^2 with Dirichlet boundary.
-
-    ``sublattice`` restricts the site set to even or odd parity of m + n; the
-    full operator is the direct sum of the two restrictions.
+    The basis is the sites (m, k) in row-major order; ``sublattice`` keeps only
+    those of even or odd parity of m + k, and the full operator is the direct
+    sum of the two restrictions.  Sides above DENSE_SIDE_CAP raise
+    ResourceLimitError before anything is allocated.
     """
     if n < 2:
         raise ValueError("the box needs side length at least 2")
     if sublattice not in ("full", "even", "odd"):
         raise ValueError(f"unknown sublattice {sublattice!r}")
-    # omega_i(1 .. N-1): the in-box couplings along each axis
-    w1, w2 = (build_window(axis, n - 1).weights for axis in (p.axis1, p.axis2))
-    want = {"full": (0, 1), "even": (0,), "odd": (1,)}[sublattice]
-    sites = tuple(
-        (m, k) for m in range(n) for k in range(n) if (m + k) % 2 in want
-    )
-    site_set = set(sites)
-    entries = {}
-    for (m, k) in sites:
-        for dm in (-1, 1):
-            for dn in (-1, 1):
-                tgt = (m + dm, k + dn)
-                if tgt not in site_set:
-                    continue
-                # bond (m, m+1) along axis 1 carries omega1(m+1) = w1[m]
-                wa = w1[m] if dm == 1 else w1[m - 1]
-                wb = w2[k] if dn == 1 else w2[k - 1]
-                entries[(m, k, dm, dn)] = float(wa * wb)
-    return Sparse2DOperator(n, sublattice, sites, entries)
+    if n > DENSE_SIDE_CAP:
+        raise ResourceLimitError(f"dense solves are capped at side {DENSE_SIDE_CAP}, got {n}")
+    # omega_i(1 .. N-1): the in-box couplings along each axis; both bonds of the
+    # plaquette [m, m+1] x [j, j+1] carry omega1(m+1) * omega2(j+1)
+    w1, w2 = (build_window(axis, n - 1) for axis in (p.axis1, p.axis2))
+    weight = np.multiply.outer(w1, w2).ravel()
+    m, j = np.divmod(np.arange((n - 1) ** 2), n - 1)
+    skip = {"full": 2, "even": 1, "odd": 0}[sublattice]
+    keep = np.add.outer(np.arange(n), np.arange(n)).ravel() % 2 != skip
+    index = np.cumsum(keep) - 1  # basis position of site (m, k), flat index m * n + k
+    size = int(keep.sum())
+    mat = np.zeros((size, size))
+    for a, b in ((m * n + j, (m + 1) * n + j + 1), (m * n + j + 1, (m + 1) * n + j)):
+        on = keep[a]  # a diagonal bond joins two sites of the same parity
+        mat[index[a[on]], index[b[on]]] = weight[on]
+        mat[index[b[on]], index[a[on]]] = weight[on]
+    return mat
 
 
-def dense_eigs_2d(op: Sparse2DOperator) -> EmpiricalMeasure:
-    """All eigenvalues of the operator through the dense LAPACK solver."""
-    if op.n > DENSE_SIDE_CAP:
-        raise ResourceLimitError(
-            f"dense solves are capped at side {DENSE_SIDE_CAP}, got {op.n}"
-        )
-    return EmpiricalMeasure(symmetric_eigenvalues(op.to_dense()))
+def dense_eigs_2d(matrix: np.ndarray) -> EmpiricalMeasure:
+    """All eigenvalues of a :func:`build_2d` matrix through the dense LAPACK solver."""
+    return EmpiricalMeasure(symmetric_eigenvalues(matrix))
 
 
 @functools.lru_cache(maxsize=AXIS_MEMO_SIZE)
-def axis_eigenvalues(s: int, a: float, n: int, tol: float) -> np.ndarray:
+def axis_eigenvalues(s: int, a: float, n: int) -> np.ndarray:
     """Sorted, read-only eigenvalues of one 1D chain restricted to [0, N-1].
 
     The couplings are the first N-1 hopping values.  The solver mirrors the
@@ -149,19 +119,19 @@ def axis_eigenvalues(s: int, a: float, n: int, tol: float) -> np.ndarray:
     odd N (see :func:`eigenvalues_offdiag`).  The last AXIS_MEMO_SIZE lists are
     memoised in process.
     """
-    eigs = eigenvalues_offdiag(build_window(ModelParams(s, a), n).weights[:-1], tol)
+    eigs = eigenvalues_offdiag(build_window(ModelParams(s, a), n)[:-1], EIG_TOL)
     eigs.setflags(write=False)
     return eigs
 
 
-def eigs_1d_axes(p: LabyrinthParams, n: int, tol: float = DEFAULT_EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigs_1d_axes(p: LabyrinthParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue lists of the two 1D restrictions to [0, N-1] (see :func:`axis_eigenvalues`)."""
     if n < 1:
         raise ValueError("N must be positive")
-    return axis_eigenvalues(p.s, p.a1, n, tol), axis_eigenvalues(p.s, p.a2, n, tol)
+    return axis_eigenvalues(p.s, p.a1, n), axis_eigenvalues(p.s, p.a2, n)
 
 
-def product_eigs(p: LabyrinthParams, n: int, tol: float = DEFAULT_EIG_TOL) -> EmpiricalMeasure:
+def product_eigs(p: LabyrinthParams, n: int) -> EmpiricalMeasure:
     """All N^2 pairwise products of the two 1D eigenvalue lists.
 
     By the tensor factorisation these are exactly the eigenvalues of the full
@@ -169,13 +139,13 @@ def product_eigs(p: LabyrinthParams, n: int, tol: float = DEFAULT_EIG_TOL) -> Em
     """
     if n > PRODUCT_SIDE_CAP:
         raise ResourceLimitError(f"product lists are capped at side {PRODUCT_SIDE_CAP}, got {n}")
-    e1, e2 = eigs_1d_axes(p, n, tol)
+    e1, e2 = eigs_1d_axes(p, n)
     return EmpiricalMeasure(np.multiply.outer(e1, e2).ravel())
 
 
-def zero_product_mass(p: LabyrinthParams, n: int, tol: float = DEFAULT_EIG_TOL) -> float:
+def zero_product_mass(p: LabyrinthParams, n: int) -> float:
     """Fraction of product eigenvalues that are exactly zero ((2N-1)/N^2 for odd N)."""
-    e1, e2 = eigs_1d_axes(p, n, tol)
+    e1, e2 = eigs_1d_axes(p, n)
     z1 = int(np.count_nonzero(e1 == 0.0))
     z2 = int(np.count_nonzero(e2 == 0.0))
     return (z1 * n + z2 * n - z1 * z2) / (n * n)
@@ -233,14 +203,14 @@ def count_products_leq(e1, e2, energies):
     return int(counts[0]) if energies.ndim == 0 else counts.reshape(energies.shape)
 
 
-def dos2d_cdf(p: LabyrinthParams, energy, n: int, *, tol: float = DEFAULT_EIG_TOL) -> float | np.ndarray:
+def dos2d_cdf(p: LabyrinthParams, energy, n: int) -> float | np.ndarray:
     """Finite-volume 2D DOS: (1/N^2) #{(k1, k2): E_{1,k1} * E_{2,k2} <= E}.
 
     This is the double-integral product formula for the 2D counting measure,
     evaluated exactly on the finite eigenvalue lists by :func:`count_products_leq`
     for a scalar energy or an array of them.
     """
-    e1, e2 = eigs_1d_axes(p, n, tol)
+    e1, e2 = eigs_1d_axes(p, n)
     return count_products_leq(e1, e2, energy) / (float(n) * float(n))
 
 
@@ -248,22 +218,15 @@ def dos2d_cdf(p: LabyrinthParams, energy, n: int, *, tol: float = DEFAULT_EIG_TO
 # log-convolution route
 
 
-def log_convolution_cdf(
-    p: LabyrinthParams,
-    interval: tuple[float, float],
-    n: int,
-    bins: int,
-    *,
-    tol: float = DEFAULT_EIG_TOL,
-    floor: float = 1e-12,
-) -> float:
+def log_convolution_cdf(p: LabyrinthParams, interval: tuple[float, float], n: int, bins: int) -> float:
     """Mass the 2D DOS gives the interval (lo, hi], via log-histogram convolution.
 
     Both 1D measures are symmetric, so the 2D measure of a set A equals
     2 [ (nu1bar * nu2bar)(log A+) + (nu1bar * nu2bar)(log A-) ], where nu_ibar is
     the log-pushforward of nu_i restricted to (0, inf), A+ = A intersect (0, inf)
     and A- = (-A) intersect (0, inf).  The convolution is evaluated on equal-width
-    histograms of the positive 1D eigenvalues' logarithms; zero eigenvalues (odd
+    histograms of the positive 1D eigenvalues' logarithms, clipped below at
+    log DEFAULT_LOG_FLOOR; zero eigenvalues (odd
     N) carry no mass here and are accounted separately by
     :func:`zero_product_mass`.  Infinite interval endpoints are allowed.
     """
@@ -272,9 +235,9 @@ def log_convolution_cdf(
     lo, hi = float(interval[0]), float(interval[1])
     if hi < lo:
         raise ValueError("interval endpoints must be ordered")
-    e1, e2 = eigs_1d_axes(p, n, tol)
+    e1, e2 = eigs_1d_axes(p, n)
     log_hi = math.log(2.0 * (1.0 + max(p.a1, p.a2, 1.0)))
-    log_lo = math.log(floor)
+    log_lo = math.log(DEFAULT_LOG_FLOOR)
     edges = np.linspace(log_lo, log_hi, bins + 1)
     width = edges[1] - edges[0]
 
@@ -346,11 +309,11 @@ def sublattice_dos_compare(p: LabyrinthParams, n: int) -> SublatticeReport:
     The three normalised counting measures converge to the same limit; the
     reported sup-distances quantify how close they already are at size ``n``.
     """
-    ops = {sub: build_2d(p, n, sub) for sub in ("full", "even", "odd")}
-    eigs = {sub: dense_eigs_2d(op) for sub, op in ops.items()}
+    mats = {sub: build_2d(p, n, sub) for sub in ("full", "even", "odd")}
+    eigs = {sub: dense_eigs_2d(mat) for sub, mat in mats.items()}
     return SublatticeReport(
         n,
-        (ops["full"].num_sites, ops["even"].num_sites, ops["odd"].num_sites),
+        (len(mats["full"]), len(mats["even"]), len(mats["odd"])),
         ks_distance(eigs["even"], eigs["odd"]),
         ks_distance(eigs["full"], eigs["even"]),
         ks_distance(eigs["full"], eigs["odd"]),

@@ -40,13 +40,6 @@ class EmpiricalMeasure:
         out = np.searchsorted(self.support, e, side="left") / self.size
         return float(out) if np.isscalar(energy) or e.ndim == 0 else out
 
-    def mass(self, lo: float, hi: float) -> float:
-        """Mass of the half-open interval (lo, hi]."""
-        return float(self.cdf(hi) - self.cdf(lo))
-
-    def to_json_obj(self) -> dict:
-        return {"count": self.size, "weight": 1.0 / self.size, "support": self.support.tolist()}
-
 
 def ks_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
     """Exact sup-norm distance between two empirical CDFs."""

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bands
 from .bands import BandCover, merge_intervals
 from .errors import ResourceLimitError
 from .jacobi1d import ModelParams
@@ -28,15 +29,13 @@ from .jacobi1d import ModelParams
 #: Number of points in the initial energy grid (odd, so 0 is always sampled).
 DEFAULT_GRID = 4097
 
-#: Cap on the number of bands a cover may carry.
-DEFAULT_BAND_CAP = 10**6
-
 #: Cap on the number of points in the initial energy grid.
 GRID_CAP = 10**6
 
-#: Cap on level * s * max(initial grid points, WORK_GRID_FLOOR), the map
-#: applications of a cover's first pass.  A free-chain cover at the cap takes
-#: about 7 s at grid 257 on a 2-core x86 machine.
+#: Cap on level * s * max(initial grid points, WORK_GRID_FLOOR) summed over a
+#: cover's levels: the map applications of one pass per level, each priced at the
+#: initial grid.  A free-chain cover at the cap takes about 7 s at grid 257 on a
+#: 2-core x86 machine.
 TRACE_WORK_CAP = 5 * 10**7
 
 #: Below this many grid points a pass costs about as much per level as at it
@@ -202,12 +201,13 @@ def _refine_edges(params, surviving, escaping, level, radius, resolution) -> np.
     return escaping
 
 
-def _level_bands(params, segments, level, radius, resolution, cap) -> tuple:
+def _level_bands(params, segments, level, radius, resolution) -> tuple:
     """Merged bands of one level from the sample points of every segment.
 
     All samples are tested in one pass.  A band is a run of surviving samples
     inside one segment; an edge at a segment boundary keeps the sample itself,
-    and every other edge is bisected towards the escaping neighbour.
+    and every other edge is bisected towards the escaping neighbour.  More than
+    ``bands.INTERVAL_CAP`` bands raise before any edge is refined.
     """
     sizes = [seg.size for seg in segments]
     if not any(sizes):
@@ -219,8 +219,8 @@ def _level_bands(params, segments, level, radius, resolution, cap) -> tuple:
     surv = _survivors(params, e, level, radius)
     starts = np.flatnonzero(surv & (first | ~np.roll(surv, 1)))
     ends = np.flatnonzero(surv & (last | ~np.roll(surv, -1)))
-    if starts.size > cap:
-        raise ResourceLimitError(f"{starts.size} bands exceed the cap of {cap}")
+    if starts.size > bands.INTERVAL_CAP:
+        raise ResourceLimitError(f"{starts.size} bands exceed the cap of {bands.INTERVAL_CAP}")
     lo, hi = e[starts], e[ends]
     inner_lo, inner_hi = ~first[starts], ~last[ends]
     edges = _refine_edges(
@@ -232,15 +232,15 @@ def _level_bands(params, segments, level, radius, resolution, cap) -> tuple:
     n_lo = int(inner_lo.sum())
     lo[inner_lo] = edges[:n_lo]
     hi[inner_hi] = edges[n_lo:]
-    return merge_intervals(np.column_stack([lo, hi]), cap=cap)
+    return merge_intervals(np.column_stack([lo, hi]))
 
 
-def _check_work(params: ModelParams, level: int, initial_grid: int) -> None:
+def _check_work(params: ModelParams, levels: list, initial_grid: int) -> None:
     if initial_grid > GRID_CAP:
         raise ResourceLimitError(f"{initial_grid} grid points exceed the cap of {GRID_CAP}")
-    if level * params.s * max(initial_grid, WORK_GRID_FLOOR) > TRACE_WORK_CAP:
-        raise ResourceLimitError(f"level x s x grid points (counted as at least {WORK_GRID_FLOOR}) "
-                                 f"exceed the cap of {TRACE_WORK_CAP}")
+    if sum(levels) * params.s * max(initial_grid, WORK_GRID_FLOOR) > TRACE_WORK_CAP:
+        raise ResourceLimitError(f"level x s x grid points, summed over levels (grid at least "
+                                 f"{WORK_GRID_FLOOR}), exceed the cap of {TRACE_WORK_CAP}")
 
 
 def spectrum_cover(
@@ -250,7 +250,6 @@ def spectrum_cover(
     *,
     initial_grid: int = DEFAULT_GRID,
     escape_radius: float | None = None,
-    band_cap: int = DEFAULT_BAND_CAP,
 ) -> BandCover:
     """Outer cover of the energies surviving ``level`` trace-map iterations.
 
@@ -265,12 +264,12 @@ def spectrum_cover(
         raise ValueError("level must be positive")
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    _check_work(params, level, initial_grid)
+    _check_work(params, [level], initial_grid)
     radius = default_escape_radius(params.coupling) if escape_radius is None else escape_radius
     bound = 2.0 * (1.0 + params.a)
     grid = np.linspace(-bound, bound, initial_grid)
     return BandCover(
-        _level_bands(params, [grid], level, radius, resolution, band_cap),
+        _level_bands(params, [grid], level, radius, resolution),
         level=level, s=params.s, coupling=params.coupling, resolution=resolution,
     )
 
@@ -282,7 +281,6 @@ def cover_sequence(
     *,
     initial_grid: int = DEFAULT_GRID,
     escape_radius: float | None = None,
-    band_cap: int = DEFAULT_BAND_CAP,
 ) -> list[BandCover]:
     """Nested covers over increasing levels; each is computed inside the previous.
 
@@ -297,12 +295,11 @@ def cover_sequence(
     levels = list(levels)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
-    _check_work(params, levels[-1], initial_grid)
+    _check_work(params, levels, initial_grid)
     radius = default_escape_radius(params.coupling) if escape_radius is None else escape_radius
     bound = 2.0 * (1.0 + params.a)
     spacing = 2.0 * bound / (initial_grid - 1)
-    out = [spectrum_cover(params, levels[0], resolution,
-                          initial_grid=initial_grid, escape_radius=radius, band_cap=band_cap)]
+    out = [spectrum_cover(params, levels[0], resolution, initial_grid=initial_grid, escape_radius=radius)]
     for lvl in levels[1:]:
         segments = []
         for lo, hi in out[-1].intervals:
@@ -312,7 +309,7 @@ def cover_sequence(
                 pts = np.unique(np.append(pts, 0.0))
             segments.append(pts)
         out.append(BandCover(
-            _level_bands(params, segments, lvl, radius, resolution, band_cap),
+            _level_bands(params, segments, lvl, radius, resolution),
             level=lvl, s=params.s, coupling=params.coupling, resolution=resolution,
         ))
     return out

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-ALPHABET = ("a", "b")
-
 #: Default cap on constructed word lengths; iterates grow exponentially in n.
 DEFAULT_WORD_CAP = 10**6
 

@@ -317,6 +317,18 @@ _FIRST_N_OVER_WORD_CAP = 29  # at s = 1
 _LEVEL_OVER_WORK_CAP = tracemap.TRACE_WORK_CAP // tracemap.DEFAULT_GRID + 1
 
 
+def _first_ladder_over_work_cap(grid: int) -> str:
+    """--levels 1,2,...,k for the least k whose summed work exceeds the cap at s = 1."""
+    k = 1
+    while k * (k + 1) // 2 * max(grid, tracemap.WORK_GRID_FLOOR) <= tracemap.TRACE_WORK_CAP:
+        k += 1
+    return ",".join(map(str, range(1, k + 1)))
+
+
+def _first_n_over_dos1d_cap(grid: int, phases: int) -> int:
+    return cli.DOS1D_WORK_CAP // (max(grid, cli.DOS1D_FLOOR) * phases) - cli.DOS1D_FLOOR + 1
+
+
 class TestResourceCaps:
     # each flag is run just above its cap only: a missing guard then costs
     # one allocation of about cap size, never gigabytes
@@ -344,6 +356,13 @@ class TestResourceCaps:
         # a small grid is priced at the floor: just below the cap, grid 3 ran for 40 s
         ["spectrum1d", "--lambda", "0", "--grid", "3",
          "--level", str(tracemap.TRACE_WORK_CAP // tracemap.WORK_GRID_FLOOR + 1)],
+        # a nested ladder is priced by the sum of its levels (levels 1..624 at grid 257)
+        ["spectrum1d", "--lambda", "0", "--grid", "257", "--levels", _first_ladder_over_work_cap(257)],
+        # dos1d work: (N + floor) x max(grid, floor) x phases
+        ["dos1d", "--a", "2", "--grid", "1024", "--phases", "64",
+         "--N", str(_first_n_over_dos1d_cap(1024, 64))],
+        ["dos1d", "--a", "2", "--grid", "65537", "--phases", "60", "--N", "1"],
+        ["dos1d", "--a", "2", "--grid", "5", "--phases", "64", "--N", str(_first_n_over_dos1d_cap(5, 64))],
     ])
     def test_exit_3_with_one_json_line(self, args):
         code, out, err = run_cli(args)
@@ -353,6 +372,25 @@ class TestResourceCaps:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "resource-limit"
         assert len(lines[0]) < 160
+
+    def test_ladder_and_dos1d_caps_come_before_any_work(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("work started before the cap was checked")
+
+        for holder, name in ((tracemap, "_level_bands"), (cli, "ids_curve"), (cli.np, "linspace")):
+            monkeypatch.setattr(holder, name, boom)
+        for args in (
+            ["spectrum1d", "--lambda", "0", "--grid", "257", "--levels", _first_ladder_over_work_cap(257)],
+            ["dos1d", "--a", "2", "--grid", "1024", "--phases", "64", "--N", str(_first_n_over_dos1d_cap(1024, 64))],
+        ):
+            code, _, err = run_cli(args)
+            assert code == 3 and json.loads(err)["error"] == "resource-limit"
+
+    def test_dos1d_cap_sits_one_step_above_accepted_work(self):
+        n = _first_n_over_dos1d_cap(1024, 64)
+        assert (n - 1 + cli.DOS1D_FLOOR) * 1024 * 64 <= cli.DOS1D_WORK_CAP < (n + cli.DOS1D_FLOOR) * 1024 * 64
+        # the largest README and benchmark argv (N 8192, grid 401, 5 phases) is far below the cap
+        assert (8192 + cli.DOS1D_FLOOR) * max(401, cli.DOS1D_FLOOR) * 5 * 50 < cli.DOS1D_WORK_CAP
 
     def test_first_word_over_the_cap(self):
         assert words.word_length(1, _FIRST_N_OVER_WORD_CAP - 1) <= words.DEFAULT_WORD_CAP

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from quasilab.dense import symmetric_eigenvalues
 from quasilab.errors import ResourceLimitError
 from quasilab.jacobi1d import (
-    HoppingWindow,
     ModelParams,
     build_window,
     count_below_offdiag,
@@ -17,13 +16,23 @@ from quasilab.jacobi1d import (
     eigenvalues_offdiag,
     free_ids,
     hopping_from_coupling,
-    ids,
     ids_curve,
 )
+from quasilab.words import DEFAULT_WORD_CAP, metallic_alpha
 
 
 def free_chain_eigs(n):
     return np.sort(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+
+
+def chain_matrix(off):
+    """The zero-diagonal tridiagonal matrix with couplings ``off``."""
+    off = np.asarray(off, dtype=float)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+def ids_at(params, energy, n):
+    return float(ids_curve(params, [energy], n)[0])
 
 
 class TestCoupling:
@@ -64,36 +73,29 @@ class TestCoupling:
 class TestBuildWindow:
     def test_golden_window(self):
         w = build_window(ModelParams(1, 2.0), 5)
-        assert w.weights.tolist() == [2.0, 1.0, 2.0, 2.0, 1.0]  # from "abaab"
+        assert w.dtype == np.float64 and w.tolist() == [2.0, 1.0, 2.0, 2.0, 1.0]  # from "abaab"
 
     def test_free_window(self):
         w = build_window(ModelParams(1, 1.0), 7)
-        assert w.weights.tolist() == [1.0] * 7
+        assert w.tolist() == [1.0] * 7
 
     def test_silver_window(self):
         w = build_window(ModelParams(2, 3.0), 3)
-        assert w.weights.tolist() == [3.0, 3.0, 1.0]  # from "aab"
-
-    def test_offset_window(self):
-        w = build_window(ModelParams(1, 2.0), 3, offset=2)
-        assert w.weights.tolist() == [2.0, 2.0, 1.0]  # letters 3..5 of "abaab..."
-        assert w.offset == 2
+        assert w.tolist() == [3.0, 3.0, 1.0]  # from "aab"
 
     def test_rotation_source_matches_substitution_at_phase_zero(self):
         p = ModelParams(2, 1.7)
-        assert (
-            build_window(p, 40, "rotation", beta=0.0).weights.tolist()
-            == build_window(p, 40).weights.tolist()
-        )
+        assert build_window(p, 40, "rotation", beta=0.0).tolist() == build_window(p, 40).tolist()
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            build_window(ModelParams(1, 2.0), 10, max_len=5)
+            build_window(ModelParams(1, 2.0), DEFAULT_WORD_CAP + 1)
 
     def test_interior_offdiagonals_drop_first(self):
+        # the N-site restriction keeps omega(2 .. N)
         w = build_window(ModelParams(1, 2.0), 5)
-        assert w.interior_offdiagonals().tolist() == [1.0, 2.0, 2.0, 1.0]
-        dense = w.to_dense()
+        assert w[1:].tolist() == [1.0, 2.0, 2.0, 1.0]
+        dense = chain_matrix(w[1:])
         assert dense.shape == (5, 5)
         assert np.all(np.diag(dense) == 0)
         assert dense[0, 1] == 1.0
@@ -101,21 +103,31 @@ class TestBuildWindow:
 
 class TestCountBelow:
     def test_free_three_site(self):
-        w = HoppingWindow([1.0, 1.0, 1.0])
         # eigenvalues -sqrt2, 0, sqrt2
-        counts = count_below_offdiag(w.interior_offdiagonals(), [1.0, -1.0, -10.0, 10.0])
+        counts = count_below_offdiag(np.ones(2), [1.0, -1.0, -10.0, 10.0])
         assert counts.tolist() == [2, 1, 0, 3]
 
     def test_single_site(self):
-        w = HoppingWindow([5.0])
-        assert count_below_offdiag(w.interior_offdiagonals(), [0.5, -0.5]).tolist() == [1, 0]
+        assert count_below_offdiag(np.empty(0), [0.5, -0.5]).tolist() == [1, 0]
 
     def test_matches_dense_counts(self):
-        w = build_window(ModelParams(1, 2.0), 8)
-        dense_eigs = symmetric_eigenvalues(w.to_dense())
+        off = build_window(ModelParams(1, 2.0), 8)[1:]
+        dense_eigs = symmetric_eigenvalues(chain_matrix(off))
         energies = np.linspace(-4.5, 4.5, 41)
-        counts = count_below_offdiag(w.interior_offdiagonals(), energies)
+        counts = count_below_offdiag(off, energies)
         assert counts.tolist() == [int(np.sum(dense_eigs < e)) for e in energies]
+
+    def test_zero_couplings_split_the_count(self):
+        # [2, 0, 0, 3] is the direct sum of blocks with eigenvalues {-2, 2}, {0}, {-3, 3};
+        # at E = +-0.0 an unsplit recurrence forms 0/0 pivots and read [2, 3, 4, 3] here
+        off, energies = [2.0, 0.0, 0.0, 3.0], [-1e-300, -0.0, 0.0, 1e-300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = count_below_offdiag(off, energies)
+        assert np.all(np.diff(counts) >= 0)
+        blocks = [count_below_offdiag(b, energies) for b in ([2.0], [], [3.0])]
+        assert counts.tolist() == np.sum(blocks, axis=0).tolist()
+        assert counts[0] == 2 and counts[-1] == 3
 
     @given(st.lists(st.floats(min_value=0.1, max_value=4.0), min_size=1, max_size=12),
            st.floats(min_value=-12.0, max_value=12.0), st.floats(min_value=0.0, max_value=3.0))
@@ -126,7 +138,7 @@ class TestCountBelow:
         assert 0 <= c1 <= c2 <= n
 
     def test_total_jump_is_n(self):
-        off = build_window(ModelParams(2, 3.0), 20).interior_offdiagonals()
+        off = build_window(ModelParams(2, 3.0), 20)[1:]
         lo, hi = count_below_offdiag(off, [-100.0, 100.0])
         assert lo == 0 and hi == 20
 
@@ -202,9 +214,8 @@ class TestAgainstReferences:
     @example(3, 599, 20.0, 1)
     @example(1, 600, 3.7, 2)
     def test_counts_and_eigenvalues(self, s, n, a, seed):
-        w = build_window(ModelParams(s, a), n)
-        off = w.interior_offdiagonals()
-        dense = w.to_dense()
+        off = build_window(ModelParams(s, a), n)[1:]
+        dense = chain_matrix(off)
         bound = 2.0 * (1.0 + (float(np.max(off)) if off.size else 0.0))
         rng = np.random.default_rng(seed)
         sub = [np.linalg.eigvalsh(dense[:m, :m]) for m in rng.integers(1, n + 1, size=3)]
@@ -235,11 +246,10 @@ class TestAgainstReferences:
 
     @pytest.mark.parametrize("off", [[0.0], [1.0, 0.0, 1.0], [2.0, 0.0, 0.0, 3.0]])
     def test_zero_coupling_chains(self, off):
-        off = np.asarray(off)
-        dense = np.diag(off, 1) + np.diag(off, -1)
-        with np.errstate(invalid="ignore"):  # 0 / 0 at E = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # zero couplings split the count: no 0 / 0
             got = eigenvalues_offdiag(off)
-        assert np.max(np.abs(got - np.linalg.eigvalsh(dense))) <= 1e-10
+        assert np.max(np.abs(got - np.linalg.eigvalsh(chain_matrix(off)))) <= 1e-10
 
 
 class TestInputValidation:
@@ -248,14 +258,14 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="tolerance"):
             eigenvalues_offdiag(np.ones(9), tol=tol)
 
-    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_search_bound_must_be_positive_and_finite(self, bound):
-        with pytest.raises(ValueError, match="search bound"):
-            eigenvalues_offdiag(np.ones(9), search_bound=bound)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_couplings_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            eigenvalues_offdiag([1.0, bad, 1.0])
 
     @pytest.mark.parametrize("nan", [math.nan, -math.nan])
     def test_nan_energies_are_refused(self, nan):
-        off = build_window(ModelParams(1, 2.0), 10).interior_offdiagonals()
+        off = build_window(ModelParams(1, 2.0), 10)[1:]
         for energies in ([nan], [0.0, nan, 1.0]):
             with pytest.raises(ValueError, match="NaN"):
                 count_below_offdiag(off, energies)
@@ -265,7 +275,7 @@ class TestIEEECount:
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 100])
     def test_blocked_count_matches_scalar_loop(self, n):
         # sizes straddle the pivot-block boundaries of the vectorised count
-        off = build_window(ModelParams(2, 1.7), n).interior_offdiagonals()
+        off = build_window(ModelParams(2, 1.7), n)[1:]
         energies = np.concatenate([np.linspace(-6.0, 6.0, 97), [0.0, -0.0, 1.0, math.inf, -math.inf]])
         got = count_below_offdiag(off, energies)
         want = [sturm_count_reference(off, e) for e in energies]
@@ -275,15 +285,15 @@ class TestIEEECount:
     @given(st.lists(st.floats(min_value=0.1, max_value=4.0), min_size=1, max_size=24),
            st.floats(min_value=-12.0, max_value=12.0))
     def test_count_matches_dense_away_from_eigenvalues(self, weights, e):
-        w = HoppingWindow(weights)
-        eigs = np.linalg.eigvalsh(w.to_dense())
+        off = weights[1:]
+        eigs = np.linalg.eigvalsh(chain_matrix(off))
         assume(np.min(np.abs(eigs - e)) > 1e-9)
-        assert count_below_offdiag(w.interior_offdiagonals(), e)[0] == int(np.sum(eigs < e))
+        assert count_below_offdiag(off, e)[0] == int(np.sum(eigs < e))
 
     @pytest.mark.parametrize("n", [1, 3, 7, 33, 65])
     def test_zero_energy_odd_size_within_one_of_jump(self, n):
         # zero is an eigenvalue for odd N, so every pivot is -0.0 or +inf at E = 0
-        off = build_window(ModelParams(1, 2.0), n).interior_offdiagonals()
+        off = build_window(ModelParams(1, 2.0), n)[1:]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             c = int(count_below_offdiag(off, 0.0)[0])
@@ -298,7 +308,7 @@ class TestIEEECount:
 
     @pytest.mark.parametrize("n", [1, 2, 33, 64])
     def test_infinite_energies_count_none_and_all(self, n):
-        off = build_window(ModelParams(1, 3.0), n).interior_offdiagonals()
+        off = build_window(ModelParams(1, 3.0), n)[1:]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lo, hi = count_below_offdiag(off, [-math.inf, math.inf])
@@ -308,47 +318,37 @@ class TestIEEECount:
 class TestEigenvalues:
     def test_free_chain_formula(self):
         for n in (2, 5, 16, 33):
-            w = HoppingWindow(np.ones(n))
-            got = eigenvalues_offdiag(w.interior_offdiagonals(), 1e-12)
+            got = eigenvalues_offdiag(np.ones(n - 1), 1e-12)
             assert np.max(np.abs(got - free_chain_eigs(n))) < 1e-11
 
     @pytest.mark.parametrize("s,a,n", [(1, 2.0, 4), (1, 0.5, 6), (2, 3.0, 7), (3, 1.3, 8)])
     def test_oracle_equivalence_dense(self, s, a, n):
         # bisection against the independent dense LAPACK solver
-        w = build_window(ModelParams(s, a), n)
-        bis = eigenvalues_offdiag(w.interior_offdiagonals(), 1e-10)
-        dense = symmetric_eigenvalues(w.to_dense())
+        off = build_window(ModelParams(s, a), n)[1:]
+        bis = eigenvalues_offdiag(off, 1e-10)
+        dense = symmetric_eigenvalues(chain_matrix(off))
         assert np.max(np.abs(bis - dense)) < 1e-8
 
     def test_spectral_symmetry(self):
         for s, a, n in [(1, 2.0, 64), (2, 4.0, 65), (1, 0.7, 33)]:
-            e = eigenvalues_offdiag(build_window(ModelParams(s, a), n).interior_offdiagonals(), 1e-12)
+            e = eigenvalues_offdiag(build_window(ModelParams(s, a), n)[1:], 1e-12)
             assert np.max(np.abs(e + e[::-1])) < 1e-9
 
     def test_odd_size_has_zero_eigenvalue(self):
         # det of a zero-diagonal tridiagonal of odd size vanishes:
         # det_N = -b_{N-1}^2 det_{N-2} and det_1 = 0
         for n in (3, 7, 15):
-            w = build_window(ModelParams(1, 2.0), n)
-            e = eigenvalues_offdiag(w.interior_offdiagonals(), 1e-12)
+            e = eigenvalues_offdiag(build_window(ModelParams(1, 2.0), n)[1:], 1e-12)
             assert np.min(np.abs(e)) < 1e-11
 
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 33, 64, 257])
     def test_within_1e10_of_eigvalsh(self, s, n):
         for a in (0.5, 2.0, 4.0):
-            w = build_window(ModelParams(s, a), n)
-            got = eigenvalues_offdiag(w.interior_offdiagonals(), tol=1e-11)
+            off = build_window(ModelParams(s, a), n)[1:]
+            got = eigenvalues_offdiag(off, tol=1e-11)
             assert got.shape == (n,)
-            assert np.max(np.abs(got - np.linalg.eigvalsh(w.to_dense()))) <= 1e-10
-
-    def test_search_bound_below_spectral_radius_pins_outer_eigenvalues(self):
-        # free 16-site chain: eigenvalues 2cos(k pi/17) span about [-1.97, 1.97]
-        want = free_chain_eigs(16)
-        got = eigenvalues_offdiag(np.ones(15), tol=1e-12, search_bound=1.0)
-        inside = np.abs(want) < 1.0
-        assert np.max(np.abs(got[inside] - want[inside])) < 1e-11
-        assert np.all(np.abs(got[~inside] - np.sign(want[~inside])) <= 1e-12)
+            assert np.max(np.abs(got - np.linalg.eigvalsh(chain_matrix(off)))) <= 1e-10
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
@@ -357,15 +357,15 @@ class TestEigenvalues:
 
 class TestIDS:
     def test_free_even_half_at_zero(self):
-        assert ids(ModelParams(1, 1.0), 0.0, 64) == pytest.approx(0.5)
+        assert ids_at(ModelParams(1, 1.0), 0.0, 64) == pytest.approx(0.5)
 
     def test_free_saturates(self):
-        assert ids(ModelParams(1, 1.0), 2.0, 512) == 1.0
-        assert ids(ModelParams(1, 1.0), -2.5, 512) == 0.0
+        assert ids_at(ModelParams(1, 1.0), 2.0, 512) == 1.0
+        assert ids_at(ModelParams(1, 1.0), -2.5, 512) == 0.0
 
     def test_half_at_zero_any_coupling(self):
         for s, a, n in [(1, 2.0, 101), (2, 4.0, 100), (1, 0.6, 77)]:
-            v = ids(ModelParams(s, a), 0.0, n)
+            v = ids_at(ModelParams(s, a), 0.0, n)
             assert abs(v - 0.5) <= 0.5 / n + 1e-12
 
     def test_free_ids_values(self):
@@ -388,19 +388,21 @@ class TestIDS:
     @settings(max_examples=20)
     @given(st.integers(min_value=2, max_value=40), st.floats(min_value=-5, max_value=5))
     def test_ids_between_0_and_1(self, n, e):
-        v = ids(ModelParams(1, 2.0), e, n)
+        v = ids_at(ModelParams(1, 2.0), e, n)
         assert 0.0 <= v <= 1.0
 
     def test_phase_independence(self):
         # windows cut at different hull offsets and rotation phases give nearly
-        # the same counting function: convergence is uniform over the hull
+        # the same counting function: convergence is uniform over the hull.
+        # Letters off+1 .. off+N of u_s are the rotation coding at phase off * alpha.
         p = ModelParams(1, 2.0)
         n = 2048
         grid = np.linspace(-3.2, 3.2, 201)
         rng = np.random.default_rng(42)
         curves = []
         for off in rng.integers(0, 5000, size=5):
-            curves.append(ids_curve(p, grid, n, offset=int(off)))
+            beta = int(off) * metallic_alpha(1) % 1.0
+            curves.append(ids_curve(p, grid, n, source="rotation", beta=beta))
         for beta in rng.random(5):
             curves.append(ids_curve(p, grid, n, source="rotation", beta=float(beta)))
         worst = max(

@@ -27,6 +27,27 @@ FREE = LabyrinthParams(1, 1.0, 1.0)
 GENERIC = LabyrinthParams(1, 1.3, 1.5)
 
 
+def sites(n, sublattice="full"):
+    """The basis of ``build_2d``: row-major (m, k), filtered by parity."""
+    want = {"full": (0, 1), "even": (0,), "odd": (1,)}[sublattice]
+    return [(m, k) for m in range(n) for k in range(n) if (m + k) % 2 in want]
+
+
+def site_loop_matrix(p, n, sublattice="full"):
+    """The box operator assembled site by site and bond by bond, the oracle of ``build_2d``."""
+    w1, w2 = build_window(p.axis1, n - 1), build_window(p.axis2, n - 1)
+    index = {site: i for i, site in enumerate(sites(n, sublattice))}
+    mat = np.zeros((len(index), len(index)))
+    for (m, k), i in index.items():
+        for dm in (-1, 1):
+            for dk in (-1, 1):
+                j = index.get((m + dm, k + dk))
+                if j is not None:
+                    # the bond (m, m+1) along axis 1 carries omega1(m+1) = w1[m]
+                    mat[i, j] = (w1[m] if dm == 1 else w1[m - 1]) * (w2[k] if dk == 1 else w2[k - 1])
+    return mat
+
+
 class TestParams:
     def test_couplings(self):
         p = LabyrinthParams(1, 2.0, 1.0)
@@ -48,42 +69,48 @@ class TestParams:
 
 class TestBuild2D:
     def test_free_2x2_corners(self):
-        op = build_2d(FREE, 2)
-        # each corner couples only to the opposite corner, with weight 1
-        assert op.entries[(0, 0, 1, 1)] == 1.0
-        assert op.entries[(1, 1, -1, -1)] == 1.0
-        assert (0, 0, 1, -1) not in op.entries  # would leave the box
-        assert op.num_sites == 4
+        mat = build_2d(FREE, 2)
+        # basis (0,0), (0,1), (1,0), (1,1): each corner couples only to the opposite one
+        assert mat.shape == (4, 4)
+        assert mat[0, 3] == mat[3, 0] == mat[1, 2] == mat[2, 1] == 1.0
+        assert np.count_nonzero(mat) == 4
 
     def test_first_coupling_weights(self):
         p = LabyrinthParams(2, 3.0, 5.0)
-        op = build_2d(p, 4)
-        w1 = build_window(p.axis1, 3).weights  # omega1(1..3)
-        w2 = build_window(p.axis2, 3).weights
-        assert op.entries[(0, 0, 1, 1)] == w1[0] * w2[0]
-        assert op.entries[(2, 1, 1, -1)] == w1[2] * w2[0]
+        mat = build_2d(p, 4)
+        w1 = build_window(p.axis1, 3)  # omega1(1..3)
+        w2 = build_window(p.axis2, 3)
+        # (0,0) -> (1,1) and (2,1) -> (3,0), at flat indices m * 4 + k
+        assert mat[0, 5] == w1[0] * w2[0]
+        assert mat[9, 12] == w1[2] * w2[0]
 
     def test_symmetry_of_entries(self):
-        op = build_2d(GENERIC, 5)
-        for (m, n, dm, dn), w in op.entries.items():
-            assert op.entries[(m + dm, n + dn, -dm, -dn)] == w
+        mat = build_2d(GENERIC, 5)
+        assert np.array_equal(mat, mat.T)
 
     def test_parity_split_partitions_sites(self):
         full = build_2d(GENERIC, 5)
         even = build_2d(GENERIC, 5, "even")
         odd = build_2d(GENERIC, 5, "odd")
-        assert set(even.sites) | set(odd.sites) == set(full.sites)
-        assert not set(even.sites) & set(odd.sites)
-        assert all((m + n) % 2 == 0 for m, n in even.sites)
+        assert (len(even), len(odd), len(full)) == (13, 12, 25)
+        parity = np.array([(m + k) % 2 for m, k in sites(5)])
+        assert np.array_equal(even, full[np.ix_(parity == 0, parity == 0)])
+        assert np.array_equal(odd, full[np.ix_(parity == 1, parity == 1)])
 
     def test_full_is_direct_sum_of_parities(self):
         # no coupling connects the two parity classes
-        dense = build_2d(GENERIC, 4).to_dense()
-        sites = build_2d(GENERIC, 4).sites
-        for i, (m1, n1) in enumerate(sites):
-            for j, (m2, n2) in enumerate(sites):
+        dense = build_2d(GENERIC, 4)
+        for i, (m1, n1) in enumerate(sites(4)):
+            for j, (m2, n2) in enumerate(sites(4)):
                 if (m1 + n1) % 2 != (m2 + n2) % 2:
                     assert dense[i, j] == 0.0
+
+    @pytest.mark.parametrize("sublattice", ["full", "even", "odd"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_site_loop(self, s, sublattice):
+        for p in (LabyrinthParams(s, 1.3, 1.5), LabyrinthParams(s, 4.0, 0.7)):
+            for n in range(2, 17):
+                assert build_2d(p, n, sublattice).tobytes() == site_loop_matrix(p, n, sublattice).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -101,7 +128,9 @@ class TestDenseEigs2D:
         e = dense_eigs_2d(build_2d(GENERIC, 6)).support
         assert np.max(np.abs(e + e[::-1])) < 1e-9
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        # the side is checked before any matrix is built
+        monkeypatch.setattr(np, "zeros", None)
         with pytest.raises(ResourceLimitError):
             dense_eigs_2d(build_2d(FREE, 17))
 
@@ -147,9 +176,9 @@ class TestAxisMemo:
         assert solves == [8]
         assert e1 is e2
 
-    def test_other_tol_or_size_misses(self, solves):
+    def test_other_size_or_hopping_misses(self, solves):
         eigs_1d_axes(FREE, 8)
-        eigs_1d_axes(FREE, 8, tol=1e-9)
+        eigs_1d_axes(LabyrinthParams(1, 1.0, 1.5), 8)
         eigs_1d_axes(FREE, 9)
         assert solves == [8, 8, 9]
 

@@ -21,11 +21,6 @@ class TestEmpiricalMeasure:
         assert m.cdf_left(1.0) == 0.25
         assert m.cdf(5.0) == 1.0
 
-    def test_mass_half_open(self):
-        m = EmpiricalMeasure([0.0, 1.0, 2.0])
-        assert m.mass(0.0, 1.0) == pytest.approx(1 / 3)
-        assert m.mass(-0.5, 2.0) == pytest.approx(1.0)
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             EmpiricalMeasure([])
@@ -38,10 +33,6 @@ class TestEmpiricalMeasure:
         assert np.all(np.diff(cdf) >= 0)
         assert m.cdf(np.inf) == 1.0
         assert m.cdf(-np.inf) == 0.0
-
-    def test_json_obj(self):
-        obj = EmpiricalMeasure([1.0, 2.0]).to_json_obj()
-        assert obj == {"count": 2, "weight": 0.5, "support": [1.0, 2.0]}
 
 
 class TestKSDistance:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasilab import tracemap
+from quasilab import bands, tracemap
 from quasilab.bands import BandCover, merge_intervals
 from quasilab.errors import ResourceLimitError
 from quasilab.jacobi1d import ModelParams, hopping_from_coupling
@@ -280,10 +280,12 @@ class TestSpectrumCover:
             return refine(params, surviving, escaping, level, *rest)
 
         monkeypatch.setattr(tracemap, "_refine_edges", refine_below_level_9)
+        monkeypatch.setattr(bands, "INTERVAL_CAP", seq[1].count - 1)
         with pytest.raises(ResourceLimitError, match="bands exceed the cap"):
-            cover_sequence(p, [5, 9], 1e-4, band_cap=seq[1].count - 1)
+            cover_sequence(p, [5, 9], 1e-4)
+        monkeypatch.setattr(bands, "INTERVAL_CAP", flat.count - 1)
         with pytest.raises(ResourceLimitError, match="bands exceed the cap"):
-            spectrum_cover(p, 9, 1e-4, band_cap=flat.count - 1)
+            spectrum_cover(p, 9, 1e-4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -304,6 +306,22 @@ class TestSpectrumCover:
             spectrum_cover(ModelParams(2, 1.5), level, 1e-3, initial_grid=257)
         with pytest.raises(ResourceLimitError, match="level x s x grid"):
             cover_sequence(ModelParams(2, 1.5), [1, level], 1e-3, initial_grid=257)
+
+    def test_work_cap_sums_the_ladder(self, monkeypatch):
+        # levels 1..k with k(k+1)/2 x s x 257 just above the cap: each level alone is far below it
+        k = 1
+        while k * (k + 1) // 2 * 2 * 257 <= tracemap.TRACE_WORK_CAP:
+            k += 1
+        assert k * 2 * 257 < tracemap.TRACE_WORK_CAP // 100
+
+        def no_pass(*args):
+            raise AssertionError("a level was sampled before the work cap was checked")
+
+        monkeypatch.setattr(tracemap, "_level_bands", no_pass)
+        with pytest.raises(ResourceLimitError, match="summed over levels"):
+            cover_sequence(ModelParams(2, 1.5), range(1, k + 1), 1e-3, initial_grid=257)
+        with pytest.raises(AssertionError, match="before the work cap"):
+            cover_sequence(ModelParams(2, 1.5), range(1, k), 1e-3, initial_grid=257)
 
 
 class TestTorusFactor:
