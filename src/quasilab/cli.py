@@ -40,10 +40,9 @@ DOS1D_FLOOR = 1024
 #: Namespace attributes written into every artifact's metadata, in this order,
 #: when they are set; a handler stores the values it resolves on the namespace.
 _META_KEYS = (
-    "subcommand", "s", "a", "a2", "n", "level", "levels", "resolution", "max_iter",
-    "escape_radius", "grid", "bins", "beta", "phases", "emin", "emax", "lambda_min",
-    "lambda_max", "steps", "criteria", "twin_k", "fmt", "output", "histogram_output",
-    "gaps_output", "seed", "jobs",
+    "subcommand", "s", "a", "a2", "n", "level", "levels", "resolution", "grid", "bins",
+    "beta", "phases", "emin", "emax", "lambda_min", "lambda_max", "steps", "criteria",
+    "twin_k", "fmt", "output", "histogram_output", "gaps_output", "seed",
 )
 
 
@@ -115,7 +114,6 @@ def _finite_float(text: str) -> float:
 def _add_output_options(p, formats=("csv", "json", "svg")):
     p.add_argument("--format", choices=formats, default="csv", dest="fmt")
     p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_model(p, *axes):
@@ -130,8 +128,6 @@ def _add_model(p, *axes):
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="quasilab", description=__doc__)
     top.add_argument("--version", action="version", version=f"quasilab {__version__}")
-    # no option sets jobs; every artifact keeps its jobs=1 line, so its bytes stay stable
-    top.set_defaults(jobs=1)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("sequence", help="substitution words, twins, parity patterns")
@@ -149,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default=None, help="comma-separated nested levels for stacked output")
     p.add_argument("--resolution", type=float, default=1e-4)
     p.add_argument("--grid", type=_cover_grid, default=tracemap.DEFAULT_GRID)
-    p.add_argument("--escape-radius", type=float, default=None)
     _add_output_options(p)
 
     p = sub.add_parser("dos1d", help="integrated density of states curve")
@@ -161,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emax", type=_finite_float, default=None)
     p.add_argument("--phases", type=_int_at_least(1, PHASES_CAP, "phases"), default=1,
                    help="sample this many random rotation phases (seeded) and report the spread")
+    p.add_argument("--seed", type=int, default=0, help="seed of the rotation phases")
     _add_output_options(p)
 
     p = sub.add_parser("spectrum2d", help="product band cover of the 2D spectrum")
@@ -169,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=15)
     p.add_argument("--resolution", type=float, default=1e-4)
     p.add_argument("--grid", type=_cover_grid, default=tracemap.DEFAULT_GRID)
-    p.add_argument("--escape-radius", type=float, default=None)
     _add_output_options(p)
 
     p = sub.add_parser("dos2d", help="2D counting-measure CDF and histogram")
@@ -204,11 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
 
     p = sub.add_parser("verify", help="run the acceptance criteria and print a table")
-    p.set_defaults(run=_cmd_verify, s=1)
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,2,12")
     p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     p.add_argument("--output", "-o", default="-")
-    p.add_argument("--seed", type=int, default=0)
 
     return top
 
@@ -271,23 +265,15 @@ def _parse_levels(raw: str | None, top: int) -> list[int]:
     if raw is None:
         picks = sorted({max(1, top - 10), max(1, top - 5), top})
         return picks
-    levels = [int(x) for x in raw.split(",") if x.strip()]
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
-    return levels
+    return [int(x) for x in raw.split(",") if x.strip()]
 
 
 def _cmd_spectrum1d(args) -> int:
     args.a = _resolve_a(args)
-    args.max_iter = args.level
-    params = ModelParams(args.s, args.a)
     args.levels = _parse_levels(args.levels, args.level) if args.levels else None
-    if args.levels:
-        covers = tracemap.cover_sequence(params, args.levels, args.resolution,
-                                         initial_grid=args.grid, escape_radius=args.escape_radius)
-    else:
-        covers = [tracemap.spectrum_cover(params, args.level, args.resolution,
-                                          initial_grid=args.grid, escape_radius=args.escape_radius)]
+    covers = tracemap.cover_sequence(ModelParams(args.s, args.a),
+                                     [args.level] if args.levels is None else args.levels,
+                                     args.resolution, initial_grid=args.grid)
     _require_bands(covers[-1], args.grid)
     meta = _metadata(args)
     if args.fmt == "svg":
@@ -346,10 +332,9 @@ def _cmd_dos1d(args) -> int:
 
 def _cmd_spectrum2d(args) -> int:
     args.a, args.a2 = _resolve_a(args, "1"), _resolve_a(args, "2")
-    args.max_iter = args.level
     cover = labyrinth.spectrum_2d(
         labyrinth.LabyrinthParams(args.s, args.a, args.a2), args.level, args.resolution,
-        initial_grid=args.grid, escape_radius=args.escape_radius,
+        initial_grid=args.grid,
     )
     _require_bands(cover, args.grid)
     meta = _metadata(args)
@@ -436,14 +421,15 @@ def _cmd_sweep(args) -> int:
     covers = {lam: tracemap.spectrum_cover(ModelParams.from_coupling(args.s, lam), args.level,
                                            args.resolution)
               for lam in lams}
-    rows = []
-    for l1 in lams:
-        for l2 in lams:
-            c1, c2 = covers[l1], covers[l2]
-            prod = bands.product_set(c1, c2)
-            check = bands.is_interval(prod, 4.0 * args.resolution)
-            gap_total = sum(hi - lo for lo, hi in bands.gaps(prod))
-            rows.append((l1, l2, int(bool(check)), gap_total, bands.thickness(c1), bands.thickness(c2)))
+    thick = {lam: bands.thickness(c) for lam, c in covers.items()}
+    # product_set(c1, c2) and product_set(c2, c1) merge the same float products
+    cells = {}
+    for i, l1 in enumerate(lams):
+        for l2 in lams[i:]:
+            prod = bands.product_set(covers[l1], covers[l2])
+            cells[l1, l2] = cells[l2, l1] = (int(bool(bands.is_interval(prod, 4.0 * args.resolution))),
+                                             sum(hi - lo for lo, hi in bands.gaps(prod)))
+    rows = [(l1, l2, *cells[l1, l2], thick[l1], thick[l2]) for l1 in lams for l2 in lams]
     meta = _metadata(args)
     header = "lambda1,lambda2,is_interval,total_gap_length,thickness1,thickness2"
     if args.fmt == "svg":

@@ -270,13 +270,14 @@ def log_convolution_cdf(p: LabyrinthParams, interval: tuple[float, float], n: in
 # spectra and sublattices
 
 
-def spectrum_2d(p: LabyrinthParams, level: int, resolution: float, **cover_kwargs) -> BandCover:
+def spectrum_2d(p: LabyrinthParams, level: int, resolution: float, *,
+                initial_grid: int = tracemap.DEFAULT_GRID) -> BandCover:
     """Product of the two 1D outer band covers at the given level."""
-    c1 = tracemap.spectrum_cover(p.axis1, level, resolution, **cover_kwargs)
+    c1 = tracemap.spectrum_cover(p.axis1, level, resolution, initial_grid=initial_grid)
     if p.a2 == p.a1:
         c2 = c1
     else:
-        c2 = tracemap.spectrum_cover(p.axis2, level, resolution, **cover_kwargs)
+        c2 = tracemap.spectrum_cover(p.axis2, level, resolution, initial_grid=initial_grid)
     prod = product_set(c1, c2)
     return BandCover(prod.intervals, level=level, s=p.s, coupling=None, resolution=resolution)
 

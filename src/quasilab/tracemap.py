@@ -8,10 +8,12 @@ spectrum consists of the energies whose forward orbit stays bounded, and finite
 iteration depth turns that into computable outer band covers.
 
 Escape detection is heuristic: an orbit is declared escaped once its sup-norm
-exceeds a radius R (default coupling + 3) while having strictly grown on two
-consecutive steps, or once a coordinate stops being finite.  Covers computed
-this way are outer approximations at the sampling resolution; no rigorous inner
-bound is claimed, and both R and the iteration budget are caller-configurable.
+exceeds a radius R while having strictly grown on two consecutive steps, or
+once a coordinate stops being finite.  The covers fix R at coupling + 3
+(``default_escape_radius``) and iterate as many steps as the level; only the
+escape evaluators themselves take R and the step budget as arguments.  Covers
+computed this way are outer approximations at the sampling resolution; no
+rigorous inner bound is claimed.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ DEFAULT_GRID = 4097
 GRID_CAP = 10**6
 
 #: Cap on level * s * max(initial grid points, WORK_GRID_FLOOR) summed over a
-#: cover's levels: the map applications of one pass per level, each priced at the
-#: initial grid.  A free-chain cover at the cap takes about 7 s at grid 257 on a
-#: 2-core x86 machine.
+#: cover's levels: the map applications of one pass per level, priced up front at
+#: the initial grid and charged again before each pass at its actual sample
+#: count.  A free-chain cover at the cap takes about 7 s at grid 257 on a 2-core
+#: x86 machine.
 TRACE_WORK_CAP = 5 * 10**7
 
 #: Below this many grid points a pass costs about as much per level as at it
@@ -249,29 +252,12 @@ def spectrum_cover(
     resolution: float,
     *,
     initial_grid: int = DEFAULT_GRID,
-    escape_radius: float | None = None,
 ) -> BandCover:
     """Outer cover of the energies surviving ``level`` trace-map iterations.
 
-    Samples the search interval [-2(1+a), 2(1+a)] on a uniform grid in one
-    escape pass, then sharpens all survive/escape edges together by bisection
-    to width ``resolution``, placing band endpoints on the escaping side.  A
-    pass of a few lanes runs the scalar ``escape_time``, a larger one the
-    vectorised ``escape_steps``.  Survival islands narrower than the grid
-    spacing can be missed; run with a denser ``initial_grid`` to chase those.
+    The one-level case of :func:`cover_sequence`.
     """
-    if level < 1:
-        raise ValueError("level must be positive")
-    if not 0.0 < resolution < math.inf:
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    _check_work(params, [level], initial_grid)
-    radius = default_escape_radius(params.coupling) if escape_radius is None else escape_radius
-    bound = 2.0 * (1.0 + params.a)
-    grid = np.linspace(-bound, bound, initial_grid)
-    return BandCover(
-        _level_bands(params, [grid], level, radius, resolution),
-        level=level, s=params.s, coupling=params.coupling, resolution=resolution,
-    )
+    return cover_sequence(params, [level], resolution, initial_grid=initial_grid)[0]
 
 
 def cover_sequence(
@@ -280,34 +266,49 @@ def cover_sequence(
     resolution: float,
     *,
     initial_grid: int = DEFAULT_GRID,
-    escape_radius: float | None = None,
 ) -> list[BandCover]:
-    """Nested covers over increasing levels; each is computed inside the previous.
+    """Nested outer covers over increasing levels; each is computed inside the previous.
 
-    Deeper levels only resample inside the bands already found, which enforces
-    cover(n+1) <= cover(n) by construction.  Each band is sampled at the
+    The first level samples the search interval [-2(1+a), 2(1+a)] on a uniform
+    grid.  Deeper levels only resample inside the bands already found, which
+    enforces cover(n+1) <= cover(n) by construction: each band is sampled at the
     initial grid spacing (at least 17 points), and the zero energy is always
-    kept as a sample point of whichever band contains it.  As in
-    ``spectrum_cover``, a level makes one escape pass over the samples of all
-    its bands, then bisects all its edges together, one pass per bisection
-    step; the band cap applies to the level's total before any edge is refined.
+    kept as a sample point of whichever band contains it.  A level makes one
+    escape pass over all its samples, then bisects all survive/escape edges
+    together to width ``resolution``, placing band endpoints on the escaping
+    side; the band cap applies to the level's total before any edge is refined.
+    Survival islands narrower than the grid spacing can be missed; run with a
+    denser ``initial_grid`` to chase those.  Each level is charged level x s x
+    its sample count (at least the grid and ``WORK_GRID_FLOOR``) before its pass,
+    against ``TRACE_WORK_CAP`` summed over the levels.
     """
     levels = list(levels)
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+    if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be positive and strictly increasing")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     _check_work(params, levels, initial_grid)
-    radius = default_escape_radius(params.coupling) if escape_radius is None else escape_radius
+    radius = default_escape_radius(params.coupling)
     bound = 2.0 * (1.0 + params.a)
     spacing = 2.0 * bound / (initial_grid - 1)
-    out = [spectrum_cover(params, levels[0], resolution, initial_grid=initial_grid, escape_radius=radius)]
-    for lvl in levels[1:]:
-        segments = []
-        for lo, hi in out[-1].intervals:
-            m = max(17, int(math.ceil((hi - lo) / spacing)) + 1)
-            pts = np.linspace(lo, hi, m)
-            if lo < 0.0 < hi:
-                pts = np.unique(np.append(pts, 0.0))
-            segments.append(pts)
+    floor = max(initial_grid, WORK_GRID_FLOOR)
+    work = 0
+    out = []
+    for lvl in levels:
+        if not out:
+            segments = [np.linspace(-bound, bound, initial_grid)]
+        else:
+            segments = []
+            for lo, hi in out[-1].intervals:
+                m = max(17, int(math.ceil((hi - lo) / spacing)) + 1)
+                pts = np.linspace(lo, hi, m)
+                if lo < 0.0 < hi:
+                    pts = np.unique(np.append(pts, 0.0))
+                segments.append(pts)
+        work += lvl * params.s * max(sum(seg.size for seg in segments), floor)
+        if work > TRACE_WORK_CAP:
+            raise ResourceLimitError(f"level x s x sample points, summed up to level {lvl}, "
+                                     f"exceed the cap of {TRACE_WORK_CAP}")
         out.append(BandCover(
             _level_bands(params, segments, lvl, radius, resolution),
             level=lvl, s=params.s, coupling=params.coupling, resolution=resolution,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from datetime import timedelta
 from pathlib import Path
@@ -270,12 +271,12 @@ class TestInvalidInput:
         ["spectrum2d", "--a1", "2", "--a2", "1", "--grid", "1"],
         ["sequence", "--beta", "nan"],
         ["sequence", "--beta", "inf"],
-        # escape radii outside (2, inf) on the vectorised and the scalar evaluator
-        ["spectrum1d", "--s", "2", "--lambda", "0.3", "--level", "12", "--escape-radius", "1.0"],
-        ["spectrum1d", "--a", "4", "--level", "1", "--escape-radius", "0.5"],
-        ["spectrum1d", "--a", "4", "--level", "5", "--escape-radius", "nan"],
-        ["spectrum1d", "--a", "4", "--level", "5", "--escape-radius", "inf"],
-        ["spectrum2d", "--a1", "2", "--a2", "1", "--level", "5", "--grid", "9", "--escape-radius", "nan"],
+        # levels that are not positive and strictly increasing, refused by cover_sequence
+        ["spectrum1d", "--a", "2", "--levels", "5,3"],
+        ["spectrum1d", "--a", "2", "--levels", "3,3"],
+        ["spectrum1d", "--a", "2", "--levels", ","],
+        ["thickness", "--a", "2", "--levels", "0,4"],
+        ["spectrum2d", "--a1", "2", "--a2", "1", "--level", "0", "--grid", "9"],
         # NaN knobs and an empty or reversed energy range
         ["spectrum1d", "--a", "2", "--level", "5", "--resolution", "nan"],
         ["thickness", "--a", "2", "--level", "5", "--resolution", "nan"],
@@ -396,6 +397,25 @@ class TestResourceCaps:
         assert words.word_length(1, _FIRST_N_OVER_WORD_CAP - 1) <= words.DEFAULT_WORD_CAP
         assert words.word_length(1, _FIRST_N_OVER_WORD_CAP) > words.DEFAULT_WORD_CAP
 
+    def test_nested_levels_are_charged_their_samples(self, tmp_path):
+        # priced at the grid, this ladder passes the cap (1830 x 257), but its deep
+        # levels sample far more than 257 points: charged by samples, it stops at
+        # level 25 instead of running for half a minute into the band cap
+        out_file = tmp_path / "cover.csv"
+        start = time.perf_counter()
+        code, out, err = run_cli(["spectrum1d", "--lambda", "3", "--grid", "257",
+                                  "--levels", ",".join(map(str, range(1, 61))), "-o", str(out_file)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "resource-limit",
+            "message": f"level x s x sample points, summed up to level 25, exceed the cap of "
+                       f"{tracemap.TRACE_WORK_CAP}",
+        }
+        assert not out_file.exists()
+
 
 class TestMetadata:
     # ordered metadata of one argv per subcommand: a change to any key, its
@@ -403,38 +423,42 @@ class TestMetadata:
     @pytest.mark.parametrize("args, expected", [
         (["sequence", "--s", "2", "--n", "5", "--twin-k", "3", "--format", "json"],
          {"tool": "quasilab", "version": "0.1.0", "subcommand": "sequence", "s": 2, "n": 5,
-          "twin_k": 3, "fmt": "json", "output": "-", "seed": 0, "jobs": 1}),
+          "twin_k": 3, "fmt": "json", "output": "-"}),
         (["spectrum1d", "--lambda", "0.5", "--level", "6", "--levels", "3,6", "--resolution", "1e-3",
           "--format", "json"],
          {"tool": "quasilab", "version": "0.1.0", "subcommand": "spectrum1d", "s": 1,
-          "a": 1.2807764064044151, "level": 6, "levels": [3, 6], "resolution": 0.001, "max_iter": 6,
-          "grid": 4097, "fmt": "json", "output": "-", "seed": 0, "jobs": 1}),
+          "a": 1.2807764064044151, "level": 6, "levels": [3, 6], "resolution": 0.001,
+          "grid": 4097, "fmt": "json", "output": "-"}),
         (["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--emin", "-1", "--phases", "2",
           "--seed", "3", "--format", "json"],
          {"tool": "quasilab", "version": "0.1.0", "subcommand": "dos1d", "s": 1, "a": 2.0, "n": 16,
-          "grid": 5, "phases": 2, "emin": -1.0, "fmt": "json", "output": "-", "seed": 3, "jobs": 1,
+          "grid": 5, "phases": 2, "emin": -1.0, "fmt": "json", "output": "-", "seed": 3,
           "max_pairwise_spread": 0.0625}),
         (["spectrum2d", "--a1", "2", "--lambda2", "0.5", "--level", "6", "--resolution", "1e-3",
-          "--escape-radius", "7", "--format", "json"],
+          "--format", "json"],
          {"tool": "quasilab", "version": "0.1.0", "subcommand": "spectrum2d", "s": 1, "a": 2.0,
-          "a2": 1.2807764064044151, "level": 6, "resolution": 0.001, "max_iter": 6,
-          "escape_radius": 7.0, "grid": 4097, "fmt": "json", "output": "-", "seed": 0, "jobs": 1}),
+          "a2": 1.2807764064044151, "level": 6, "resolution": 0.001, "grid": 4097, "fmt": "json",
+          "output": "-"}),
         (["dos2d", "--lambda1", "0.5", "--a2", "1.5", "--N", "8", "--grid", "5", "--bins", "4",
           "--histogram-output", "hist.csv", "--format", "json"],
          {"tool": "quasilab", "version": "0.1.0", "subcommand": "dos2d", "s": 1,
           "a": 1.2807764064044151, "a2": 1.5, "n": 8, "grid": 5, "bins": 4, "fmt": "json",
-          "output": "-", "histogram_output": "hist.csv", "seed": 0, "jobs": 1}),
+          "output": "-", "histogram_output": "hist.csv"}),
         (["thickness", "--a", "4", "--level", "9", "--gaps-output", "gaps.csv", "--format", "json"],
          {"tool": "quasilab", "version": "0.1.0", "subcommand": "thickness", "s": 1, "a": 4.0,
           "level": 9, "levels": [1, 4, 9], "resolution": 0.0001, "fmt": "json", "output": "-",
-          "gaps_output": "gaps.csv", "seed": 0, "jobs": 1}),
+          "gaps_output": "gaps.csv"}),
         (["sweep", "--steps", "2", "--level", "6", "--format", "json"],
          {"tool": "quasilab", "version": "0.1.0", "subcommand": "sweep", "s": 1, "level": 6,
           "resolution": 0.0001, "lambda_min": 0.05, "lambda_max": 1.0, "steps": 2, "fmt": "json",
-          "output": "-", "seed": 0, "jobs": 1}),
+          "output": "-"}),
         (["verify", "--criteria", "2", "--format", "json"],
-         {"tool": "quasilab", "version": "0.1.0", "subcommand": "verify", "s": 1, "criteria": [2],
-          "fmt": "json", "output": "-", "seed": 0, "jobs": 1}),
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "verify", "criteria": [2],
+          "fmt": "json", "output": "-"}),
+        # a single-level spectrum1d leaves levels out
+        (["spectrum1d", "--a", "2", "--level", "4", "--grid", "257", "--format", "json"],
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "spectrum1d", "s": 1, "a": 2.0,
+          "level": 4, "resolution": 0.0001, "grid": 257, "fmt": "json", "output": "-"}),
     ])
     def test_keys_and_values_in_order(self, args, expected, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -459,7 +483,6 @@ _LEVELS = ("--levels", st.lists(st.integers(1, 10), min_size=1, max_size=3, uniq
            .map(lambda ls: ",".join(map(str, sorted(ls)))),
            st.sampled_from(["", ",", "3,3", "5,2", "0,4", "x"]), False)
 _RESOLUTION = ("--resolution", st.floats(1e-6, 1e-2), _AWKWARD, False)
-_RADIUS = ("--escape-radius", st.floats(2.5, 20.0), _AWKWARD, False)
 _COVER_GRID = ("--grid", st.integers(2, 257), st.integers(-1, 1), True)
 _DOS_GRID = ("--grid", st.integers(1, 257), _BAD_INT, True)
 _N = ("--N", st.integers(1, 64), _BAD_INT, True)
@@ -493,14 +516,14 @@ _GRAMMAR = {
     "sequence": _argv("sequence", _S, ("--n", st.integers(0, 10), st.just(-1), False),
                       ("--beta", st.floats(0.0, 1.0), _AWKWARD, False),
                       ("--twin-k", st.integers(1, 6), _BAD_INT, False), _format("csv", "json")),
-    "spectrum1d": _argv("spectrum1d", *_MODEL1D, _S, _LEVEL, _LEVELS, _RESOLUTION, _COVER_GRID, _RADIUS,
+    "spectrum1d": _argv("spectrum1d", *_MODEL1D, _S, _LEVEL, _LEVELS, _RESOLUTION, _COVER_GRID,
                         _format("csv", "json", "svg")),
     "dos1d": _argv("dos1d", *_MODEL1D, _S, _N, _DOS_GRID,
                    ("--emin", st.floats(-6.0, 0.0), _AWKWARD, False),
                    ("--emax", st.floats(0.0, 6.0), _AWKWARD, False),
                    ("--phases", st.integers(1, 4), _BAD_INT, False),
                    ("--seed", st.integers(0, 5), st.just(-1), False), _format("csv", "json", "svg")),
-    "spectrum2d": _argv("spectrum2d", *_MODEL2D, _S, _LEVEL, _RESOLUTION, _COVER_GRID, _RADIUS,
+    "spectrum2d": _argv("spectrum2d", *_MODEL2D, _S, _LEVEL, _RESOLUTION, _COVER_GRID,
                         _format("csv", "json", "svg")),
     "dos2d": _argv("dos2d", *_MODEL2D, _S, _N, _DOS_GRID, ("--bins", st.integers(1, 512), _BAD_INT, False),
                    _format("csv", "json", "svg")),
