@@ -28,13 +28,16 @@ DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 ARGVS = [
     ["sequence", "--s", "2", "--n", "6", "--twin-k", "3", "--output", "out.csv"],
     ["sequence", "--n", "7", "--beta", "0.25", "--format", "json", "--output", "out.json"],
+    ["sequence", "--n", "5", "--twin-k", "3", "--format", "json", "--output", "out.json"],
     ["spectrum1d", "--lambda", "0.5", "--level", "10", "--resolution", "1e-3", "--output", "out.csv"],
     ["spectrum1d", "--s", "2", "--a", "2", "--level", "8", "--grid", "257", "--format", "json",
      "--output", "out.json"],
     ["spectrum1d", "--lambda", "1", "--levels", "4,6,8", "--resolution", "1e-3", "--format", "svg",
      "--output", "out.svg"],
+    ["spectrum1d", "--a", "2", "--levels", "3,6", "--grid", "257", "--output", "out.csv"],
     ["dos1d", "--a", "2", "--N", "65", "--grid", "11", "--phases", "3", "--seed", "1",
      "--output", "out.csv"],
+    ["dos1d", "--lambda", "0.5", "--N", "40", "--grid", "9", "--output", "out.csv"],
     ["dos1d", "--lambda", "0.5", "--N", "64", "--grid", "21", "--emin", "-3", "--format", "json",
      "--output", "out.json"],
     ["dos1d", "--s", "2", "--lambda", "1", "--N", "48", "--grid", "21", "--format", "svg",
@@ -53,6 +56,7 @@ ARGVS = [
      "--output", "out.svg"],
     ["thickness", "--a", "4", "--level", "10", "--output", "out.csv", "--gaps-output", "gaps.csv"],
     ["thickness", "--lambda", "1", "--levels", "4,8", "--format", "json", "--output", "out.json"],
+    ["thickness", "--a", "3", "--levels", "4,8", "--output", "out.csv"],
     ["sweep", "--steps", "2", "--level", "6", "--output", "out.csv"],
     ["sweep", "--s", "2", "--steps", "2", "--level", "5", "--lambda-max", "0.5", "--format", "json",
      "--output", "out.json"],
