@@ -42,7 +42,7 @@ DOS1D_FLOOR = 1024
 _META_KEYS = (
     "subcommand", "s", "a", "a2", "n", "level", "levels", "resolution", "grid", "bins",
     "beta", "phases", "emin", "emax", "lambda_min", "lambda_max", "steps", "criteria",
-    "twin_k", "fmt", "output", "histogram_output", "gaps_output", "seed",
+    "twin_k", "fmt", "output", "histogram_output", "gaps_output", "seed", "max_pairwise_spread",
 )
 
 
@@ -69,13 +69,6 @@ class _Parser(argparse.ArgumentParser):
 def _fail(kind: str, message: str, code: int):
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     raise SystemExit(code)
-
-
-def _require_bands(cover, grid: int):
-    """Exit 1 with an error line, before any artifact is written, on an empty cover."""
-    if cover.is_empty:
-        _fail("empty-cover", f"no sample survived to level {cover.level} "
-              f"(--grid {grid}); try a denser --grid", 1)
 
 
 def _resolve_a(args, which: str = "") -> float:
@@ -230,6 +223,29 @@ def _json_text(meta: dict, data) -> str:
     return json.dumps({"meta": meta, "data": data}, indent=1) + "\n"
 
 
+def _emit(args, header: str, rows, data, picture=None) -> dict:
+    """Write ``rows`` under ``header`` as CSV, ``data()`` as JSON or ``picture(meta)`` as SVG,
+    as ``args.fmt`` names, to ``args.output``, building no other format; return the metadata."""
+    meta = _metadata(args)
+    if args.fmt == "svg":
+        text = picture(meta)
+    elif args.fmt == "json":
+        text = _json_text(meta, data())
+    else:
+        text = _csv_text(meta, header, rows)
+    _write(args.output, text)
+    return meta
+
+
+def _emit_covers(args, covers, data):
+    """Write the bands of every cover; on an empty last cover exit 1 and write nothing."""
+    if covers[-1].is_empty:
+        _fail("empty-cover", f"no sample survived to level {covers[-1].level} "
+              f"(--grid {args.grid}); try a denser --grid", 1)
+    _emit(args, "level,band_lo,band_hi", ((c.level, lo, hi) for c in covers for lo, hi in c.intervals),
+          data, lambda meta: svg.band_stack_svg(covers, meta))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -241,30 +257,21 @@ def _cmd_sequence(args) -> int:
         length = words.word_length(args.s, args.n, words.DEFAULT_WORD_CAP)
         word = words.rotation_sequence(args.s, args.beta, range(1, length + 1))
     parity = words.parity_pattern(args.s, max(args.n, 3))
-    twin = None
+    data = {"word": word, "length": len(word), "parity_pattern": parity}
+    rows = [("word", word), ("length", len(word)), ("parity_pattern", "".join(map(str, parity)))]
     if args.twin_k is not None:
         witness = words.twin_witness(args.s, args.twin_k)
         rep = words.find_twin(words.iterate(args.s, args.twin_k), witness, "odd")
-        twin = {"k": args.twin_k, "witness_length": len(witness),
-                "report": rep.to_json() if rep else None}
-    if args.fmt == "json":
-        data = {"word": word, "length": len(word), "parity_pattern": parity}
-        if twin:
-            data["twin"] = twin
-        _write(args.output, _json_text(_metadata(args), data))
-    else:
-        rows = [("word", word), ("length", len(word)),
-                ("parity_pattern", "".join(map(str, parity)))]
-        if twin:
-            rows.append(("twin_offset", twin["report"]["offset"] if twin["report"] else ""))
-        _write(args.output, _csv_text(_metadata(args), "key,value", rows))
+        data["twin"] = {"k": args.twin_k, "witness_length": len(witness),
+                        "report": rep.to_json() if rep else None}
+        rows.append(("twin_offset", rep.offset if rep else ""))
+    _emit(args, "key,value", rows, lambda: data)
     return 0
 
 
 def _parse_levels(raw: str | None, top: int) -> list[int]:
     if raw is None:
-        picks = sorted({max(1, top - 10), max(1, top - 5), top})
-        return picks
+        return sorted({max(1, top - 10), max(1, top - 5), top})
     return [int(x) for x in raw.split(",") if x.strip()]
 
 
@@ -274,15 +281,7 @@ def _cmd_spectrum1d(args) -> int:
     covers = tracemap.cover_sequence(ModelParams(args.s, args.a),
                                      [args.level] if args.levels is None else args.levels,
                                      args.resolution, initial_grid=args.grid)
-    _require_bands(covers[-1], args.grid)
-    meta = _metadata(args)
-    if args.fmt == "svg":
-        _write(args.output, svg.band_stack_svg(covers, meta))
-    elif args.fmt == "json":
-        _write(args.output, _json_text(meta, [c.to_json_obj() for c in covers]))
-    else:
-        rows = [(c.level, lo, hi) for c in covers for lo, hi in c.intervals]
-        _write(args.output, _csv_text(meta, "level,band_lo,band_hi", rows))
+    _emit_covers(args, covers, lambda: [c.to_json_obj() for c in covers])
     return 0
 
 
@@ -303,30 +302,18 @@ def _cmd_dos1d(args) -> int:
         for b in rng.random(args.phases - 1):
             curves.append((f"rotation:{b:.6f}", ids_curve(params, grid, args.n,
                                                           source="rotation", beta=float(b))))
-    spread = 0.0
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            spread = max(spread, float(np.max(np.abs(curves[i][1] - curves[j][1]))))
-    meta = _metadata(args)
-    meta["max_pairwise_spread"] = spread
-    if args.fmt == "svg":
-        _write(args.output, svg.curve_svg(grid, curves[0][1], meta))
-    elif args.fmt == "json":
-        data = {
-            "energies": grid.tolist(),
-            "curves": [{"window": name, "ids": c.tolist()} for name, c in curves],
-            "free_ids": free_ids(grid).tolist(),
-        }
-        _write(args.output, _json_text(meta, data))
-    elif len(curves) == 1:
-        _write(args.output, _csv_text(meta, "energy,ids", list(zip(grid, curves[0][1]))))
+    # rounding is monotone, so the largest |fl(x - y)| over all pairs is fl(max - min)
+    args.max_pairwise_spread = float(np.max(np.ptp([c for _, c in curves], axis=0)))
+    if len(curves) == 1:
+        header, rows = "energy,ids", zip(grid, curves[0][1])
     else:
-        rows = [
-            (name, e, v)
-            for name, curve in curves
-            for e, v in zip(grid, curve)
-        ]
-        _write(args.output, _csv_text(meta, "window,energy,ids", rows))
+        header = "window,energy,ids"
+        rows = ((name, e, v) for name, curve in curves for e, v in zip(grid, curve))
+    _emit(args, header, rows,
+          lambda: {"energies": grid.tolist(),
+                   "curves": [{"window": name, "ids": c.tolist()} for name, c in curves],
+                   "free_ids": free_ids(grid).tolist()},
+          lambda meta: svg.curve_svg(grid, curves[0][1], meta))
     return 0
 
 
@@ -336,15 +323,7 @@ def _cmd_spectrum2d(args) -> int:
         labyrinth.LabyrinthParams(args.s, args.a, args.a2), args.level, args.resolution,
         initial_grid=args.grid,
     )
-    _require_bands(cover, args.grid)
-    meta = _metadata(args)
-    if args.fmt == "svg":
-        _write(args.output, svg.band_stack_svg([cover], meta))
-    elif args.fmt == "json":
-        _write(args.output, _json_text(meta, cover.to_json_obj()))
-    else:
-        rows = [(cover.level, lo, hi) for lo, hi in cover.intervals]
-        _write(args.output, _csv_text(meta, "level,band_lo,band_hi", rows))
+    _emit_covers(args, [cover], cover.to_json_obj)
     return 0
 
 
@@ -365,22 +344,12 @@ def _cmd_dos2d(args) -> int:
     below = labyrinth.count_products_leq(e1, e2, np.append(np.nextafter(edges[:-1], -np.inf), edges[-1]))
     hist = np.diff(below) / (args.n * args.n)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    meta = _metadata(args)
-    if args.fmt == "svg":
-        _write(args.output, svg.curve_svg(grid, cdf, meta))
-    elif args.fmt == "json":
-        data = {
-            "energies": grid.tolist(),
-            "cdf": cdf.tolist(),
-            "histogram": {"centers": centers.tolist(), "mass": hist.tolist()},
-        }
-        _write(args.output, _json_text(meta, data))
-    else:
-        _write(args.output,
-               _csv_text(meta, "energy,cdf", list(zip(grid, cdf))))
-        if args.histogram_output:
-            _write(args.histogram_output,
-                   _csv_text(meta, "center,mass", list(zip(centers, hist))))
+    meta = _emit(args, "energy,cdf", zip(grid, cdf),
+                 lambda: {"energies": grid.tolist(), "cdf": cdf.tolist(),
+                          "histogram": {"centers": centers.tolist(), "mass": hist.tolist()}},
+                 lambda meta: svg.curve_svg(grid, cdf, meta))
+    if args.histogram_output:
+        _write(args.histogram_output, _csv_text(meta, "center,mass", zip(centers, hist)))
     return 0
 
 
@@ -388,29 +357,21 @@ def _cmd_thickness(args) -> int:
     args.a = _resolve_a(args)
     args.levels = _parse_levels(args.levels, args.level)
     covers = tracemap.cover_sequence(ModelParams(args.s, args.a), args.levels, args.resolution)
-    stats = bands.cantor_stats(covers)
     gap_list = bands.gaps(covers[-1])
-    meta = _metadata(args)
-    if args.fmt == "json":
-        data = stats.to_json_obj()
-        data["band_count"] = covers[-1].count
-        data["gap_count"] = len(gap_list)
-        _write(args.output, _json_text(meta, data))
-    else:
-        t = stats.thickness_estimate
-        rows = [
-            ("thickness_estimate", "inf" if math.isinf(t) else t),
-            ("box_dim_estimate", stats.box_dim_estimate if stats.box_dim_estimate is not None else ""),
-            ("total_length", stats.total_length),
-            ("hull_lo", stats.hull[0]),
-            ("hull_hi", stats.hull[1]),
-            ("band_count", covers[-1].count),
-            ("gap_count", len(gap_list)),
-        ]
-        _write(args.output, _csv_text(meta, "key,value", rows))
+    data = bands.cantor_stats(covers).to_json_obj()
+    data["band_count"] = covers[-1].count
+    data["gap_count"] = len(gap_list)
+
+    def rows():
+        for key, value in data.items():
+            if key == "hull":
+                yield from zip(("hull_lo", "hull_hi"), value)
+            else:
+                yield key, "" if value is None else value
+
+    meta = _emit(args, "key,value", rows(), lambda: data)
     if args.gaps_output:
-        _write(args.gaps_output,
-               _csv_text(meta, "gap_lo,gap_hi", [(lo, hi) for lo, hi in gap_list]))
+        _write(args.gaps_output, _csv_text(meta, "gap_lo,gap_hi", gap_list))
     return 0
 
 
@@ -430,17 +391,10 @@ def _cmd_sweep(args) -> int:
             cells[l1, l2] = cells[l2, l1] = (int(bool(bands.is_interval(prod, 4.0 * args.resolution))),
                                              sum(hi - lo for lo, hi in bands.gaps(prod)))
     rows = [(l1, l2, *cells[l1, l2], thick[l1], thick[l2]) for l1 in lams for l2 in lams]
-    meta = _metadata(args)
     header = "lambda1,lambda2,is_interval,total_gap_length,thickness1,thickness2"
-    if args.fmt == "svg":
-        k = len(lams)
-        colors = [["#2a9d3a" if row[2] else "#c43131" for row in rows[i * k:(i + 1) * k]] for i in range(k)]
-        _write(args.output, svg.heat_grid_svg(lams, lams, colors, meta))
-    elif args.fmt == "json":
-        data = [dict(zip(header.split(","), row)) for row in rows]
-        _write(args.output, _json_text(meta, data))
-    else:
-        _write(args.output, _csv_text(meta, header, rows))
+    _emit(args, header, rows, lambda: [dict(zip(header.split(","), row)) for row in rows],
+          lambda meta: svg.heat_grid_svg(
+              lams, lams, [["#2a9d3a" if cells[l1, l2][0] else "#c43131" for l2 in lams] for l1 in lams], meta))
     return 0
 
 
@@ -452,10 +406,12 @@ def _cmd_verify(args) -> int:
         wanted = sorted({int(x) for x in args.criteria.split(",") if x.strip()})
         if any(n < 1 or n > 14 for n in wanted):
             _fail("invalid-config", "criteria numbers must be in 1..14", 2)
-    results = acceptance.run_all([n for n in wanted if n <= 13]) if any(n <= 13 for n in wanted) else []
     if 14 in wanted:
-        det, _ = acceptance.run_determinism_check()
-        results = results + [det]
+        # the check's first run of the suite serves as the report of the other criteria
+        det, first = acceptance.run_determinism_check()
+        results = [r for r in first if r.number in wanted] + [det]
+    else:
+        results = acceptance.run_all(wanted)
     ok = all(r.ok for r in results)
     if args.fmt == "json":
         args.criteria = wanted

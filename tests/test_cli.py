@@ -236,6 +236,18 @@ class TestErrorsAndDeterminism:
         assert [r["number"] for r in data] == [2, 12]
         assert all(r["passed"] for r in data)
 
+    # criterion 14 runs the suite twice; its first run reports the other criteria
+    @pytest.mark.parametrize("criteria, numbers", [(None, list(range(1, 15))), ("12,14", [12, 14])])
+    def test_verify_with_criterion_14_runs_the_suite_twice(self, criteria, numbers, monkeypatch):
+        from quasilab import acceptance
+
+        calls = []
+        run_all = acceptance.run_all
+        monkeypatch.setattr(acceptance, "run_all", lambda *a: calls.append(a) or run_all(*a))
+        code, out, _ = run_cli(["verify", "--format", "json"] + (["--criteria", criteria] if criteria else []))
+        assert code == 0 and len(calls) == 2
+        assert [r["number"] for r in json.loads(out)["data"]] == numbers
+
 
 def run_cli_subprocess(args, timeout):
     """Run the CLI in a child process; a run past ``timeout`` seconds raises."""
