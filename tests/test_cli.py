@@ -125,6 +125,20 @@ class TestDosCommands:
         assert "energy,cdf" in cdf_path.read_text()
         assert "center,mass" in hist_path.read_text()
 
+    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    def test_dos2d_histogram_in_every_format(self, fmt, tmp_path):
+        argv = ["dos2d", "--lambda1", "0.5", "--a2", "1.5", "--N", "16", "--grid", "11", "--bins", "8"]
+
+        def histogram_rows(name, *fmt_args):
+            path = tmp_path / name
+            code, _, _ = run_cli(argv + [*fmt_args, "-o", str(tmp_path / "out"), "--histogram-output", str(path)])
+            assert code == 0
+            return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+        rows = histogram_rows("hist.csv", "--format", fmt)
+        assert rows[0] == "center,mass" and len(rows) == 9
+        assert rows == histogram_rows("csv_hist.csv")
+
 
 class TestDos2dMatchesEnumeration:
     # dos2d counts products without forming them; its artifacts must equal

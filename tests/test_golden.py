@@ -52,6 +52,8 @@ ARGVS = [
      "--output", "out.csv", "--histogram-output", "hist.csv"],
     ["dos2d", "--s", "2", "--a1", "1.3", "--a2", "2", "--N", "32", "--grid", "21", "--bins", "8",
      "--format", "json", "--output", "out.json"],
+    ["dos2d", "--a1", "1.3", "--lambda2", "0.8", "--N", "20", "--grid", "15", "--bins", "6",
+     "--format", "json", "--output", "out.json", "--histogram-output", "hist.csv"],
     ["dos2d", "--a1", "1.7", "--a2", "0.6", "--N", "17", "--grid", "31", "--format", "svg",
      "--output", "out.svg"],
     ["thickness", "--a", "4", "--level", "10", "--output", "out.csv", "--gaps-output", "gaps.csv"],
