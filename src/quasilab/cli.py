@@ -269,17 +269,19 @@ def _cmd_sequence(args) -> int:
     return 0
 
 
-def _parse_levels(raw: str | None, top: int) -> list[int]:
-    if raw is None:
-        return sorted({max(1, top - 10), max(1, top - 5), top})
-    return [int(x) for x in raw.split(",") if x.strip()]
+def _parse_levels(args, default: list[int]) -> list[int]:
+    """The --levels list, or ``default`` without it.  With --levels no cover of
+    --level is computed, so ``level`` leaves the metadata and ``levels`` records them."""
+    if args.levels is None:
+        return default
+    args.level = None
+    args.levels = [int(x) for x in args.levels.split(",") if x.strip()]
+    return args.levels
 
 
 def _cmd_spectrum1d(args) -> int:
     args.a = _resolve_a(args)
-    args.levels = _parse_levels(args.levels, args.level) if args.levels else None
-    covers = tracemap.cover_sequence(ModelParams(args.s, args.a),
-                                     [args.level] if args.levels is None else args.levels,
+    covers = tracemap.cover_sequence(ModelParams(args.s, args.a), _parse_levels(args, [args.level]),
                                      args.resolution, initial_grid=args.grid)
     _emit_covers(args, covers, lambda: [c.to_json_obj() for c in covers])
     return 0
@@ -355,7 +357,7 @@ def _cmd_dos2d(args) -> int:
 
 def _cmd_thickness(args) -> int:
     args.a = _resolve_a(args)
-    args.levels = _parse_levels(args.levels, args.level)
+    args.levels = _parse_levels(args, sorted({max(1, args.level - 10), max(1, args.level - 5), args.level}))
     covers = tracemap.cover_sequence(ModelParams(args.s, args.a), args.levels, args.resolution)
     gap_list = bands.gaps(covers[-1])
     data = bands.cantor_stats(covers).to_json_obj()

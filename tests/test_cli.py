@@ -313,6 +313,8 @@ class TestInvalidInput:
         ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--emin", "1", "--emax", "1"],
         ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--emin", "9"],
         ["sweep", "--steps", "2", "--level", "5", "--lambda-min", "nan"],
+        # an empty --levels list, refused like ","
+        ["spectrum1d", "--a", "2", "--levels", ""],
     ])
     def test_rejected_with_exit_2_and_one_json_line(self, args):
         code, out, err = run_cli(args)
@@ -453,7 +455,7 @@ class TestMetadata:
         (["spectrum1d", "--lambda", "0.5", "--level", "6", "--levels", "3,6", "--resolution", "1e-3",
           "--format", "json"],
          {"tool": "quasilab", "version": "0.1.0", "subcommand": "spectrum1d", "s": 1,
-          "a": 1.2807764064044151, "level": 6, "levels": [3, 6], "resolution": 0.001,
+          "a": 1.2807764064044151, "levels": [3, 6], "resolution": 0.001,
           "grid": 4097, "fmt": "json", "output": "-"}),
         (["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--emin", "-1", "--phases", "2",
           "--seed", "3", "--format", "json"],
@@ -485,6 +487,10 @@ class TestMetadata:
         (["spectrum1d", "--a", "2", "--level", "4", "--grid", "257", "--format", "json"],
          {"tool": "quasilab", "version": "0.1.0", "subcommand": "spectrum1d", "s": 1, "a": 2.0,
           "level": 4, "resolution": 0.0001, "grid": 257, "fmt": "json", "output": "-"}),
+        # --levels replaces --level, which leaves the metadata
+        (["thickness", "--lambda", "1", "--level", "9", "--levels", "4,8", "--format", "json"],
+         {"tool": "quasilab", "version": "0.1.0", "subcommand": "thickness", "s": 1,
+          "a": 1.6180339887498949, "levels": [4, 8], "resolution": 0.0001, "fmt": "json", "output": "-"}),
     ])
     def test_keys_and_values_in_order(self, args, expected, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
