@@ -14,7 +14,7 @@ import sys
 
 from quasilab.bands import box_dimension_estimate, thickness
 from quasilab.jacobi1d import ModelParams, hopping_from_coupling
-from quasilab.tracemap import cover_sequence
+from quasilab.tracemap import cover_sequence, thickness_levels
 
 
 def main(argv=None):
@@ -27,7 +27,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     lams = [float(x) for x in args.couplings.split(",")]
-    levels = sorted({max(1, args.level - 10), max(1, args.level - 5), args.level})
+    levels = thickness_levels(args.level)
     rows = []
     for lam in lams:
         params = ModelParams(args.s, hopping_from_coupling(lam))

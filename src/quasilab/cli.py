@@ -341,10 +341,8 @@ def _cmd_dos2d(args) -> int:
               "largest float; use smaller hopping values", 2)
     grid = np.linspace(-lim, lim, args.grid)
     cdf = labyrinth.count_products_leq(e1, e2, grid) / (args.n * args.n)
-    # np.histogram's bins: [edge_k, edge_k+1), the last one closed
     edges = np.histogram_bin_edges([], args.bins, range=(-lim, lim))
-    below = labyrinth.count_products_leq(e1, e2, np.append(np.nextafter(edges[:-1], -np.inf), edges[-1]))
-    hist = np.diff(below) / (args.n * args.n)
+    hist = labyrinth.product_histogram(e1, e2, edges) / (args.n * args.n)
     centers = 0.5 * (edges[:-1] + edges[1:])
     meta = _emit(args, "energy,cdf", zip(grid, cdf),
                  lambda: {"energies": grid.tolist(), "cdf": cdf.tolist(),
@@ -357,7 +355,7 @@ def _cmd_dos2d(args) -> int:
 
 def _cmd_thickness(args) -> int:
     args.a = _resolve_a(args)
-    args.levels = _parse_levels(args, sorted({max(1, args.level - 10), max(1, args.level - 5), args.level}))
+    args.levels = _parse_levels(args, tracemap.thickness_levels(args.level))
     covers = tracemap.cover_sequence(ModelParams(args.s, args.a), args.levels, args.resolution)
     gap_list = bands.gaps(covers[-1])
     data = bands.cantor_stats(covers).to_json_obj()

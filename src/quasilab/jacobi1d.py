@@ -22,6 +22,15 @@ b^2 / inf = 0 makes the one after it -E again, and a pivot counts as negative
 when its sign bit is set, so -0.0 and -inf count.  Kahan's analysis, carried
 over to IEEE infinities by Demmel, Dhillon and Ren (ETNA 1995), shows that this
 count is monotone in the energy, which bisection needs.
+
+Up to _PREDICT_MAX_SITES sites the bisection is predicted, replayed and
+verified.  The nonnegative eigenvalues are the singular values of the
+odd-even block of H, which LAPACK's SVD returns to within rounding; bisection
+then takes each decision from them, and a Sturm count only where a midpoint
+is close to one, and one count over the final brackets checks the path.  By
+monotonicity a wrong decision cannot pass the check, and a failed check reruns
+plain bisection, so the eigenvalues are bit for bit those of plain bisection
+either way (see :func:`eigenvalues_offdiag`).
 """
 
 from __future__ import annotations
@@ -153,17 +162,125 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
     return count
 
 
+#: Largest chain, in sites, whose bisection is predicted (see
+#: :func:`eigenvalues_offdiag` for the measurements behind the value).
+_PREDICT_MAX_SITES = 640
+
+
+def _predict_offdiag(off: np.ndarray) -> np.ndarray:
+    """The floor(N/2) nonnegative eigenvalues, ascending, from LAPACK's SVD.
+
+    In even/odd site order H = [[0, C], [C^T, 0]], where C is the
+    ceil(N/2) x floor(N/2) lower-bidiagonal block with C[i, i] = b[2i] and
+    C[i+1, i] = b[2i+1], so the spectrum is +-sigma(C), plus 0 for odd N.  An
+    SVD that does not converge gives NaNs, which the verification rejects.
+    """
+    n = off.size + 1
+    m = n // 2
+    c = np.zeros((n - m, m))
+    c.flat[:: m + 1] = off[0::2]
+    c.flat[m :: m + 1] = off[1::2]
+    try:
+        return np.sort(np.linalg.svd(c, compute_uv=False))
+    except np.linalg.LinAlgError:
+        return np.full(m, np.nan)
+
+
+def _bisect(off, grid, k, tol, guess=None, delta=0.0):
+    """The bisection of :func:`eigenvalues_offdiag`: the last midpoints of lanes k.
+
+    Without ``guess`` every decision count(E) > k is a Sturm count.  With it,
+    the decision is E > guess[lane] wherever |E - guess[lane]| > ``delta``, and
+    None is returned unless one count over the final brackets verifies it.
+    """
+    if guess is None:
+        counts = count_below_offdiag(off, grid)
+    else:
+        # on [0, inf) the count is ceil(N/2) plus the guesses below E, away from them
+        below = np.searchsorted(guess, grid - delta)
+        counts = off.size + 1 - k.size + below
+        near = np.flatnonzero(below != np.searchsorted(guess, grid + delta, side="right"))
+        if near.size:
+            counts[near] = count_below_offdiag(off, grid[near])
+    # the kth smallest eigenvalue lies in [grid[j-1], grid[j]) for the first j
+    # whose count exceeds k; j = 0 or j = grid.size pins it at an end
+    j = np.searchsorted(counts, k, side="right")
+    lo = grid[np.maximum(j - 1, 0)]
+    hi = grid[np.minimum(j, grid.size - 1)]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
+            break
+        if guess is None:
+            above = count_below_offdiag(off, mid) > k
+        else:
+            above = mid > guess
+            # a lane pinned at an end (lo == hi) keeps its value whatever is decided
+            near = np.flatnonzero((np.abs(mid - guess) <= delta) & (lo < hi))
+            if near.size:
+                above[near] = count_below_offdiag(off, mid[near]) > k[near]
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    if guess is not None:
+        final = count_below_offdiag(off, np.concatenate([lo, hi]))
+        held = ((final[: k.size] <= k) | (j == 0)) & ((final[k.size :] > k) | (j == grid.size))
+        if not held.all():
+            return None
+    return mid
+
+
 def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     """All eigenvalues of the zero-diagonal tridiagonal matrix, by bisection.
 
     The spectrum is symmetric (see the module docstring), so only the
     nonnegative half is computed.  One count on a uniform grid of 2N+1 energies
-    over [0, 2(1 + max|b|)], a Gershgorin-style bound, seeds a bracket for each
-    of the floor(N/2) largest eigenvalues; each bracket is then halved until its
-    width is at most ``tol`` or its midpoint rounds to an endpoint.  The result
-    is those values, their negatives and, for odd N, an exact 0.0, sorted: each
-    e_k is bit for bit -e_(N+1-k).  ``tol`` must be positive and the couplings
-    finite.
+    over [0, bound], bound = 2(1 + max|b|) a Gershgorin-style bound, seeds a
+    bracket for each of the floor(N/2) largest eigenvalues; each bracket is
+    then halved until its width is at most ``tol`` or its midpoint rounds to an
+    endpoint.  The result is those values, their negatives and, for odd N, an
+    exact 0.0, sorted: each e_k is bit for bit -e_(N+1-k).  ``tol`` must be
+    positive and the couplings finite.
+
+    For 2 <= N <= _PREDICT_MAX_SITES most counts are skipped, and the result is
+    the same bits:
+
+    * Predict.  The nonnegative eigenvalues are the singular values x_k of the
+      odd-even block of H, which LAPACK's SVD returns (:func:`_predict_offdiag`).
+    * Replay.  The grid, brackets, loop and stop rule are the ones above, but a
+      decision count(E) > k is read as E > x_k, except on the lanes where
+      |E - x_k| <= delta: those lanes, and only those, get a Sturm count, in one
+      pass per step.  On the grid, the count is ceil(N/2) + #{x_k < E} except at
+      the points within delta of some x_k, which are counted.
+    * Verify.  One count over the final brackets must give
+      count(lo) <= k < count(hi), on one side only for a bracket pinned at an
+      end of the grid.  The count is monotone in E (module docstring), and
+      brackets only shrink, so a wrong decision leaves the count's jump past k
+      outside the final bracket for good and the check fails.  A check that
+      passes means every decision was the one the count makes: the path, and
+      so every bit of the result, is that of plain bisection.
+    * Fallback.  Otherwise the bisection runs again with every decision counted.
+
+    delta = N * eps * bound is the scale of the distance from x_k to the energy
+    where the count passes k.  The SVD returns the singular values of a matrix
+    within p(N) * eps * |C| of C, p a modest function of N (LAPACK Users'
+    Guide, section 4.9), and by Weyl each moves by no more; the IEEE count at
+    E is the exact count of the chain with its couplings changed by a few ulps
+    (Kahan; Demmel, Dhillon and Ren), which moves each eigenvalue by a relative
+    O(N * eps) at most (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 1990).
+    Both are at most a few N * eps * |C|, and |C| <= 2 max|b| < bound.  Over 400
+    model windows (s = 1-3, coupling 0.01-60, N up to 640) the largest
+    distance measured was 0.13 N * eps * bound.  delta sets only how many counts
+    are made: one too small fails the check and costs a second bisection, never
+    a different result.  A predicted solve makes 2-9 counts at tol = 1e-11,
+    against about 30.
+
+    The ceiling: the SVD takes O(N^3) time and holds C and LAPACK's copy of it,
+    2 (N/2)^2 doubles.  On a 2-core Xeon (OpenBLAS, one thread) a predicted
+    solve at N = 640 took 27-30 ms, 11-14 ms of it the SVD, against 54-63 ms
+    unpredicted; at N = 1024 the SVD alone took 44-54 ms.  The first SVD in a
+    process also maps about 0.8 MB of LAPACK code for good.  In the benchmark's
+    dos-fresh workload peak memory rose by about 3 % (42.3 to 43.6 MB) with
+    every ceiling from 384 to 768, and by 10 % with 1024.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -174,18 +291,11 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("couplings must be finite")
     grid = np.linspace(0.0, bound, 2 * n + 1)
     k = np.arange(n - n // 2, n)
-    # the kth smallest eigenvalue lies in [grid[j-1], grid[j]) for the first j
-    # whose count exceeds k; j = 0 or j = grid.size pins it at an end
-    j = np.searchsorted(count_below_offdiag(off, grid), k, side="right")
-    lo = grid[np.maximum(j - 1, 0)]
-    hi = grid[np.minimum(j, grid.size - 1)]
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
-            break
-        above = count_below_offdiag(off, mid) > k
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+    mid = None
+    if 1 < n <= _PREDICT_MAX_SITES:
+        mid = _bisect(off, grid, k, tol, _predict_offdiag(off), n * np.finfo(float).eps * bound)
+    if mid is None:
+        mid = _bisect(off, grid, k, tol)
     pos = np.sort(mid)
     return np.concatenate([-pos[::-1], np.zeros(n % 2), pos])
 

@@ -203,6 +203,18 @@ def count_products_leq(e1, e2, energies):
     return int(counts[0]) if energies.ndim == 0 else counts.reshape(energies.shape)
 
 
+def product_histogram(e1, e2, edges) -> np.ndarray:
+    """Counts of the products fl(e1[i] * e2[j]) in np.histogram's bins over ``edges``.
+
+    The bins are [edge_k, edge_k+1), the last one closed, as in ``np.histogram``
+    of the N1 x N2 products, which are never formed: each bin is a difference
+    of two :func:`count_products_leq` counts.
+    """
+    edges = np.asarray(edges, dtype=float)
+    below = count_products_leq(e1, e2, np.append(np.nextafter(edges[:-1], -np.inf), edges[-1]))
+    return np.diff(below)
+
+
 def dos2d_cdf(p: LabyrinthParams, energy, n: int) -> float | np.ndarray:
     """Finite-volume 2D DOS: (1/N^2) #{(k1, k2): E_{1,k1} * E_{2,k2} <= E}.
 

@@ -316,6 +316,11 @@ def cover_sequence(
     return out
 
 
+def thickness_levels(level: int) -> list[int]:
+    """The default levels of a thickness run: L - 10, L - 5 and L, each at least 1, ascending."""
+    return sorted({max(1, level - 10), max(1, level - 5), level})
+
+
 # ---------------------------------------------------------------------------
 # torus factor
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from quasilab import jacobi1d
 from quasilab.dense import symmetric_eigenvalues
 from quasilab.errors import ResourceLimitError
 from quasilab.jacobi1d import (
@@ -18,6 +19,7 @@ from quasilab.jacobi1d import (
     hopping_from_coupling,
     ids_curve,
 )
+from quasilab.labyrinth import EIG_TOL
 from quasilab.words import DEFAULT_WORD_CAP, metallic_alpha
 
 
@@ -203,6 +205,27 @@ def eigenvalues_full_range_reference(offdiag, tol):
     return np.sort(mid)
 
 
+def eigenvalues_half_spectrum_reference(offdiag, tol):
+    """Plain bisection of the nonnegative half, every decision a Sturm count: the oracle of the predicted solver."""
+    off = np.asarray(offdiag, dtype=float)
+    n = off.size + 1
+    bound = 2.0 * (1.0 + (float(np.max(np.abs(off))) if off.size else 0.0))
+    grid = np.linspace(0.0, bound, 2 * n + 1)
+    k = np.arange(n - n // 2, n)
+    j = np.searchsorted(count_below_offdiag(off, grid), k, side="right")
+    lo = grid[np.maximum(j - 1, 0)]
+    hi = grid[np.minimum(j, grid.size - 1)]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
+            break
+        above = count_below_offdiag(off, mid) > k
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    pos = np.sort(mid)
+    return np.concatenate([-pos[::-1], np.zeros(n % 2), pos])
+
+
 class TestAgainstReferences:
     """The half-spectrum solver and the count loop against full-range references."""
 
@@ -250,6 +273,90 @@ class TestAgainstReferences:
             warnings.simplefilter("error")  # zero couplings split the count: no 0 / 0
             got = eigenvalues_offdiag(off)
         assert np.max(np.abs(got - np.linalg.eigvalsh(chain_matrix(off)))) <= 1e-10
+
+
+class TestPredictedBisection:
+    """Predicted, replayed and verified bisection against plain bisection, bit for bit."""
+
+    @settings(max_examples=40)
+    @given(st.sampled_from([1, 2, 3]), st.floats(min_value=0.0, max_value=50.0),
+           st.sampled_from([1e-10, 1e-11, 1e-12]),
+           st.integers(min_value=1, max_value=jacobi1d._PREDICT_MAX_SITES + 64), st.sampled_from([0, 2, 3, 7]))
+    @example(1, 1.0, 1e-10, 1, 0)
+    @example(2, 1.0, 1e-11, 2, 0)
+    @example(3, 1.0, 1e-12, 3, 0)
+    @example(1, 0.0, 1e-12, 300, 0)  # the free chain
+    @example(1, 0.0, 1e-11, 201, 2)  # 2-site blocks: +-1, each 100 times, and 0
+    @example(2, 3.0, 1e-12, 98, 3)  # 3-site blocks, each with a zero eigenvalue
+    @example(3, 50.0, 1e-11, 503, 7)
+    @example(1, 1.6, 1e-11, jacobi1d._PREDICT_MAX_SITES, 0)
+    @example(2, 0.4, 1e-11, jacobi1d._PREDICT_MAX_SITES + 1, 0)
+    def test_same_bits_as_plain_bisection(self, s, lam, tol, n, cut):
+        off = build_window(ModelParams.from_coupling(s, lam), n)[1:]
+        if cut:
+            off[cut - 1 :: cut] = 0.0  # a direct sum of cut-site blocks
+        got = eigenvalues_offdiag(off, tol)
+        want = eigenvalues_half_spectrum_reference(off, tol)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        """Whether each bisection of a solve passed its check (None when unpredicted)."""
+        out = []
+        bisect = jacobi1d._bisect
+
+        def recording(off, grid, k, tol, guess=None, delta=0.0):
+            mid = bisect(off, grid, k, tol, guess, delta)
+            out.append(None if guess is None else mid is not None)
+            return mid
+
+        monkeypatch.setattr(jacobi1d, "_bisect", recording)
+        return out
+
+    @pytest.mark.parametrize("s,lam,n", [(1, 2.0, 500), (1, 5.0, 500), (3, 2.0, 300)])
+    def test_decisions_close_to_a_guess_are_counted(self, verdicts, s, lam, n):
+        # in these solves some midpoint falls between a guess and the count's jump,
+        # so taking every decision from the guesses would fail the check
+        off = build_window(ModelParams.from_coupling(s, lam), n)[:-1]
+        got = eigenvalues_offdiag(off, 1e-12)
+        assert verdicts == [True]
+        assert got.tobytes() == eigenvalues_half_spectrum_reference(off, 1e-12).tobytes()
+
+    @pytest.mark.parametrize("spoil", ["shift", "permute", "nan"])
+    def test_wrong_predictions_fall_back_to_the_same_bits(self, monkeypatch, verdicts, spoil):
+        off = build_window(ModelParams(1, 1.6), 500)[:-1]
+        tol = 1e-12
+        # the solver's delta, 5.8e-13 here, so a guess moved by 10 delta lies outside its final bracket
+        delta = (off.size + 1) * np.finfo(float).eps * 2.0 * (1.0 + float(np.max(off)))
+        predict = jacobi1d._predict_offdiag
+
+        def spoiled(off):
+            x = predict(off)
+            if spoil == "shift":
+                x[::7] += 10 * delta
+            elif spoil == "permute":
+                x = np.random.default_rng(0).permutation(x)
+            else:
+                x[:] = np.nan
+            return x
+
+        monkeypatch.setattr(jacobi1d, "_predict_offdiag", spoiled)
+        got = eigenvalues_offdiag(off, tol)
+        assert verdicts == [False, None]  # the replay fails its check, and plain bisection runs
+        assert got.tobytes() == eigenvalues_half_spectrum_reference(off, tol).tobytes()
+
+    def test_a_predicted_solve_makes_few_counts(self, monkeypatch):
+        calls = []
+        count = jacobi1d.count_below_offdiag
+
+        def counting(off, energies):
+            calls.append(np.size(energies))
+            return count(off, energies)
+
+        monkeypatch.setattr(jacobi1d, "count_below_offdiag", counting)
+        # the Labyrinth's axis solve at N = 500; plain bisection counts 30 times
+        eigenvalues_offdiag(build_window(ModelParams(1, 1.6), 500)[:-1], EIG_TOL)
+        assert len(calls) <= 8
 
 
 class TestInputValidation:
