@@ -116,8 +116,7 @@ class BandCover:
         when two distinct endpoints have the same image.  On success every
         strict inequality between endpoints is kept and each image is within
         eps/2 of the exact product, relative to the image.  For ``factor = 2**k``
-        every image is exact, so ``thickness`` is bit-identical as long as
-        the hull lengths of both covers stay below ``sys.float_info.max``.
+        every image is exact, so ``thickness`` is bit-identical.
         """
         if not (math.isfinite(factor) and factor > 0):
             raise ValueError(f"scaling factor must be finite and positive, got {factor!r}")
@@ -190,14 +189,17 @@ def thickness(cover: BandCover) -> float:
     least as long (or to the hull boundary); the thickness is the minimum over
     gaps of min(bridge) / gap.  Only ratios of endpoint differences enter, so it
     is scale invariant: exactly under ``BandCover.scaled`` by a power of two, and
-    up to rounding for other factors (see ``scaled``).
+    up to rounding for other factors (see ``scaled``).  The lengths are taken
+    between halved endpoints: halving is exact away from the subnormal range
+    and no difference of halves overflows, so a hull longer than the largest
+    float keeps its ratios.  A ratio beyond the float range rounds to inf or 0.
     """
     gs = gaps(cover)
     if not gs:
         return math.inf
-    hull_lo, hull_hi = cover.hull
-    glo = np.array([g[0] for g in gs])
-    ghi = np.array([g[1] for g in gs])
+    hull_lo, hull_hi = (0.5 * x for x in cover.hull)
+    glo = 0.5 * np.array([g[0] for g in gs])
+    ghi = 0.5 * np.array([g[1] for g in gs])
     lengths = ghi - glo
     left, right = _blocking_indices(lengths)
     left_edge = np.where(left >= 0, ghi[left], hull_lo)

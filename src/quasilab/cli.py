@@ -205,11 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(path: str, text: str):
+    """Write ``text`` to stdout for '-', else to ``path``; an unwritable path exits 2."""
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        _fail("invalid-config", f"cannot write {path}: {exc.strerror or exc}", 2)
 
 
 def _csv_text(meta: dict, header: str, rows) -> str:

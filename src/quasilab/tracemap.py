@@ -11,9 +11,12 @@ Escape detection is heuristic: an orbit is declared escaped once its sup-norm
 exceeds a radius R while having strictly grown on two consecutive steps, or
 once a coordinate stops being finite.  The covers fix R at coupling + 3
 (``default_escape_radius``) and iterate as many steps as the level; only the
-escape evaluators themselves take R and the step budget as arguments.  Covers
-computed this way are outer approximations at the sampling resolution; no
-rigorous inner bound is claimed.
+escape evaluators themselves take R and the step budget as arguments.  Every
+escape pass of a cover, sampling and edge bisection alike, is one vectorised
+``escape_steps`` call stepping with ``trace_map``; ``escape_time`` is the
+scalar reference, with its own loop, that tests and the acceptance criteria
+check it against.  Covers computed this way are outer approximations at the
+sampling resolution; no rigorous inner bound is claimed.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ GRID_CAP = 10**6
 TRACE_WORK_CAP = 5 * 10**7
 
 #: Below this many grid points a pass costs about as much per level as at it
-#: (a map application took 21-29 us at grids 25-257 and up to 8 us lane by lane
-#: at grids 3-24), so the work cap counts a smaller grid as this many points.
-#: Without the floor, grid 3 ran for 40 s just below the cap.
+#: (a vectorised map application took 19 us at grid 3 and 22 us at grid 257 on a
+#: 2-core x86 machine, numpy 2.4), so the work cap counts a smaller grid as this
+#: many points.  Without the floor, grid 3 ran for 40 s just below the cap.
 WORK_GRID_FLOOR = 257
 
 
@@ -54,24 +57,14 @@ class TraceVector(NamedTuple):
     z: float
 
 
-def apply_u(v) -> TraceVector:
-    x, y, z = v
-    return TraceVector(2.0 * x * z - y, x, z)
-
-
-def apply_p(v) -> TraceVector:
-    x, y, z = v
-    return TraceVector(x, z, y)
-
-
 def trace_map(s: int, v) -> TraceVector:
-    """One step of T_s = U^s o P."""
+    """One step of T_s = U^s o P (elementwise on arrays)."""
     if s < 1:
         raise ValueError("s must be a positive integer")
-    v = apply_p(v)
+    x, z, y = v
     for _ in range(s):
-        v = apply_u(v)
-    return v
+        x, y = 2.0 * x * z - y, x
+    return TraceVector(x, y, z)
 
 
 def fricke_vogt(v) -> float:
@@ -132,54 +125,32 @@ def escape_steps(s: int, x, y, z, max_iter: int, radius: float) -> np.ndarray:
 
     Applies the same arithmetic and the same escape rule lane by lane, so the
     result is identical to the scalar routine on every lane and independent of
-    how lanes are grouped.
+    how lanes are grouped.  Escaped lanes keep iterating until every lane has
+    escaped; they may overflow to inf or NaN, but each lane reads only itself
+    and only its first escape is recorded.
     """
     _check_escape_args(max_iter, radius)
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
-    z = np.array(z, dtype=float)
-    steps = np.full(x.shape, -1, dtype=np.int64)
-    alive = np.ones(x.shape, dtype=bool)
-    prev = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
-    prev2 = np.full(x.shape, np.inf)
+    v = TraceVector(np.array(x, dtype=float), np.array(y, dtype=float), np.array(z, dtype=float))
+    steps = np.full(v.x.shape, -1, dtype=np.int64)
+    alive = np.ones(v.x.shape, dtype=bool)
+    prev = np.maximum(np.abs(v.x), np.maximum(np.abs(v.y), np.abs(v.z)))
+    prev2 = np.full(v.x.shape, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, max_iter + 1):
-            x, y, z = x, z.copy(), y
-            for _ in range(s):
-                x, y, z = 2.0 * x * z - y, x, z
-            norm = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
+            v = trace_map(s, v)
+            norm = np.maximum(np.abs(v.x), np.maximum(np.abs(v.y), np.abs(v.z)))
             escaped = ~np.isfinite(norm) | ((norm > radius) & (norm > prev) & (prev > prev2))
             newly = escaped & alive
             steps[newly] = t
             alive &= ~escaped
             if not alive.any():
                 break
-            # freeze escaped lanes so they cannot overflow into NaNs
-            x = np.where(alive, x, 0.0)
-            y = np.where(alive, y, 0.0)
-            z = np.where(alive, z, 0.0)
-            prev2 = np.where(alive, prev, np.inf)
-            prev = np.where(alive, norm, 0.0)
+            prev2, prev = prev, norm
     return steps
 
 
-#: Passes of at most this many lanes run ``escape_time`` lane by lane; larger
-#: passes make one ``escape_steps`` call.  At levels 10-15 the scalar loop
-#: costs 7-19 us a lane, and one vectorised call 180-590 us plus about 0.2 us
-#: a lane, so the two meet at 24-32 lanes (2-core Xeon, numpy 2.4).
-SCALAR_LANES = 24
-
-
 def _survivors(params: ModelParams, energies: np.ndarray, level: int, radius: float) -> np.ndarray:
-    """Mask of the energies whose orbit survives ``level`` steps, in one pass.
-
-    Small passes (``SCALAR_LANES`` or fewer) go lane by lane through
-    ``escape_time``, where numpy's per-call overhead would dominate; both
-    evaluators give the same result on every lane.
-    """
-    if energies.size <= SCALAR_LANES:
-        return np.array([escape_time(params.s, line_point(params, e), level, radius) is None
-                         for e in energies.tolist()], dtype=bool)
+    """Mask of the energies whose orbit survives ``level`` steps, in one pass."""
     pts = line_point(params, energies)
     return escape_steps(params.s, pts.x, pts.y, pts.z, level, radius) < 0
 

@@ -105,10 +105,10 @@ def rotation_sequence(s, beta, indices) -> str:
     _check_s(s)
     al = _alpha_longdouble(s)
     be = np.longdouble(beta)
-    n = np.asarray(list(indices), dtype=np.int64)
+    n = np.fromiter(indices, np.int64)
     frac = np.mod(n * al + be, np.longdouble(1.0))
     in_window = frac >= np.longdouble(1.0) - al
-    return "".join("b" if w else "a" for w in in_window)
+    return (in_window.view(np.uint8) + ord("a")).tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

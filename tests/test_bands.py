@@ -269,6 +269,12 @@ class TestGapsAndThickness:
         # wait: right bridge of (4,6) extends to hull end since no gap >= 2 on right
         assert thickness(c) == pytest.approx(min(min(4.0, 5.5) / 2.0, min(1.0, 4.0) / 0.5))
 
+    def test_hull_longer_than_the_largest_float(self):
+        # the gap, 1e308, and its image under scaling by 2 are both finite halved
+        c = BandCover(((-0.6e308, -0.5e308), (0.5e308, 0.6e308)))
+        assert thickness(c) == 0.09999999999999996
+        assert thickness(c.scaled(2.0)) == 0.09999999999999996
+
     @given(covers(), st.sampled_from([0.5, 2.0, 4.0, 2.0**-10, 2.0**13]))
     @example(BandCover(((0.0, 5e-324), (1.0, 2.0))), 0.5)  # a band collapses to a point
     @example(BandCover(((-1.0, 0.0), (5e-324, 1.0))), 0.5)  # a gap closes

@@ -325,6 +325,23 @@ class TestInvalidInput:
         assert json.loads(lines[0])["error"] == "invalid-config"
 
 
+    @pytest.mark.parametrize("args, option", [
+        (["sequence", "--n", "3"], "-o"),
+        (["dos2d", "--a1", "2", "--a2", "1", "--N", "4", "--grid", "5"], "--histogram-output"),
+        (["thickness", "--a", "2", "--level", "5"], "--gaps-output"),
+    ])
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_output_exits_2_with_one_json_line(self, args, option, target, tmp_path):
+        path = tmp_path / "missing" / "x.csv" if target == "missing directory" else tmp_path
+        main_out = [] if option == "-o" else ["-o", str(tmp_path / "main.csv")]
+        code, out, err = run_cli(args + main_out + [option, str(path)])
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid-config" and str(path) in error["message"]
+
     @pytest.mark.parametrize("args", [
         # the two grid points are the ends of the search interval, and both escape
         ["spectrum1d", "--a", "2", "--grid", "2", "--level", "3"],

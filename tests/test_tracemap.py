@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasilab import bands, tracemap
@@ -12,8 +12,6 @@ from quasilab.jacobi1d import ModelParams, hopping_from_coupling
 from quasilab.tracemap import (
     DEFAULT_GRID,
     TraceVector,
-    apply_p,
-    apply_u,
     cat_map,
     cover_sequence,
     default_escape_radius,
@@ -94,8 +92,9 @@ class TestMapAlgebra:
 
     def test_simple_points(self):
         assert trace_map(1, (1.0, 0.0, 0.0)) == TraceVector(0.0, 1.0, 0.0)
-        assert apply_p(apply_p((1.0, 2.0, 3.0))) == TraceVector(1.0, 2.0, 3.0)
-        assert apply_u((0.0, 5.0, 0.0)) == TraceVector(-5.0, 0.0, 0.0)
+        assert trace_map(1, (0.0, 0.0, 5.0)) == TraceVector(-5.0, 0.0, 0.0)
+        # P gives (1, 3, 2), then U twice: (1, 1, 2), (3, 1, 2)
+        assert trace_map(2, (1.0, 2.0, 3.0)) == TraceVector(3.0, 1.0, 2.0)
 
     def test_invariant_values(self):
         assert fricke_vogt((1.0, 1.0, 1.0)) == 0.0
@@ -196,6 +195,66 @@ class TestEscape:
         assert np.array_equal(np.concatenate(chunks), steps)
 
 
+class TestSinglePass:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.sampled_from([1, 2, 3]),
+        lam=st.floats(min_value=0.0, max_value=50.0),
+        max_iter=st.integers(min_value=1, max_value=200),
+        # energies as multiples of the hull bound 2(1 + a), inside it and far outside
+        scaled=st.lists(st.one_of(st.floats(min_value=-1.2, max_value=1.2),
+                                  st.floats(min_value=10.0, max_value=1e6),
+                                  st.floats(min_value=-1e6, max_value=-10.0)),
+                        min_size=1, max_size=40),
+        cuts=st.lists(st.integers(min_value=1, max_value=39), max_size=6),
+    )
+    @example(s=1, lam=1.0, max_iter=200, scaled=[0.0, 1e6], cuts=[])  # the dead lane overflows
+    def test_escape_steps_equals_escape_time_under_any_split(self, s, lam, max_iter, scaled, cuts):
+        p = ModelParams.from_coupling(s, lam)
+        radius = default_escape_radius(lam)
+        energies = 2.0 * (1.0 + p.a) * np.array(scaled)
+        pts = line_point(p, energies)
+        steps = escape_steps(s, pts.x, pts.y, pts.z, max_iter, radius)
+        expected = [escape_time(s, line_point(p, e), max_iter, radius) for e in energies.tolist()]
+        assert steps.tolist() == [-1 if t is None else t for t in expected]
+        parts = np.split(energies, sorted({c for c in cuts if c < energies.size}))
+        chunks = [escape_steps(s, q.x, q.y, q.z, max_iter, radius)
+                  for q in (line_point(p, part) for part in parts)]
+        assert np.array_equal(np.concatenate(chunks), steps)
+
+    def test_escaped_lanes_overflow_while_others_survive(self):
+        # the example above: the lane at 1e6 x bound escapes at step 2 and then overflows,
+        # while the zero energy survives all 200 steps in the same pass
+        p = ModelParams.from_coupling(1, 1.0)
+        pts = line_point(p, np.array([0.0, 2.0 * (1.0 + p.a) * 1e6]))
+        assert escape_steps(1, pts.x, pts.y, pts.z, 200, default_escape_radius(1.0)).tolist() == [-1, 2]
+        v = TraceVector(*(np.float64(c[1]) for c in pts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(200):
+                v = trace_map(1, v)
+        assert not np.isfinite(v.x)
+
+    def test_covers_never_call_the_scalar_evaluator(self, monkeypatch):
+        def scalar(*args):
+            raise AssertionError("a cover called escape_time")
+
+        sizes = []
+        vectorised = tracemap.escape_steps
+
+        def counted(s, x, *rest):
+            sizes.append(np.size(x))
+            return vectorised(s, x, *rest)
+
+        monkeypatch.setattr(tracemap, "escape_time", scalar)
+        monkeypatch.setattr(tracemap, "escape_steps", counted)
+        p = ModelParams(1, hopping_from_coupling(3.75))
+        cover_sequence(p, [12, 15], 1e-4)
+        spectrum_cover(p, 15, 1e-4)
+        cover_sequence(ModelParams(1, hopping_from_coupling(0.5)), [1, 2, 3], 1e-3, initial_grid=3)
+        # passes of a few lanes go through the vectorised pass too
+        assert min(sizes) <= 24
+
+
 class TestSpectrumCover:
     def test_free_cover_is_full_band(self):
         c = spectrum_cover(ModelParams(1, 1.0), 20, 1e-4)
@@ -260,7 +319,7 @@ class TestSpectrumCover:
             if grid == 3:
                 assert seq[1].contains(0.0)
                 assert any(lo < 0.0 < hi for lo, hi in seq[1].intervals)
-        # at most 24 edges: the flat level bisects in scalar passes
+        # at most 24 edges: the flat level bisects in passes of a few lanes
         assert counts[(1, 3.75, (12, 15))][0] <= 12
         assert counts[(2, 0.3, (3, 6, 9))][-1] > 100
         assert counts[(2, 0.5, (2, 3))] == [0, 0]
