@@ -189,17 +189,19 @@ def thickness(cover: BandCover) -> float:
     least as long (or to the hull boundary); the thickness is the minimum over
     gaps of min(bridge) / gap.  Only ratios of endpoint differences enter, so it
     is scale invariant: exactly under ``BandCover.scaled`` by a power of two, and
-    up to rounding for other factors (see ``scaled``).  The lengths are taken
-    between halved endpoints: halving is exact away from the subnormal range
-    and no difference of halves overflows, so a hull longer than the largest
-    float keeps its ratios.  A ratio beyond the float range rounds to inf or 0.
+    up to rounding for other factors (see ``scaled``).  The lengths are
+    endpoint differences, exact down to the subnormal range; for a hull longer
+    than the largest float they are taken between halved endpoints, which no
+    difference overflows and which keep the ratios' bits away from the
+    subnormal range.  A ratio beyond the float range rounds to inf or 0.
     """
     gs = gaps(cover)
     if not gs:
         return math.inf
-    hull_lo, hull_hi = (0.5 * x for x in cover.hull)
-    glo = 0.5 * np.array([g[0] for g in gs])
-    ghi = 0.5 * np.array([g[1] for g in gs])
+    scale = 1.0 if math.isfinite(cover.hull[1] - cover.hull[0]) else 0.5
+    hull_lo, hull_hi = (scale * x for x in cover.hull)
+    glo = scale * np.array([g[0] for g in gs])
+    ghi = scale * np.array([g[1] for g in gs])
     lengths = ghi - glo
     left, right = _blocking_indices(lengths)
     left_edge = np.where(left >= 0, ghi[left], hull_lo)

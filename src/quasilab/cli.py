@@ -13,8 +13,10 @@ invalid configuration or domain errors, 3 for resource caps.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -214,6 +216,18 @@ def _write(path: str, text: str):
             fh.write(text)
     except OSError as exc:
         _fail("invalid-config", f"cannot write {path}: {exc.strerror or exc}", 2)
+
+
+def _check_outputs(args):
+    """Exit 2 before any work when an output path cannot be written, so no artifact is left behind."""
+    for path in (getattr(args, key, None) for key in ("output", "histogram_output", "gaps_output")):
+        if path in (None, "-"):
+            continue
+        folder = os.path.dirname(path) or "."
+        for bad, code in ((os.path.isdir(path), errno.EISDIR), (not os.path.isdir(folder), errno.ENOENT),
+                          (not os.access(path if os.path.exists(path) else folder, os.W_OK), errno.EACCES)):
+            if bad:
+                _fail("invalid-config", f"cannot write {path}: {os.strerror(code)}", 2)
 
 
 def _csv_text(meta: dict, header: str, rows) -> str:
@@ -431,6 +445,7 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        _check_outputs(args)
         return args.run(args)
     except ResourceLimitError as exc:
         _fail("resource-limit", str(exc), 3)

@@ -23,19 +23,22 @@ when its sign bit is set, so -0.0 and -inf count.  Kahan's analysis, carried
 over to IEEE infinities by Demmel, Dhillon and Ren (ETNA 1995), shows that this
 count is monotone in the energy, which bisection needs.
 
-Up to _PREDICT_MAX_SITES sites the bisection is predicted, replayed and
-verified.  The nonnegative eigenvalues are the singular values of the
-odd-even block of H, which LAPACK's SVD returns to within rounding; bisection
-then takes each decision from them, and a Sturm count only where a midpoint
-is close to one, and one count over the final brackets checks the path.  By
-monotonicity a wrong decision cannot pass the check, and a failed check reruns
-plain bisection, so the eigenvalues are bit for bit those of plain bisection
-either way (see :func:`eigenvalues_offdiag`).
+For every N >= 2 the bisection is dqds-predicted: LAPACK's dlasq1, reached
+through ctypes in the OpenBLAS that numpy's wheels bundle (builds checked:
+numpy 2.4.6, Linux x86-64), gives the eigenvalues to high relative accuracy,
+each bisection decision is read off them, and Sturm counts verify the path, so
+the result keeps plain bisection's bits; without dlasq1 every decision is
+counted.  A solve at N = 1023 takes 16 ms, against 64 ms when only N <= 640
+was predicted (see :func:`eigenvalues_offdiag`).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,28 +165,45 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
     return count
 
 
-#: Largest chain, in sites, whose bisection is predicted (see
-#: :func:`eigenvalues_offdiag` for the measurements behind the value).
-_PREDICT_MAX_SITES = 640
+@functools.cache
+def _dlasq1():
+    """LAPACK's dlasq1 (ILP64) from the OpenBLAS beside the numpy package, or None.
+
+    Looked up once per process, without importing scipy (0.2-0.4 s a process).
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for fn in filter(None, (getattr(lib, name, None) for name in ("scipy_dlasq1_64_", "dlasq1_64_"))):
+            fn.argtypes, fn.restype = [i64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, i64], None
+            return fn
+    return None
 
 
-def _predict_offdiag(off: np.ndarray) -> np.ndarray:
-    """The floor(N/2) nonnegative eigenvalues, ascending, from LAPACK's SVD.
+def _predict_offdiag(off: np.ndarray) -> np.ndarray | None:
+    """The floor(N/2) nonnegative eigenvalues, ascending, from dlasq1; None without it.
 
     In even/odd site order H = [[0, C], [C^T, 0]], where C is the
     ceil(N/2) x floor(N/2) lower-bidiagonal block with C[i, i] = b[2i] and
-    C[i+1, i] = b[2i+1], so the spectrum is +-sigma(C), plus 0 for odd N.  An
-    SVD that does not converge gives NaNs, which the verification rejects.
+    C[i+1, i] = b[2i+1], so the spectrum is +-sigma(C), plus 0 for odd N.
+    dlasq1 takes C^T as a square upper bidiagonal of side k = ceil(N/2): for odd
+    N a zero last diagonal entry adds one zero singular value, which is
+    dropped.  A failure (INFO != 0) gives NaNs, which the verification rejects.
     """
+    dlasq1 = _dlasq1()
+    if dlasq1 is None:
+        return None
     n = off.size + 1
-    m = n // 2
-    c = np.zeros((n - m, m))
-    c.flat[:: m + 1] = off[0::2]
-    c.flat[m :: m + 1] = off[1::2]
-    try:
-        return np.sort(np.linalg.svd(c, compute_uv=False))
-    except np.linalg.LinAlgError:
-        return np.full(m, np.nan)
+    m, k = n // 2, n - n // 2
+    d, e, work = np.zeros(k), np.zeros(k), np.empty(4 * k)
+    d[:m], e[: (n - 1) // 2] = off[0::2], off[1::2]
+    info = ctypes.c_int64(0)
+    dlasq1(ctypes.byref(ctypes.c_int64(k)), d.ctypes.data, e.ctypes.data, work.ctypes.data, ctypes.byref(info))
+    return np.sort(d)[k - m :] if info.value == 0 else np.full(m, np.nan)
 
 
 def _bisect(off, grid, k, tol, guess=None, delta=0.0):
@@ -241,11 +261,11 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     exact 0.0, sorted: each e_k is bit for bit -e_(N+1-k).  ``tol`` must be
     positive and the couplings finite.
 
-    For 2 <= N <= _PREDICT_MAX_SITES most counts are skipped, and the result is
-    the same bits:
+    For N >= 2 most counts are skipped, and the result is the same bits:
 
     * Predict.  The nonnegative eigenvalues are the singular values x_k of the
-      odd-even block of H, which LAPACK's SVD returns (:func:`_predict_offdiag`).
+      odd-even block of H, which LAPACK's dqds returns (:func:`_predict_offdiag`).
+      Where dlasq1 is not found (:func:`_dlasq1`), the solve is plain bisection.
     * Replay.  The grid, brackets, loop and stop rule are the ones above, but a
       decision count(E) > k is read as E > x_k, except on the lanes where
       |E - x_k| <= delta: those lanes, and only those, get a Sturm count, in one
@@ -261,26 +281,22 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     * Fallback.  Otherwise the bisection runs again with every decision counted.
 
     delta = N * eps * bound is the scale of the distance from x_k to the energy
-    where the count passes k.  The SVD returns the singular values of a matrix
-    within p(N) * eps * |C| of C, p a modest function of N (LAPACK Users'
-    Guide, section 4.9), and by Weyl each moves by no more; the IEEE count at
-    E is the exact count of the chain with its couplings changed by a few ulps
-    (Kahan; Demmel, Dhillon and Ren), which moves each eigenvalue by a relative
-    O(N * eps) at most (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 1990).
-    Both are at most a few N * eps * |C|, and |C| <= 2 max|b| < bound.  Over 400
-    model windows (s = 1-3, coupling 0.01-60, N up to 640) the largest
-    distance measured was 0.13 N * eps * bound.  delta sets only how many counts
-    are made: one too small fails the check and costs a second bisection, never
-    a different result.  A predicted solve makes 2-9 counts at tol = 1e-11,
-    against about 30.
+    where the count passes k.  dqds returns every singular value of the
+    bidiagonal C to a relative O(N * eps) (Demmel and Kahan, SIAM J. Sci. Stat.
+    Comput. 11, 1990; Fernando and Parlett, Numer. Math. 67, 1994); the IEEE
+    count at E is the exact count of the chain with its couplings changed by a
+    few ulps (Kahan; Demmel, Dhillon and Ren), which moves each eigenvalue by a
+    relative O(N * eps) at most (Demmel and Kahan).  Both are at most a few
+    N * eps * |C|, and |C| <= 2 max|b| < bound.  Over 200 model windows (s =
+    1-3, coupling 0.01-60, N 2-4096) the largest distance measured was 0.23
+    N * eps * bound.  delta sets only how many counts are made: one too small
+    fails the check and costs a second bisection, never a different result.
 
-    The ceiling: the SVD takes O(N^3) time and holds C and LAPACK's copy of it,
-    2 (N/2)^2 doubles.  On a 2-core Xeon (OpenBLAS, one thread) a predicted
-    solve at N = 640 took 27-30 ms, 11-14 ms of it the SVD, against 54-63 ms
-    unpredicted; at N = 1024 the SVD alone took 44-54 ms.  The first SVD in a
-    process also maps about 0.8 MB of LAPACK code for good.  In the benchmark's
-    dos-fresh workload peak memory rose by about 3 % (42.3 to 43.6 MB) with
-    every ceiling from 384 to 768, and by 10 % with 1024.
+    Cost: dlasq1 takes O(N^2) time and O(N) memory.  On a 2-core Xeon (one
+    BLAS thread, best of 5) the s = 1, a = 1.6 chain at tol = 1e-11 took 16 /
+    164 ms at N = 1023 / 4096 (8 / 11 counts), against 64 / 579 ms (29 / 27
+    counts) before, when only N <= 640 was predicted, by an SVD.  perfbench's
+    dos-fresh jobs_per_s: 15.2 -> 22.9 (median of 10 alternating pairs).
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -291,9 +307,8 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("couplings must be finite")
     grid = np.linspace(0.0, bound, 2 * n + 1)
     k = np.arange(n - n // 2, n)
-    mid = None
-    if 1 < n <= _PREDICT_MAX_SITES:
-        mid = _bisect(off, grid, k, tol, _predict_offdiag(off), n * np.finfo(float).eps * bound)
+    guess = _predict_offdiag(off) if n > 1 else None
+    mid = None if guess is None else _bisect(off, grid, k, tol, guess, n * np.finfo(float).eps * bound)
     if mid is None:
         mid = _bisect(off, grid, k, tol)
     pos = np.sort(mid)

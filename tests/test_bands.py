@@ -275,6 +275,20 @@ class TestGapsAndThickness:
         assert thickness(c) == 0.09999999999999996
         assert thickness(c.scaled(2.0)) == 0.09999999999999996
 
+    @pytest.mark.parametrize("intervals, want", [
+        # a gap of one subnormal ulp: bridge / gap = 1e-15 / 5e-324 is beyond the float range
+        (((-1e-15, 2.2250738585072014e-308), (2.225073858507202e-308, 5.0)), math.inf),
+        # the same gap with a shorter bridge: a finite ratio, not the "no gaps" inf
+        (((-1e-300, 2.2250738585072014e-308), (2.225073858507202e-308, 5.0)),
+         (2.2250738585072014e-308 + 1e-300) / 5e-324),
+        # a bridge of one subnormal ulp: bridge / gap = 5e-324 / 2.1 rounds to 0
+        (((2.2250738585072014e-308, 2.225073858507202e-308), (2.1, 5.0)), 0.0),
+    ], ids=["one-ulp-gap-overflows", "one-ulp-gap", "one-ulp-bridge"])
+    def test_subnormal_gaps_and_bridges_keep_their_lengths(self, intervals, want):
+        c = BandCover(intervals)
+        assert thickness(c) == want
+        assert thickness(c.scaled(2.0**200)) == want  # far from the subnormal range
+
     @given(covers(), st.sampled_from([0.5, 2.0, 4.0, 2.0**-10, 2.0**13]))
     @example(BandCover(((0.0, 5e-324), (1.0, 2.0))), 0.5)  # a band collapses to a point
     @example(BandCover(((-1.0, 0.0), (5e-324, 1.0))), 0.5)  # a gap closes

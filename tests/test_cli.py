@@ -341,6 +341,7 @@ class TestInvalidInput:
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "invalid-config" and str(path) in error["message"]
+        assert not (tmp_path / "main.csv").exists()  # no output path is written before all are checked
 
     @pytest.mark.parametrize("args", [
         # the two grid points are the ends of the search interval, and both escape

@@ -1,4 +1,5 @@
 import math
+import platform
 import warnings
 
 import numpy as np
@@ -281,7 +282,7 @@ class TestPredictedBisection:
     @settings(max_examples=40)
     @given(st.sampled_from([1, 2, 3]), st.floats(min_value=0.0, max_value=50.0),
            st.sampled_from([1e-10, 1e-11, 1e-12]),
-           st.integers(min_value=1, max_value=jacobi1d._PREDICT_MAX_SITES + 64), st.sampled_from([0, 2, 3, 7]))
+           st.integers(min_value=1, max_value=2048), st.sampled_from([0, 2, 3, 7]))
     @example(1, 1.0, 1e-10, 1, 0)
     @example(2, 1.0, 1e-11, 2, 0)
     @example(3, 1.0, 1e-12, 3, 0)
@@ -289,8 +290,12 @@ class TestPredictedBisection:
     @example(1, 0.0, 1e-11, 201, 2)  # 2-site blocks: +-1, each 100 times, and 0
     @example(2, 3.0, 1e-12, 98, 3)  # 3-site blocks, each with a zero eigenvalue
     @example(3, 50.0, 1e-11, 503, 7)
-    @example(1, 1.6, 1e-11, jacobi1d._PREDICT_MAX_SITES, 0)
-    @example(2, 0.4, 1e-11, jacobi1d._PREDICT_MAX_SITES + 1, 0)
+    @example(1, 1.6, 1e-11, 640, 0)
+    @example(2, 0.4, 1e-11, 641, 0)
+    @example(1, 1.0, 1e-12, 641, 2)
+    @example(1, 1.6, 1e-11, 1023, 0)
+    @example(2, 3.0, 1e-11, 4096, 0)
+    @example(3, 0.2, 1e-12, 1500, 3)
     def test_same_bits_as_plain_bisection(self, s, lam, tol, n, cut):
         off = build_window(ModelParams.from_coupling(s, lam), n)[1:]
         if cut:
@@ -345,7 +350,8 @@ class TestPredictedBisection:
         assert verdicts == [False, None]  # the replay fails its check, and plain bisection runs
         assert got.tobytes() == eigenvalues_half_spectrum_reference(off, tol).tobytes()
 
-    def test_a_predicted_solve_makes_few_counts(self, monkeypatch):
+    @pytest.mark.parametrize("n,most", [(500, 8), (1023, 9)], ids=["N500", "N1023"])
+    def test_a_predicted_solve_makes_few_counts(self, monkeypatch, n, most):
         calls = []
         count = jacobi1d.count_below_offdiag
 
@@ -354,9 +360,29 @@ class TestPredictedBisection:
             return count(off, energies)
 
         monkeypatch.setattr(jacobi1d, "count_below_offdiag", counting)
-        # the Labyrinth's axis solve at N = 500; plain bisection counts 30 times
-        eigenvalues_offdiag(build_window(ModelParams(1, 1.6), 500)[:-1], EIG_TOL)
-        assert len(calls) <= 8
+        # the Labyrinth's axis solve; plain bisection counts about 30 times
+        eigenvalues_offdiag(build_window(ModelParams(1, 1.6), n)[:-1], EIG_TOL)
+        assert len(calls) <= most
+
+    @pytest.mark.parametrize("off", [
+        [1.6], [1.0, 1.6], build_window(ModelParams(1, 1.6), 641)[1:], build_window(ModelParams(2, 3.0), 1023)[1:],
+        np.where(np.arange(1022) % 5 == 4, 0.0, build_window(ModelParams(3, 0.4), 1023)[1:]),
+    ], ids=["N2", "N3", "N641", "N1023", "N1023-zero-couplings"])
+    def test_without_dlasq1_every_solve_is_plain_bisection(self, monkeypatch, verdicts, off):
+        monkeypatch.setattr(jacobi1d, "_dlasq1", lambda: None)
+        got = eigenvalues_offdiag(off, 1e-11)
+        assert verdicts == [None]
+        assert got.tobytes() == eigenvalues_half_spectrum_reference(off, 1e-11).tobytes()
+
+    def test_dlasq1_resolves_on_the_checked_numpy_builds(self, verdicts):
+        # a numpy upgrade that renames the bundled library would silently make every solve plain bisection
+        named = f"numpy {np.__version__}," in jacobi1d.__doc__
+        if not (named and platform.system() == "Linux" and platform.machine() == "x86_64"):
+            pytest.skip(f"numpy {np.__version__} on {platform.system()} {platform.machine()} "
+                        "is not a build named in the jacobi1d docstring")
+        assert jacobi1d._dlasq1() is not None
+        eigenvalues_offdiag(build_window(ModelParams(1, 1.6), 1023)[:-1], EIG_TOL)
+        assert verdicts == [True]
 
 
 class TestInputValidation:
