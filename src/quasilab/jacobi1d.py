@@ -23,13 +23,12 @@ when its sign bit is set, so -0.0 and -inf count.  Kahan's analysis, carried
 over to IEEE infinities by Demmel, Dhillon and Ren (ETNA 1995), shows that this
 count is monotone in the energy, which bisection needs.
 
-For every N >= 2 the bisection is dqds-predicted: LAPACK's dlasq1, reached
-through ctypes in the OpenBLAS that numpy's wheels bundle (builds checked:
-numpy 2.4.6, Linux x86-64), gives the eigenvalues to high relative accuracy,
-each bisection decision is read off them, and Sturm counts verify the path, so
-the result keeps plain bisection's bits; without dlasq1 every decision is
-counted.  A solve at N = 1023 takes 16 ms, against 64 ms when only N <= 640
-was predicted (see :func:`eigenvalues_offdiag`).
+The bisection is dqds-predicted: LAPACK's dlasq1, reached through ctypes in
+the OpenBLAS that numpy's wheels bundle (builds checked: numpy 2.4.6, Linux
+x86-64), gives the eigenvalues to high relative accuracy, each bisection
+decision is read off them, and Sturm counts verify the path, so the result
+keeps plain bisection's bits; without dlasq1 every decision is counted (see
+:func:`eigenvalues_offdiag`).
 """
 
 from __future__ import annotations
@@ -175,12 +174,11 @@ def _dlasq1():
     i64 = ctypes.POINTER(ctypes.c_int64)
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
         try:
-            lib = ctypes.CDLL(path)
-        except OSError:
+            fn = ctypes.CDLL(path).scipy_dlasq1_64_
+        except (OSError, AttributeError):  # the library does not load, or lacks the symbol
             continue
-        for fn in filter(None, (getattr(lib, name, None) for name in ("scipy_dlasq1_64_", "dlasq1_64_"))):
-            fn.argtypes, fn.restype = [i64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, i64], None
-            return fn
+        fn.argtypes, fn.restype = [i64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, i64], None
+        return fn
     return None
 
 
@@ -206,22 +204,20 @@ def _predict_offdiag(off: np.ndarray) -> np.ndarray | None:
     return np.sort(d)[k - m :] if info.value == 0 else np.full(m, np.nan)
 
 
-def _bisect(off, grid, k, tol, guess=None, delta=0.0):
-    """The bisection of :func:`eigenvalues_offdiag`: the last midpoints of lanes k.
+def _bisect(off, grid, k, tol, guess, delta):
+    """The bisection of :func:`eigenvalues_offdiag`: the last midpoints of lanes k, or None.
 
-    Without ``guess`` every decision count(E) > k is a Sturm count.  With it,
-    the decision is E > guess[lane] wherever |E - guess[lane]| > ``delta``, and
-    None is returned unless one count over the final brackets verifies it.
+    A decision count(E) > k is read as E > guess[lane] wherever
+    |E - guess[lane]| > ``delta`` and is a Sturm count elsewhere, so with
+    delta = inf every decision is counted.  None is returned unless one count
+    over the final brackets verifies the path.
     """
-    if guess is None:
-        counts = count_below_offdiag(off, grid)
-    else:
-        # on [0, inf) the count is ceil(N/2) plus the guesses below E, away from them
-        below = np.searchsorted(guess, grid - delta)
-        counts = off.size + 1 - k.size + below
-        near = np.flatnonzero(below != np.searchsorted(guess, grid + delta, side="right"))
-        if near.size:
-            counts[near] = count_below_offdiag(off, grid[near])
+    # on [0, inf) the count is ceil(N/2) plus the guesses below E, away from them
+    below = np.searchsorted(guess, grid - delta)
+    counts = off.size + 1 - k.size + below
+    near = np.flatnonzero(below != np.searchsorted(guess, grid + delta, side="right"))
+    if near.size:
+        counts[near] = count_below_offdiag(off, grid[near])
     # the kth smallest eigenvalue lies in [grid[j-1], grid[j]) for the first j
     # whose count exceeds k; j = 0 or j = grid.size pins it at an end
     j = np.searchsorted(counts, k, side="right")
@@ -231,54 +227,46 @@ def _bisect(off, grid, k, tol, guess=None, delta=0.0):
         mid = 0.5 * (lo + hi)
         if not np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
             break
-        if guess is None:
-            above = count_below_offdiag(off, mid) > k
-        else:
-            above = mid > guess
-            # a lane pinned at an end (lo == hi) keeps its value whatever is decided
-            near = np.flatnonzero((np.abs(mid - guess) <= delta) & (lo < hi))
-            if near.size:
-                above[near] = count_below_offdiag(off, mid[near]) > k[near]
+        above = mid > guess
+        # a lane pinned at an end (lo == hi) keeps its value whatever is decided
+        near = np.flatnonzero((np.abs(mid - guess) <= delta) & (lo < hi))
+        if near.size:
+            above[near] = count_below_offdiag(off, mid[near]) > k[near]
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    if guess is not None:
-        final = count_below_offdiag(off, np.concatenate([lo, hi]))
-        held = ((final[: k.size] <= k) | (j == 0)) & ((final[k.size :] > k) | (j == grid.size))
-        if not held.all():
-            return None
-    return mid
+    final = count_below_offdiag(off, np.concatenate([lo, hi]))
+    held = ((final[: k.size] <= k) | (j == 0)) & ((final[k.size :] > k) | (j == grid.size))
+    return mid if held.all() else None
 
 
 def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     """All eigenvalues of the zero-diagonal tridiagonal matrix, by bisection.
 
     The spectrum is symmetric (see the module docstring), so only the
-    nonnegative half is computed.  One count on a uniform grid of 2N+1 energies
-    over [0, bound], bound = 2(1 + max|b|) a Gershgorin-style bound, seeds a
-    bracket for each of the floor(N/2) largest eigenvalues; each bracket is
-    then halved until its width is at most ``tol`` or its midpoint rounds to an
-    endpoint.  The result is those values, their negatives and, for odd N, an
-    exact 0.0, sorted: each e_k is bit for bit -e_(N+1-k).  ``tol`` must be
-    positive and the couplings finite.
+    nonnegative half is computed.  A uniform grid of 2N+1 energies over
+    [0, bound], bound = 2(1 + max|b|) a Gershgorin-style bound, seeds a bracket
+    for each of the floor(N/2) largest eigenvalues; each bracket is then halved
+    until its width is at most ``tol`` or its midpoint rounds to an endpoint.
+    The result is those values, their negatives and, for odd N, an exact 0.0,
+    sorted: each e_k is bit for bit -e_(N+1-k).  ``tol`` must be positive and
+    the couplings finite.
 
-    For N >= 2 most counts are skipped, and the result is the same bits:
-
-    * Predict.  The nonnegative eigenvalues are the singular values x_k of the
-      odd-even block of H, which LAPACK's dqds returns (:func:`_predict_offdiag`).
-      Where dlasq1 is not found (:func:`_dlasq1`), the solve is plain bisection.
-    * Replay.  The grid, brackets, loop and stop rule are the ones above, but a
-      decision count(E) > k is read as E > x_k, except on the lanes where
-      |E - x_k| <= delta: those lanes, and only those, get a Sturm count, in one
-      pass per step.  On the grid, the count is ceil(N/2) + #{x_k < E} except at
-      the points within delta of some x_k, which are counted.
-    * Verify.  One count over the final brackets must give
-      count(lo) <= k < count(hi), on one side only for a bracket pinned at an
-      end of the grid.  The count is monotone in E (module docstring), and
-      brackets only shrink, so a wrong decision leaves the count's jump past k
-      outside the final bracket for good and the check fails.  A check that
-      passes means every decision was the one the count makes: the path, and
-      so every bit of the result, is that of plain bisection.
-    * Fallback.  Otherwise the bisection runs again with every decision counted.
+    Each decision of this bisection is whether count(E) > k, with count the
+    Sturm count.  The nonnegative eigenvalues are the singular values x_k of
+    the odd-even block of H, which LAPACK's dqds returns
+    (:func:`_predict_offdiag`), and the decision is read as E > x_k except on
+    the lanes where |E - x_k| <= delta: those lanes, and only those, get a
+    Sturm count, in one pass per step.  On the grid, the count is
+    ceil(N/2) + #{x_k < E} except at the points within delta of some x_k,
+    which are counted.  One count over the final brackets must then give
+    count(lo) <= k < count(hi), on one side only for a bracket pinned at an
+    end of the grid.  The count is monotone in E (module docstring), and
+    brackets only shrink, so a wrong decision leaves the count's jump past k
+    outside the final bracket for good and the check fails.  A check that
+    passes means every decision was the one the count makes, so every bit of
+    the result is that of plain bisection.  Where dlasq1 is not found
+    (:func:`_dlasq1`) or the check fails, the same bisection runs with
+    delta = inf, so that every decision is counted.
 
     delta = N * eps * bound is the scale of the distance from x_k to the energy
     where the count passes k.  dqds returns every singular value of the
@@ -294,9 +282,7 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
 
     Cost: dlasq1 takes O(N^2) time and O(N) memory.  On a 2-core Xeon (one
     BLAS thread, best of 5) the s = 1, a = 1.6 chain at tol = 1e-11 took 16 /
-    164 ms at N = 1023 / 4096 (8 / 11 counts), against 64 / 579 ms (29 / 27
-    counts) before, when only N <= 640 was predicted, by an SVD.  perfbench's
-    dos-fresh jobs_per_s: 15.2 -> 22.9 (median of 10 alternating pairs).
+    164 ms at N = 1023 / 4096, with 8 / 11 counts.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -307,10 +293,10 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("couplings must be finite")
     grid = np.linspace(0.0, bound, 2 * n + 1)
     k = np.arange(n - n // 2, n)
-    guess = _predict_offdiag(off) if n > 1 else None
+    guess = _predict_offdiag(off)
     mid = None if guess is None else _bisect(off, grid, k, tol, guess, n * np.finfo(float).eps * bound)
     if mid is None:
-        mid = _bisect(off, grid, k, tol)
+        mid = _bisect(off, grid, k, tol, np.zeros(k.size), math.inf)
     pos = np.sort(mid)
     return np.concatenate([-pos[::-1], np.zeros(n % 2), pos])
 

@@ -238,9 +238,10 @@ def log_convolution_cdf(p: LabyrinthParams, interval: tuple[float, float], n: in
     the log-pushforward of nu_i restricted to (0, inf), A+ = A intersect (0, inf)
     and A- = (-A) intersect (0, inf).  The convolution is evaluated on equal-width
     histograms of the positive 1D eigenvalues' logarithms, clipped below at
-    log DEFAULT_LOG_FLOOR; zero eigenvalues (odd
-    N) carry no mass here and are accounted separately by
-    :func:`zero_product_mass`.  Infinite interval endpoints are allowed.
+    log DEFAULT_LOG_FLOOR.  The zero products of odd N (2N - 1 of the N^2)
+    carry no mass here; a comparison with the direct count must allow for
+    them, as acceptance criterion 8's tolerance term 2(2N - 1)/N^2 does.
+    Infinite interval endpoints are allowed.
     """
     if bins < 64:
         raise ValueError("need at least 64 histogram bins")

@@ -18,14 +18,13 @@ def _fmt(x: float) -> str:
     return format(x, ".4f")
 
 
-def _document(body: list[str], metadata: dict | None) -> str:
+def _document(body: list[str], metadata: dict) -> str:
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" '
         f'viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
+        "<metadata>" + escape(json.dumps(metadata, sort_keys=True), quote=False) + "</metadata>",
+        f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="white"/>',
     ]
-    if metadata is not None:
-        head.append("<metadata>" + escape(json.dumps(metadata, sort_keys=True), quote=False) + "</metadata>")
-    head.append(f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="white"/>')
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
@@ -39,7 +38,7 @@ def _x_scale(lo: float, hi: float):
     return to_x
 
 
-def band_stack_svg(covers, metadata: dict | None = None) -> str:
+def band_stack_svg(covers, metadata: dict) -> str:
     """One horizontal row of bands per cover, stacked top (coarse) to bottom."""
     covers = [c for c in covers if not c.is_empty]
     if not covers:
@@ -71,18 +70,16 @@ def band_stack_svg(covers, metadata: dict | None = None) -> str:
     return _document(body, metadata)
 
 
-def curve_svg(xs, ys, metadata: dict | None = None, y_range=(0.0, 1.0)) -> str:
-    """Polyline plot of a curve (typically a CDF) over a frame."""
+def curve_svg(xs, ys, metadata: dict) -> str:
+    """Polyline plot of a CDF or IDS curve, whose values lie in [0, 1], over a frame."""
     xs = list(map(float, xs))
     ys = list(map(float, ys))
     if not xs:
         return _document(['<text x="20" y="40">empty curve</text>'], metadata)
     to_x = _x_scale(min(xs), max(xs))
-    y_lo, y_hi = y_range
-    span = y_hi - y_lo if y_hi > y_lo else 1.0
 
     def to_y(v: float) -> float:
-        return HEIGHT - MARGIN - (v - y_lo) / span * (HEIGHT - 2 * MARGIN)
+        return HEIGHT - MARGIN - v * (HEIGHT - 2 * MARGIN)
 
     pts = " ".join(f"{_fmt(to_x(x))},{_fmt(to_y(y))}" for x, y in zip(xs, ys))
     body = [
@@ -95,7 +92,7 @@ def curve_svg(xs, ys, metadata: dict | None = None, y_range=(0.0, 1.0)) -> str:
     return _document(body, metadata)
 
 
-def heat_grid_svg(x_values, y_values, cell_colors, metadata: dict | None = None) -> str:
+def heat_grid_svg(x_values, y_values, cell_colors, metadata: dict) -> str:
     """Grid of colored cells; ``cell_colors[i][j]`` colors (x_values[i], y_values[j])."""
     nx, ny = len(x_values), len(y_values)
     if nx == 0 or ny == 0:

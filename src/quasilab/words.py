@@ -69,7 +69,8 @@ def prefix(s: int, length: int, max_len: int = DEFAULT_WORD_CAP) -> str:
         raise ResourceLimitError(f"prefix of {length} letters exceeds the cap of {max_len}")
     prev, cur = "b", "a"
     while len(cur) < length:
-        prev, cur = cur, cur * s + prev
+        # the first `length` letters of cur^s prev lie in ceil(length / len(cur)) copies of cur
+        prev, cur = cur, cur * min(s, -(-length // len(cur))) + prev
     return cur[:length]
 
 

@@ -125,6 +125,15 @@ class TestDosCommands:
         assert "energy,cdf" in cdf_path.read_text()
         assert "center,mass" in hist_path.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["dos1d", "--a", "2"], ["dos2d", "--a1", "2", "--a2", "1.5"],
+    ], ids=["dos1d", "dos2d"])
+    def test_huge_substitution_order_exits_0(self, argv):
+        # the 16-site window needs 16 letters of a^s b, a word of 10**15 + 1 letters
+        code, out, err = run_cli([*argv, "--s", str(10**15), "--N", "16", "--grid", "3", "--format", "json"])
+        assert code == 0, err
+        assert json.loads(out)["meta"]["s"] == 10**15
+
     @pytest.mark.parametrize("fmt", ["json", "svg"])
     def test_dos2d_histogram_in_every_format(self, fmt, tmp_path):
         argv = ["dos2d", "--lambda1", "0.5", "--a2", "1.5", "--N", "16", "--grid", "11", "--bins", "8"]

@@ -310,9 +310,9 @@ class TestPredictedBisection:
         out = []
         bisect = jacobi1d._bisect
 
-        def recording(off, grid, k, tol, guess=None, delta=0.0):
+        def recording(off, grid, k, tol, guess, delta):
             mid = bisect(off, grid, k, tol, guess, delta)
-            out.append(None if guess is None else mid is not None)
+            out.append(None if delta == math.inf else mid is not None)
             return mid
 
         monkeypatch.setattr(jacobi1d, "_bisect", recording)

@@ -104,6 +104,10 @@ class TestIterate:
         full = iterate(2, 6)
         assert prefix(2, 50) == full[:50]
 
+    def test_prefix_of_a_huge_order_builds_only_the_letters_it_needs(self):
+        # the level-1 word a^s b has 10**15 + 1 letters; the prefix needs five of them
+        assert prefix(10**15, 5) == "aaaaa"
+
 
 class TestRotationSequence:
     def test_golden_prefix_matches_iterate(self):
