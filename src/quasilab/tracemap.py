@@ -175,20 +175,19 @@ def _refine_edges(params, surviving, escaping, level, radius, resolution) -> np.
     return escaping
 
 
-def _level_bands(params, segments, level, radius, resolution) -> tuple:
-    """Merged bands of one level from the sample points of every segment.
+def _level_bands(params, e, sizes, level, radius, resolution) -> tuple:
+    """Merged bands of one level from the samples ``e`` of consecutive segments.
 
-    All samples are tested in one pass.  A band is a run of surviving samples
-    inside one segment; an edge at a segment boundary keeps the sample itself,
-    and every other edge is bisected towards the escaping neighbour.  More than
-    ``bands.INTERVAL_CAP`` bands raise before any edge is refined.
+    ``sizes`` gives each segment's sample count.  All samples are tested in one
+    pass.  A band is a run of surviving samples inside one segment; an edge at a
+    segment boundary keeps the sample itself, and every other edge is bisected
+    towards the escaping neighbour.  More than ``bands.INTERVAL_CAP`` bands
+    raise before any edge is refined.
     """
-    sizes = [seg.size for seg in segments]
-    if not any(sizes):
+    if not e.size:
         return ()
-    e = np.concatenate(segments)
     first = np.zeros(e.size, dtype=bool)
-    first[np.cumsum([0] + sizes[:-1])] = True
+    first[np.cumsum(sizes) - sizes] = True
     last = np.roll(first, -1)
     surv = _survivors(params, e, level, radius)
     starts = np.flatnonzero(surv & (first | ~np.roll(surv, 1)))
@@ -207,6 +206,35 @@ def _level_bands(params, segments, level, radius, resolution) -> tuple:
     lo[inner_lo] = edges[:n_lo]
     hi[inner_hi] = edges[n_lo:]
     return merge_intervals(np.column_stack([lo, hi]))
+
+
+def _band_samples(intervals, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of every band of a level, built in one pass, and each band's count.
+
+    Band [lo, hi] gets m = max(17, ceil((hi - lo) / spacing) + 1) samples with
+    the bits of ``np.linspace(lo, hi, m)``: i * step + lo with step =
+    (hi - lo) / (m - 1), or (i / (m - 1)) * (hi - lo) + lo when the step
+    underflows to 0, and hi itself last.  The band with lo < 0 < hi also gets
+    the zero energy, as ``np.unique(np.append(samples, 0.0))`` would add it.
+    """
+    lo, hi = np.array(intervals, dtype=float).reshape(-1, 2).T
+    width = hi - lo
+    m = np.maximum(17, np.ceil(width / spacing).astype(np.int64) + 1)
+    ends = np.cumsum(m)
+    band = np.repeat(np.arange(m.size), m)
+    i = (np.arange(m.sum()) - (ends - m)[band]).astype(float)
+    step = width / (m - 1)
+    y = i * step[band]
+    flat = (step == 0.0)[band]
+    y[flat] = i[flat] / (m - 1)[band[flat]] * width[band[flat]]
+    y += lo[band]
+    y[ends - 1] = hi
+    for k in np.flatnonzero((lo < 0.0) & (hi > 0.0)):  # at most one band
+        a, b = ends[k] - m[k], ends[k]
+        seg = np.unique(np.append(y[a:b], 0.0))
+        y = np.concatenate([y[:a], seg, y[b:]])
+        m[k] = seg.size
+    return y, m
 
 
 def _check_work(params: ModelParams, levels: list, initial_grid: int) -> None:
@@ -267,21 +295,15 @@ def cover_sequence(
     out = []
     for lvl in levels:
         if not out:
-            segments = [np.linspace(-bound, bound, initial_grid)]
+            e, sizes = np.linspace(-bound, bound, initial_grid), np.array([initial_grid])
         else:
-            segments = []
-            for lo, hi in out[-1].intervals:
-                m = max(17, int(math.ceil((hi - lo) / spacing)) + 1)
-                pts = np.linspace(lo, hi, m)
-                if lo < 0.0 < hi:
-                    pts = np.unique(np.append(pts, 0.0))
-                segments.append(pts)
-        work += lvl * params.s * max(sum(seg.size for seg in segments), floor)
+            e, sizes = _band_samples(out[-1].intervals, spacing)
+        work += lvl * params.s * max(e.size, floor)
         if work > TRACE_WORK_CAP:
             raise ResourceLimitError(f"level x s x sample points, summed up to level {lvl}, "
                                      f"exceed the cap of {TRACE_WORK_CAP}")
         out.append(BandCover(
-            _level_bands(params, segments, lvl, radius, resolution),
+            _level_bands(params, e, sizes, lvl, radius, resolution),
             level=lvl, s=params.s, coupling=params.coupling, resolution=resolution,
         ))
     return out

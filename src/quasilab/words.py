@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from .errors import ResourceLimitError
 
 #: Default cap on constructed word lengths; iterates grow exponentially in n.
 DEFAULT_WORD_CAP = 10**6
+
+#: Indices coded at once by ``rotation_sequence``.
+_INDEX_BLOCK = 2**14
 
 
 def _check_s(s: int) -> None:
@@ -99,17 +103,23 @@ def rotation_sequence(s, beta, indices) -> str:
 
     Arithmetic runs in extended precision (80-bit on x86) and alpha is irrational,
     so the membership test never sits exactly on the window boundary for the index
-    ranges supported here; no epsilon is applied.
+    ranges supported here; no epsilon is applied.  The phase is first reduced
+    with ``math.fmod(beta, 1.0)``, which is exact, so an integer phase codes the
+    same word as beta = 0 and beta in (-1, 1) enters unchanged.
 
-    ``indices`` is any iterable of integers (typically ``range(1, N + 1)``).
+    ``indices`` is any iterable of integers (typically ``range(1, N + 1)``); it
+    is coded ``_INDEX_BLOCK`` indices at a time.
     """
     _check_s(s)
     al = _alpha_longdouble(s)
-    be = np.longdouble(beta)
-    n = np.fromiter(indices, np.int64)
-    frac = np.mod(n * al + be, np.longdouble(1.0))
-    in_window = frac >= np.longdouble(1.0) - al
-    return (in_window.view(np.uint8) + ord("a")).tobytes().decode("ascii")
+    be = np.longdouble(math.fmod(beta, 1.0))
+    window = np.longdouble(1.0) - al
+    it = iter(indices)
+    blocks = []
+    while (n := np.fromiter(islice(it, _INDEX_BLOCK), np.int64)).size:
+        in_window = np.mod(n * al + be, np.longdouble(1.0)) >= window
+        blocks.append((in_window.view(np.uint8) + ord("a")).tobytes())
+    return b"".join(blocks).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

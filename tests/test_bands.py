@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,6 +383,61 @@ class TestProductSet:
         for x in sample_points(a, 3):
             for y in sample_points(b, 3):
                 assert prod.contains(x * y)
+
+
+# covers on a coarse grid through 0, so that pair products and sums tie,
+# touch and land on 0; a band may be a single point, and a cover may be empty
+@st.composite
+def coarse_covers(draw, max_bands=8):
+    ticks = sorted(draw(st.lists(st.integers(-12, 12), max_size=2 * max_bands, unique=True)))
+    ivs, i = [], 0
+    while i < len(ticks):
+        width = 0 if i + 1 == len(ticks) or draw(st.booleans()) else 1
+        ivs.append((ticks[i] / 4, ticks[i + width] / 4))
+        i += width + 1
+    return BandCover(tuple(ivs))
+
+
+class TestBlockedSetArithmetic:
+    @given(coarse_covers(), coarse_covers(), st.sampled_from([1, 3]))
+    @settings(max_examples=200)
+    def test_result_does_not_depend_on_the_block(self, a, b, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bands, "_PAIR_BLOCK", 10**6)  # more than all pairs: one block
+            want = (product_set(a, b), sum_set(a, b))
+            mp.setattr(bands, "_PAIR_BLOCK", block)
+            got = (product_set(a, b), sum_set(a, b))
+        assert got == want
+
+    def test_pair_guard_refuses_before_any_pair_is_formed(self, monkeypatch):
+        def no_pairs(*args):
+            raise AssertionError("pairs were formed before the guard was checked")
+
+        monkeypatch.setattr(bands, "_pair_hulls", no_pairs)
+        big = BandCover(tuple((k, k + 0.5) for k in range(2001)))
+        small = BandCover(tuple((k, k + 0.5) for k in range(2000)))
+        for x, y in ((big, small), (small, big)):
+            for op in (product_set, sum_set):
+                with pytest.raises(ResourceLimitError, match="2001 x 2000|2000 x 2001"):
+                    op(x, y)
+
+    def test_peak_memory_at_the_guard_is_a_few_blocks(self):
+        # bound fixed from the block arithmetic before measuring: a block of
+        # 2**14 pairs holds the four endpoint products, their min and max and
+        # the merge's sorted copies, about ten float64 arrays of 2**14 (1.3 MB);
+        # the merged runs of all blocks add 16 bytes a run.  16 MB is far below
+        # the 4 x 2000**2 stack of all products (128 MB, 374 MB traced peak).
+        c = BandCover(tuple((4 * lo - 2, 4 * hi - 2) for lo, hi in middle_thirds_cover(11).intervals[:2000]))
+        assert c.count ** 2 == bands._PAIR_GUARD
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            prod = product_set(c, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prod.hull[1] == 4.0 and prod.count > 1
+        assert peak < 16 * 2**20
 
 
 class TestSumSet:

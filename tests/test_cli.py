@@ -56,6 +56,14 @@ class TestSequenceCommand:
         )
         assert json.loads(out)["data"]["word"] == "abaababaabaab"
 
+    def test_integer_phase_codes_the_phase_zero_word(self):
+        words_ = []
+        for beta in ("1e20", "0"):
+            code, out, _ = run_cli(["sequence", "--s", "1", "--n", "9", "--beta", beta, "--format", "json"])
+            assert code == 0
+            words_.append(json.loads(out)["data"]["word"])
+        assert words_[0] == words_[1] and "b" in words_[0]
+
 
 class TestSpectrumCommands:
     def test_free_cover_csv(self, tmp_path):

@@ -255,6 +255,38 @@ class TestSinglePass:
         assert min(sizes) <= 24
 
 
+class TestLevelSamples:
+    @staticmethod
+    def per_band_linspace(intervals, spacing):
+        segments = []
+        for lo, hi in intervals:
+            pts = np.linspace(lo, hi, max(17, int(math.ceil((hi - lo) / spacing)) + 1))
+            if lo < 0.0 < hi:
+                pts = np.unique(np.append(pts, 0.0))
+            segments.append(pts)
+        return segments
+
+    @pytest.mark.parametrize("middle", [
+        (-1.0, 1.0),                    # straddles 0, which is already a sample
+        (-1.0, 2.0),                    # straddles 0, which falls between samples
+        (-5e-324, 1e-323),              # straddles 0; the step underflows to 0
+        (-1e-310, 2e-310),              # straddles 0 with a subnormal step
+        (1e-310, 2e-310),               # subnormal width
+        (0.0, 0.0),                     # zero width at 0
+    ])
+    @pytest.mark.parametrize("spacing", [0.25, 1e-3])
+    def test_one_pass_has_the_bits_of_per_band_linspace(self, middle, spacing):
+        intervals = [(-7.0, -3.5), (-3.0, -3.0), (-2.5, -2.5 + 2**-50), middle, (3.0, 3.0), (4.0, 9.75)]
+        samples, sizes = tracemap._band_samples(intervals, spacing)
+        want = self.per_band_linspace(intervals, spacing)
+        assert sizes.tolist() == [seg.size for seg in want]
+        assert samples.tobytes() == np.concatenate(want).tobytes()
+
+    def test_no_bands_give_no_samples(self):
+        samples, sizes = tracemap._band_samples((), 0.25)
+        assert samples.size == 0 and sizes.size == 0
+
+
 class TestSpectrumCover:
     def test_free_cover_is_full_band(self):
         c = spectrum_cover(ModelParams(1, 1.0), 20, 1e-4)

@@ -1,9 +1,14 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quasilab import words
 from quasilab.errors import ResourceLimitError
 from quasilab.words import (
+    _alpha_longdouble,
     _check_s,
     find_twin,
     iterate,
@@ -133,6 +138,67 @@ class TestRotationSequence:
         # hull elements extend to negative indices; the coding is defined there too
         out = rotation_sequence(2, 0.25, range(-10, 11))
         assert len(out) == 21 and set(out) <= {"a", "b"}
+
+
+def one_pass_rotation(s, beta, indices) -> str:
+    """The rotation coding of every index in one extended-precision pass, with
+    the phase taken as given: the reference for phases in (-1, 1)."""
+    al = _alpha_longdouble(s)
+    n = np.array(list(indices), dtype=np.int64)
+    frac = np.mod(n * al + np.longdouble(beta), np.longdouble(1.0))
+    return "".join("b" if f >= np.longdouble(1.0) - al else "a" for f in frac)
+
+
+class TestBlockedRotation:
+    B = words._INDEX_BLOCK
+
+    @pytest.mark.parametrize("length", [B - 1, B, B + 1, 2 * B + 3])
+    def test_block_boundaries(self, length):
+        assert rotation_sequence(2, 0.0, range(1, length + 1)) == prefix(2, length)
+        assert rotation_sequence(1, 0.375, range(1, length + 1)) == one_pass_rotation(1, 0.375, range(1, length + 1))
+
+    def test_generator_negative_and_unordered_indices(self):
+        idx = [5, -3, 2 * self.B, 0, -self.B - 7, 1, 1] * 5000
+        want = one_pass_rotation(3, -0.25, idx)
+        assert rotation_sequence(3, -0.25, idx) == want
+        assert rotation_sequence(3, -0.25, (i for i in idx)) == want
+
+    def test_empty_iterable(self):
+        assert rotation_sequence(1, 0.5, []) == ""
+        assert rotation_sequence(1, 0.5, iter(())) == ""
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # bound fixed from the block arithmetic before measuring: a block of
+        # 2**14 indices holds int64 indices and three 16-byte longdouble
+        # temporaries (about 1 MB); the 10**6 letters are held three times at
+        # one byte each (the blocks, their join, the str), about 3 MB.  8 MB
+        # leaves room for allocator slack and stays far below the whole-word
+        # arrays (about 39 MB traced at 10**6 indices).
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            word = rotation_sequence(1, 0.5, range(10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(word) == 10**6
+        assert peak < 8 * 2**20
+
+
+dyadic_phases = st.integers(min_value=-255, max_value=255).map(lambda k: k / 256)
+
+
+class TestPhaseReduction:
+    @given(dyadic_phases, st.integers(min_value=-10**20, max_value=10**20))
+    def test_integer_shift_of_the_phase_keeps_the_word(self, beta, k):
+        shifted = beta + float(k)
+        if shifted - float(k) != beta:  # beta + k is not a float: compare beta = 0 with k
+            beta, shifted = 0.0, float(k)
+        assert rotation_sequence(1, shifted, range(1, 300)) == rotation_sequence(1, beta, range(1, 300))
+
+    def test_phases_below_one_enter_unchanged(self):
+        for beta in (0.0, -0.0, 0.3, -0.7, 0.9999999999999999, -0.9999999999999999):
+            assert rotation_sequence(2, beta, range(-50, 400)) == one_pass_rotation(2, beta, range(-50, 400))
 
 
 class TestTwins:
