@@ -10,7 +10,7 @@ the one-dimensional ones.
 
 __version__ = "0.1.0"
 
-from .bands import BandCover, CantorStats
+from .bands import BandCover
 from .errors import ResourceLimitError
 from .jacobi1d import ModelParams, coupling_constant, free_ids, hopping_from_coupling
 from .labyrinth import LabyrinthParams
@@ -18,7 +18,6 @@ from .measures import EmpiricalMeasure
 
 __all__ = [
     "BandCover",
-    "CantorStats",
     "EmpiricalMeasure",
     "LabyrinthParams",
     "ModelParams",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,13 +110,6 @@ class BandCover:
 
     def contains(self, x: float) -> bool:
         return any(a <= x <= b for a, b in self.intervals)
-
-    def covers(self, other: "BandCover", slack: float = 0.0) -> bool:
-        """True when every band of ``other`` sits inside a band of self (up to slack)."""
-        return all(
-            any(a - slack <= c and d <= b + slack for a, b in self.intervals)
-            for c, d in other.intervals
-        )
 
     def scaled(self, factor: float) -> "BandCover":
         """The cover with every endpoint multiplied by ``factor``.
@@ -223,25 +216,6 @@ def thickness(cover: BandCover) -> float:
         return float(np.min(bridges / lengths))
 
 
-@dataclass(frozen=True)
-class CantorStats:
-    """Summary statistics of a cover (or refinement sequence of covers)."""
-
-    thickness_estimate: float
-    box_dim_estimate: float | None
-    total_length: float
-    hull: tuple[float, float]
-
-    def to_json_obj(self) -> dict:
-        t = self.thickness_estimate
-        return {
-            "thickness_estimate": ("inf" if math.isinf(t) else t),
-            "box_dim_estimate": self.box_dim_estimate,
-            "total_length": self.total_length,
-            "hull": list(self.hull),
-        }
-
-
 def box_dimension_estimate(covers) -> float:
     """Least-squares slope of log(band count) against log(1 / scale).
 
@@ -259,21 +233,6 @@ def box_dimension_estimate(covers) -> float:
         raise ValueError("degenerate fit: all scales identical")
     slope = np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0]
     return float(slope)
-
-
-def cantor_stats(covers) -> CantorStats:
-    """Thickness of the finest cover plus a box-dimension fit over the sequence.
-
-    ``covers`` may be a single BandCover (no dimension estimate) or a sequence of
-    covers ordered coarse to fine.
-    """
-    if isinstance(covers, BandCover):
-        seq = [covers]
-    else:
-        seq = list(covers)
-    finest = seq[-1]
-    dim = box_dimension_estimate(seq) if len(seq) >= 3 else None
-    return CantorStats(thickness(finest), dim, finest.total_length, finest.hull)
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +279,18 @@ def _combine(a: BandCover, b: BandCover, kind: str) -> tuple:
     ]))
 
 
-def _join_meta(a: BandCover, b: BandCover) -> dict:
-    level = a.level if a.level == b.level else None
-    res = None
-    if a.resolution is not None and b.resolution is not None:
-        res = max(a.resolution, b.resolution)
-    return {"level": level, "resolution": res}
-
-
 def product_set(a: BandCover, b: BandCover) -> BandCover:
     """Pointwise product set {xy}: pairwise interval products, merged.
 
     Each pair of bands contributes [min, max] over the four endpoint products,
     which is exact for products of intervals of any signs.
     """
-    return BandCover(_combine(a, b, "product"), **_join_meta(a, b))
+    return BandCover(_combine(a, b, "product"))
 
 
 def sum_set(a: BandCover, b: BandCover) -> BandCover:
     """Minkowski sum {x + y} of two covers."""
-    return BandCover(_combine(a, b, "sum"), **_join_meta(a, b))
+    return BandCover(_combine(a, b, "sum"))
 
 
 def log_positive_part(a: BandCover, floor: float = DEFAULT_LOG_FLOOR) -> BandCover:
@@ -360,21 +311,8 @@ def log_positive_part(a: BandCover, floor: float = DEFAULT_LOG_FLOOR) -> BandCov
     return BandCover(merge_intervals(out), level=a.level)
 
 
-@dataclass(frozen=True)
-class IntervalCheck:
-    """Outcome of an is-this-an-interval test, with the offending gaps."""
-
-    ok: bool
-    tol: float
-    offending_gaps: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_interval(cover: BandCover, tol: float) -> IntervalCheck:
+def is_interval(cover: BandCover, tol: float) -> bool:
     """True when every gap of the cover is no longer than ``tol``."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    offending = tuple(g for g in gaps(cover) if g[1] - g[0] > tol)
-    return IntervalCheck(not offending, tol, offending)
+    return all(hi - lo <= tol for lo, hi in gaps(cover))

@@ -375,10 +375,17 @@ def _cmd_thickness(args) -> int:
     args.a = _resolve_a(args)
     args.levels = _parse_levels(args, tracemap.thickness_levels(args.level))
     covers = tracemap.cover_sequence(ModelParams(args.s, args.a), args.levels, args.resolution)
-    gap_list = bands.gaps(covers[-1])
-    data = bands.cantor_stats(covers).to_json_obj()
-    data["band_count"] = covers[-1].count
-    data["gap_count"] = len(gap_list)
+    finest = covers[-1]
+    gap_list = bands.gaps(finest)
+    tau = bands.thickness(finest)
+    data = {
+        "thickness_estimate": "inf" if math.isinf(tau) else tau,
+        "box_dim_estimate": bands.box_dimension_estimate(covers) if len(covers) >= 3 else None,
+        "total_length": finest.total_length,
+        "hull": list(finest.hull),
+        "band_count": finest.count,
+        "gap_count": len(gap_list),
+    }
 
     def rows():
         for key, value in data.items():
@@ -406,7 +413,7 @@ def _cmd_sweep(args) -> int:
     for i, l1 in enumerate(lams):
         for l2 in lams[i:]:
             prod = bands.product_set(covers[l1], covers[l2])
-            cells[l1, l2] = cells[l2, l1] = (int(bool(bands.is_interval(prod, 4.0 * args.resolution))),
+            cells[l1, l2] = cells[l2, l1] = (int(bands.is_interval(prod, 4.0 * args.resolution)),
                                              sum(hi - lo for lo, hi in bands.gaps(prod)))
     rows = [(l1, l2, *cells[l1, l2], thick[l1], thick[l2]) for l1 in lams for l2 in lams]
     header = "lambda1,lambda2,is_interval,total_gap_length,thickness1,thickness2"

@@ -44,15 +44,15 @@ import numpy as np
 
 from .words import prefix, rotation_sequence
 
-def coupling_constant(a: float, b: float = 1.0) -> float:
-    """|a^2 - b^2| / (ab), the single parameter controlling the spectral type."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"hopping values must be positive, got a={a}, b={b}")
-    return abs(a * a - b * b) / (a * b)
+def coupling_constant(a: float) -> float:
+    """|a^2 - 1| / a, the single parameter controlling the spectral type."""
+    if a <= 0:
+        raise ValueError(f"the hopping value must be positive, got a={a}")
+    return abs(a * a - 1.0) / a
 
 
 def hopping_from_coupling(lam: float) -> float:
-    """Inverse of :func:`coupling_constant` at b = 1 on the branch a >= 1.
+    """Inverse of :func:`coupling_constant` on the branch a >= 1.
 
     Solves a^2 - lam*a - 1 = 0 for its positive root (lam + sqrt(lam^2 + 4))/2.
     """
@@ -78,7 +78,7 @@ class ModelParams:
 
     @property
     def coupling(self) -> float:
-        return coupling_constant(self.a, 1.0)
+        return coupling_constant(self.a)
 
     @classmethod
     def from_coupling(cls, s: int, lam: float) -> "ModelParams":

@@ -37,11 +37,11 @@ DEFAULT_GRID = 4097
 #: Cap on the number of points in the initial energy grid.
 GRID_CAP = 10**6
 
-#: Cap on level * s * max(initial grid points, WORK_GRID_FLOOR) summed over a
-#: cover's levels: the map applications of one pass per level, priced up front at
-#: the initial grid and charged again before each pass at its actual sample
-#: count.  A free-chain cover at the cap takes about 7 s at grid 257 on a 2-core
-#: x86 machine.
+#: Cap on level * s * max(sample points, initial grid points, WORK_GRID_FLOOR)
+#: summed over a cover's levels: the map applications of one pass per level.
+#: Levels not yet sampled count at their least, so a ladder stops before the
+#: first pass that cannot fit.  A free-chain cover at the cap takes about 7 s at
+#: grid 257 on a 2-core x86 machine.
 TRACE_WORK_CAP = 5 * 10**7
 
 #: Below this many grid points a pass costs about as much per level as at it
@@ -237,14 +237,6 @@ def _band_samples(intervals, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     return y, m
 
 
-def _check_work(params: ModelParams, levels: list, initial_grid: int) -> None:
-    if initial_grid > GRID_CAP:
-        raise ResourceLimitError(f"{initial_grid} grid points exceed the cap of {GRID_CAP}")
-    if sum(levels) * params.s * max(initial_grid, WORK_GRID_FLOOR) > TRACE_WORK_CAP:
-        raise ResourceLimitError(f"level x s x grid points, summed over levels (grid at least "
-                                 f"{WORK_GRID_FLOOR}), exceed the cap of {TRACE_WORK_CAP}")
-
-
 def spectrum_cover(
     params: ModelParams,
     level: int,
@@ -277,31 +269,33 @@ def cover_sequence(
     together to width ``resolution``, placing band endpoints on the escaping
     side; the band cap applies to the level's total before any edge is refined.
     Survival islands narrower than the grid spacing can be missed; run with a
-    denser ``initial_grid`` to chase those.  Each level is charged level x s x
-    its sample count (at least the grid and ``WORK_GRID_FLOOR``) before its pass,
-    against ``TRACE_WORK_CAP`` summed over the levels.
+    denser ``initial_grid`` to chase those.  A level's pass costs level x s x
+    its sample count, at least the grid and ``WORK_GRID_FLOOR``.  Before each
+    pass the levels done and this one are priced at that cost and the later
+    ones at their least; a sum above ``TRACE_WORK_CAP`` raises.
     """
     levels = list(levels)
     if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be positive and strictly increasing")
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    _check_work(params, levels, initial_grid)
+    if initial_grid > GRID_CAP:
+        raise ResourceLimitError(f"{initial_grid} grid points exceed the cap of {GRID_CAP}")
     radius = default_escape_radius(params.coupling)
     bound = 2.0 * (1.0 + params.a)
     spacing = 2.0 * bound / (initial_grid - 1)
     floor = max(initial_grid, WORK_GRID_FLOOR)
-    work = 0
+    work = sum(levels) * params.s * floor  # every level at its least
     out = []
     for lvl in levels:
+        if out:
+            e, sizes = _band_samples(out[-1].intervals, spacing)
+            work += lvl * params.s * max(e.size - floor, 0)
+        if work > TRACE_WORK_CAP:
+            raise ResourceLimitError(f"level x s x max(samples, grid, {WORK_GRID_FLOOR}), summed over levels, "
+                                     f"exceed the cap of {TRACE_WORK_CAP} before level {lvl}")
         if not out:
             e, sizes = np.linspace(-bound, bound, initial_grid), np.array([initial_grid])
-        else:
-            e, sizes = _band_samples(out[-1].intervals, spacing)
-        work += lvl * params.s * max(e.size, floor)
-        if work > TRACE_WORK_CAP:
-            raise ResourceLimitError(f"level x s x sample points, summed up to level {lvl}, "
-                                     f"exceed the cap of {TRACE_WORK_CAP}")
         out.append(BandCover(
             _level_bands(params, e, sizes, lvl, radius, resolution),
             level=lvl, s=params.s, coupling=params.coupling, resolution=resolution,

@@ -11,7 +11,6 @@ from quasilab import bands
 from quasilab.bands import (
     BandCover,
     box_dimension_estimate,
-    cantor_stats,
     gaps,
     is_interval,
     log_positive_part,
@@ -222,12 +221,6 @@ class TestBandCover:
         assert c.total_length == 2.0
         assert c.contains(0.5) and c.contains(2.0) and not c.contains(1.5)
 
-    def test_covers_relation(self):
-        big = BandCover(((0, 1), (2, 3)))
-        small = BandCover(((0.2, 0.4), (2.5, 3.0)))
-        assert big.covers(small)
-        assert not small.covers(big)
-
     def test_json_shape(self):
         c = BandCover(((0, 1),), level=3, s=1, coupling=0.5, resolution=1e-4)
         assert c.to_json_obj() == {
@@ -351,15 +344,6 @@ class TestBoxDimension:
         with pytest.raises(ValueError, match="degenerate"):
             box_dimension_estimate([middle_thirds_cover(2)] * 3)
 
-    def test_cantor_stats_bundle(self):
-        seq = [middle_thirds_cover(k) for k in range(1, 6)]
-        stats = cantor_stats(seq)
-        assert stats.thickness_estimate == pytest.approx(1.0)
-        assert stats.box_dim_estimate == pytest.approx(math.log(2) / math.log(3), abs=0.02)
-        assert stats.hull == (0.0, 1.0)
-        obj = cantor_stats(BandCover(((0, 1),))).to_json_obj()
-        assert obj["thickness_estimate"] == "inf" and obj["box_dim_estimate"] is None
-
 
 class TestProductSet:
     def test_symmetric_squares(self):
@@ -456,7 +440,7 @@ class TestSumSet:
         c = middle_thirds_cover(10)
         s = sum_set(c, c)
         assert s.hull == (0.0, 2.0)
-        assert bool(is_interval(s, 1e-12))
+        assert is_interval(s, 1e-12)
 
     @given(covers(max_bands=3), covers(max_bands=3))
     @settings(max_examples=60)
@@ -501,12 +485,17 @@ class TestLogPositivePart:
 
 class TestIsInterval:
     def test_single_band(self):
-        assert bool(is_interval(BandCover(((0, 1),)), 0.0))
+        assert is_interval(BandCover(((0, 1),)), 0.0) is True
 
     def test_detects_gap(self):
-        chk = is_interval(BandCover(((0, 1), (2, 3))), 0.5)
-        assert not chk
-        assert chk.offending_gaps == ((1.0, 2.0),)
+        c = BandCover(((0, 1), (2, 3)))
+        assert is_interval(c, 0.5) is False
+        assert [g for g in gaps(c) if g[1] - g[0] > 0.5] == [(1.0, 2.0)]
+        assert is_interval(c, 1.0) is True
 
     def test_tolerates_small_gaps(self):
-        assert bool(is_interval(BandCover(((0, 1), (1.0001, 2))), 1e-3))
+        assert is_interval(BandCover(((0, 1), (1.0001, 2))), 1e-3) is True
+
+    def test_rejects_a_negative_tolerance(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            is_interval(BandCover(((0, 1),)), -1e-300)

@@ -198,6 +198,24 @@ class TestThicknessCommand:
         assert data["band_count"] >= 2
         assert data["total_length"] > 0
 
+    def test_gapless_cover_with_two_levels(self):
+        # no gap gives infinite thickness, and fewer than three levels give no dimension
+        argv = ["thickness", "--lambda", "0", "--levels", "4,8"]
+        code, out, _ = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert list(data) == ["thickness_estimate", "box_dim_estimate", "total_length", "hull",
+                              "band_count", "gap_count"]
+        assert data["thickness_estimate"] == "inf" and data["box_dim_estimate"] is None
+        assert (data["band_count"], data["gap_count"]) == (1, 0)
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        rows = [l for l in out.splitlines() if not l.startswith("#")]
+        assert [r.split(",")[0] for r in rows] == ["key", "thickness_estimate", "box_dim_estimate",
+                                                   "total_length", "hull_lo", "hull_hi",
+                                                   "band_count", "gap_count"]
+        assert rows[1:3] == ["thickness_estimate,inf", "box_dim_estimate,"]
+
 
 class TestSweepCommand:
     def test_small_grid(self):
@@ -462,8 +480,8 @@ class TestResourceCaps:
 
     def test_nested_levels_are_charged_their_samples(self, tmp_path):
         # priced at the grid, this ladder passes the cap (1830 x 257), but its deep
-        # levels sample far more than 257 points: charged by samples, it stops at
-        # level 25 instead of running for half a minute into the band cap
+        # levels sample far more than 257 points: charged by samples, it stops
+        # before level 25 instead of running for half a minute into the band cap
         out_file = tmp_path / "cover.csv"
         start = time.perf_counter()
         code, out, err = run_cli(["spectrum1d", "--lambda", "3", "--grid", "257",
@@ -472,10 +490,12 @@ class TestResourceCaps:
         assert code == 3 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1
+        message = json.loads(lines[0])["message"]
+        assert int(message.rsplit(" ", 1)[1]) <= 25
         assert json.loads(lines[0]) == {
             "error": "resource-limit",
-            "message": f"level x s x sample points, summed up to level 25, exceed the cap of "
-                       f"{tracemap.TRACE_WORK_CAP}",
+            "message": f"level x s x max(samples, grid, {tracemap.WORK_GRID_FLOOR}), summed over levels, "
+                       f"exceed the cap of {tracemap.TRACE_WORK_CAP} before level 25",
         }
         assert not out_file.exists()
 
@@ -643,9 +663,6 @@ class TestBisectionTerminates:
 
 class TestConsoleScript:
     def test_entry_point_installed(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quasilab.cli", "--version"],
-            capture_output=True, text=True,
-        )
+        proc = run_cli_subprocess(["--version"], timeout=60)
         assert proc.returncode == 0
         assert "quasilab" in proc.stdout

@@ -349,11 +349,11 @@ class TestSpectrum2D:
         lam = 0.1
         a = (lam + math.sqrt(lam * lam + 4)) / 2
         c = spectrum_2d(LabyrinthParams(1, a, a), 15, 1e-4)
-        assert bool(is_interval(c, 4e-4))
+        assert is_interval(c, 4e-4)
 
     def test_large_coupling_has_gaps(self):
         c = spectrum_2d(LabyrinthParams(1, 4.0, 4.0), 15, 1e-4)
-        assert not bool(is_interval(c, 4e-4))
+        assert not is_interval(c, 4e-4)
 
     def test_products_lie_in_cover_hull(self):
         p = LabyrinthParams(1, 2.0, 1.5)

@@ -31,7 +31,7 @@ class TestGapCriterion:
         for la in weak_covers.values():
             for lb in weak_covers.values():
                 prod = product_set(la, lb)
-                assert bool(is_interval(prod, 4e-4))
+                assert is_interval(prod, 4e-4)
 
 
 class TestLargeCouplingDimension:
