@@ -14,6 +14,7 @@ are byte-identical (the final criterion re-runs everything and compares).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -51,36 +52,17 @@ class CriterionResult:
         }
 
 
-class VerifyContext:
-    """Shared memo space so criteria can reuse covers and eigenvalue lists."""
-
-    def __init__(self):
-        self._covers = {}
-        self._sequences = {}
-
-    def cover(self, s: int, a: float, level: int, resolution: float):
-        key = (s, a, level, resolution)
-        if key not in self._covers:
-            self._covers[key] = tracemap.spectrum_cover(ModelParams(s, a), level, resolution)
-        return self._covers[key]
-
-    def cover_sequence(self, s: int, a: float, levels: tuple, resolution: float):
-        key = (s, a, levels, resolution)
-        if key not in self._sequences:
-            self._sequences[key] = tracemap.cover_sequence(ModelParams(s, a), list(levels), resolution)
-            for c in self._sequences[key]:
-                self._covers.setdefault((s, a, c.level, resolution), c)
-        return self._sequences[key]
-
-    def all_covers(self):
-        return list(self._covers.values())
+@functools.cache
+def _covers(a: float, levels: tuple) -> tuple:
+    """The s = 1 covers of hopping ``a`` at resolution 1e-4 that criteria share; ``run_all`` clears them."""
+    return tuple(tracemap.cover_sequence(ModelParams(1, a), levels, 1e-4))
 
 
 # ---------------------------------------------------------------------------
 # criteria
 
 
-def criterion_trace_conservation(ctx: VerifyContext) -> CriterionResult:
+def criterion_trace_conservation() -> CriterionResult:
     limit = 5.0
     t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED)
@@ -98,7 +80,7 @@ def criterion_trace_conservation(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_semiconjugacy(ctx: VerifyContext) -> CriterionResult:
+def criterion_semiconjugacy() -> CriterionResult:
     rng = np.random.default_rng(_SEED + 1)
     theta, phi = rng.random(10_000), rng.random(10_000)
     worst = 0.0
@@ -112,10 +94,10 @@ def criterion_semiconjugacy(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_free_spectrum(ctx: VerifyContext) -> CriterionResult:
+def criterion_free_spectrum() -> CriterionResult:
     limit = 10.0
     t0 = time.perf_counter()
-    cover = ctx.cover(1, 1.0, 20, 1e-4)
+    cover = _covers(1.0, (20,))[0]
     elapsed = time.perf_counter() - t0
     if cover.count != 1:
         return CriterionResult(3, "free-chain spectrum", False,
@@ -129,7 +111,7 @@ def criterion_free_spectrum(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_free_ids(ctx: VerifyContext) -> CriterionResult:
+def criterion_free_ids() -> CriterionResult:
     grid = np.linspace(-2.5, 2.5, 401)
     curve = ids_curve(ModelParams(1, 1.0), grid, 4096)
     err = float(np.max(np.abs(curve - free_ids(grid))))
@@ -139,7 +121,7 @@ def criterion_free_ids(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_spectral_symmetry(ctx: VerifyContext) -> CriterionResult:
+def criterion_spectral_symmetry() -> CriterionResult:
     worst = 0.0
     for s in (1, 2):
         for a in (1.5, 2.0, 4.0):
@@ -153,7 +135,7 @@ def criterion_spectral_symmetry(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_tensor_law(ctx: VerifyContext) -> CriterionResult:
+def criterion_tensor_law() -> CriterionResult:
     limit = 30.0
     t0 = time.perf_counter()
     p = labyrinth.LabyrinthParams(1, 1.3, 1.5)
@@ -169,7 +151,7 @@ def criterion_tensor_law(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_product_cdf(ctx: VerifyContext) -> CriterionResult:
+def criterion_product_cdf() -> CriterionResult:
     n = 8
     p = labyrinth.LabyrinthParams(1, 1.3, 1.5)
     dense = labyrinth.dense_eigs_2d(labyrinth.build_2d(p, n))
@@ -184,7 +166,7 @@ def criterion_product_cdf(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_log_convolution(ctx: VerifyContext) -> CriterionResult:
+def criterion_log_convolution() -> CriterionResult:
     n, nbins = 1024, 1024
     a = hopping_from_coupling(0.5)
     p = labyrinth.LabyrinthParams(1, a, a)
@@ -202,10 +184,10 @@ def criterion_log_convolution(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_small_coupling_interval(ctx: VerifyContext) -> CriterionResult:
+def criterion_small_coupling_interval() -> CriterionResult:
     res = 1e-4
     a = hopping_from_coupling(0.1)
-    c1 = ctx.cover(1, a, 15, res)
+    c1 = _covers(a, (15,))[0]
     prod = bands.product_set(c1, c1)
     wide = [hi - lo for lo, hi in bands.gaps(prod) if hi - lo > 4.0 * res]
     return CriterionResult(
@@ -214,8 +196,8 @@ def criterion_small_coupling_interval(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_large_coupling_cantor(ctx: VerifyContext) -> CriterionResult:
-    seq = ctx.cover_sequence(1, 4.0, (5, 10, 15), 1e-4)
+def criterion_large_coupling_cantor() -> CriterionResult:
+    seq = _covers(4.0, (5, 10, 15))
     lengths = [bands.product_set(c, c).total_length for c in seq]
     decreasing = lengths[0] > lengths[1] > lengths[2]
     has_gaps = bands.product_set(seq[-1], seq[-1]).count > 1
@@ -226,22 +208,17 @@ def criterion_large_coupling_cantor(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_zero_in_spectrum(ctx: VerifyContext) -> CriterionResult:
+def criterion_zero_in_spectrum() -> CriterionResult:
     survived = True
     for lam in (0.0, 0.5, 1.5, 3.75):
         p = ModelParams(1, hopping_from_coupling(lam))
         v = tracemap.line_point(p, 0.0)
         if tracemap.escape_time(1, v, 10_000, tracemap.default_escape_radius(lam)) is not None:
             survived = False
-    # make sure a representative family of covers exists, then check all of them
-    ctx.cover(1, 1.0, 20, 1e-4)
-    ctx.cover(1, hopping_from_coupling(0.1), 15, 1e-4)
-    ctx.cover_sequence(1, 4.0, (5, 10, 15), 1e-4)
-    covers = ctx.all_covers()
+    # the covers of criteria 3, 9 and 10
+    covers = _covers(1.0, (20,)) + _covers(hopping_from_coupling(0.1), (15,)) + _covers(4.0, (5, 10, 15))
     missing = [c for c in covers if not c.contains(0.0)]
-    prod_ok = all(
-        bands.product_set(c, c).contains(0.0) for c in covers if not c.is_empty
-    )
+    prod_ok = all(bands.product_set(c, c).contains(0.0) for c in covers)
     return CriterionResult(
         11, "zero belongs to every spectrum", survived and not missing and prod_ok,
         f"orbit of E=0 bounded for all couplings: {survived}; "
@@ -249,7 +226,7 @@ def criterion_zero_in_spectrum(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_twins(ctx: VerifyContext) -> CriterionResult:
+def criterion_twins() -> CriterionResult:
     cap = 10**7
     ok = True
     checked = 0
@@ -270,9 +247,9 @@ def criterion_twins(ctx: VerifyContext) -> CriterionResult:
     )
 
 
-def criterion_thickness_trend(ctx: VerifyContext) -> CriterionResult:
+def criterion_thickness_trend() -> CriterionResult:
     lams = (1.0, 0.5, 0.2, 0.1)
-    taus = [bands.thickness(ctx.cover(1, hopping_from_coupling(lam), 15, 1e-4)) for lam in lams]
+    taus = [bands.thickness(_covers(hopping_from_coupling(lam), (15,))[0]) for lam in lams]
     inversions = []
     for i in range(len(taus) - 1):
         if taus[i + 1] < taus[i]:
@@ -303,17 +280,21 @@ _CRITERIA = [
 ]
 
 
-def run_criterion(number: int, ctx: VerifyContext | None = None) -> CriterionResult:
+#: The number of the determinism check, which follows the measurement criteria.
+DETERMINISM_CRITERION = len(_CRITERIA) + 1
+
+
+def run_criterion(number: int) -> CriterionResult:
     if not 1 <= number <= len(_CRITERIA):
         raise ValueError(f"criterion number must be in 1..{len(_CRITERIA)}, got {number}")
-    return _CRITERIA[number - 1](ctx if ctx is not None else VerifyContext())
+    return _CRITERIA[number - 1]()
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    """Run the selected criteria (default: all measurement criteria) on a shared context."""
-    ctx = VerifyContext()
+    """Run the selected criteria (default: all measurement criteria) on freshly computed covers."""
+    _covers.cache_clear()
     selected = range(1, len(_CRITERIA) + 1) if numbers is None else numbers
-    return [run_criterion(n, ctx) for n in selected]
+    return [run_criterion(n) for n in selected]
 
 
 def format_table(results) -> str:
@@ -331,8 +312,8 @@ def format_table(results) -> str:
 def run_determinism_check() -> tuple[CriterionResult, list[CriterionResult]]:
     """Criterion 14: run the full suite twice and compare the rendered tables.
 
-    The in-process memo of 1D eigenvalue lists is cleared before each run, so
-    the second run recomputes everything instead of reusing the first's lists.
+    Each run starts from empty memos of 1D eigenvalue lists and of covers, so
+    the second recomputes everything instead of reusing the first's results.
     """
     labyrinth.axis_eigenvalues.cache_clear()
     first = run_all()
@@ -340,7 +321,7 @@ def run_determinism_check() -> tuple[CriterionResult, list[CriterionResult]]:
     second = run_all()
     identical = format_table(first) == format_table(second)
     result = CriterionResult(
-        14, "determinism of the verification run", identical,
+        DETERMINISM_CRITERION, "determinism of the verification run", identical,
         "two fresh runs rendered byte-identical tables" if identical
         else "reruns differ: outputs are not deterministic",
     )

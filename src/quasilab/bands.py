@@ -70,13 +70,9 @@ def merge_intervals(pairs):
 
 @dataclass(frozen=True)
 class BandCover:
-    """Sorted disjoint closed intervals, tagged with how they were produced."""
+    """Sorted disjoint closed intervals; the caller keeps how they were produced."""
 
     intervals: tuple
-    level: int | None = None
-    s: int | None = None
-    coupling: float | None = None
-    resolution: float | None = None
 
     def __post_init__(self):
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
@@ -142,19 +138,7 @@ class BandCover:
                     f"scaling by {factor!r} gives endpoints {x0!r} and {x1!r} "
                     f"the same image {y0!r}"
                 )
-        return BandCover(
-            tuple(zip(images[::2], images[1::2])),
-            self.level, self.s, self.coupling, self.resolution,
-        )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "s": self.s,
-            "lambda": self.coupling,
-            "level": self.level,
-            "resolution": self.resolution,
-            "bands": [[a, b] for a, b in self.intervals],
-        }
+        return BandCover(tuple(zip(images[::2], images[1::2])))
 
 
 def gaps(cover: BandCover) -> list[tuple[float, float]]:
@@ -308,7 +292,7 @@ def log_positive_part(a: BandCover, floor: float = DEFAULT_LOG_FLOOR) -> BandCov
         out.append((math.log(max(lo, floor)), math.log(hi)))
     if not out:
         raise ValueError("the cover does not intersect the positive axis")
-    return BandCover(merge_intervals(out), level=a.level)
+    return BandCover(merge_intervals(out))
 
 
 def is_interval(cover: BandCover, tol: float) -> bool:

@@ -99,6 +99,17 @@ _cover_grid = _int_at_least(2)
 _energy_grid = _int_at_least(1, ENERGY_GRID_CAP, "energy grid points")
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type for a comma-separated list of ints; a list that names none is the bad item."""
+    items = [x.strip() for x in text.split(",") if x.strip()]
+    for item in items or [text]:
+        try:
+            int(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{item!r} is not an integer") from None
+    return [int(x) for x in items]
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -137,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_spectrum1d)
     _add_model(p, "")
     p.add_argument("--level", type=int, default=15)
-    p.add_argument("--levels", default=None, help="comma-separated nested levels for stacked output")
+    p.add_argument("--levels", type=_int_list, default=None, help="comma-separated nested levels for stacked output")
     p.add_argument("--resolution", type=float, default=1e-4)
     p.add_argument("--grid", type=_cover_grid, default=tracemap.DEFAULT_GRID)
     _add_output_options(p)
@@ -177,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_thickness)
     _add_model(p, "")
     p.add_argument("--level", type=int, default=15)
-    p.add_argument("--levels", default=None,
+    p.add_argument("--levels", type=_int_list, default=None,
                    help="comma-separated refinement levels (default three up to --level)")
     p.add_argument("--resolution", type=float, default=1e-4)
     p.add_argument("--gaps-output", default=None, help="also write the gap list as CSV")
@@ -195,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance criteria and print a table")
     p.set_defaults(run=_cmd_verify)
-    p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,2,12")
+    p.add_argument("--criteria", type=_int_list, default=None, help="comma-separated subset, e.g. 1,2,12")
     p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     p.add_argument("--output", "-o", default="-")
 
@@ -255,13 +266,19 @@ def _emit(args, header: str, rows, data, picture=None) -> dict:
     return meta
 
 
-def _emit_covers(args, covers, data):
-    """Write the bands of every cover; on an empty last cover exit 1 and write nothing."""
+def _emit_covers(args, levels, covers, data):
+    """Write the bands of ``covers[i]`` as level ``levels[i]``; on an empty last cover exit 1, writing nothing."""
     if covers[-1].is_empty:
-        _fail("empty-cover", f"no sample survived to level {covers[-1].level} "
+        _fail("empty-cover", f"no sample survived to level {levels[-1]} "
               f"(--grid {args.grid}); try a denser --grid", 1)
-    _emit(args, "level,band_lo,band_hi", ((c.level, lo, hi) for c in covers for lo, hi in c.intervals),
-          data, lambda meta: svg.band_stack_svg(covers, meta))
+    rows = ((level, lo, hi) for level, c in zip(levels, covers) for lo, hi in c.intervals)
+    _emit(args, "level,band_lo,band_hi", rows, data, lambda meta: svg.band_stack_svg(levels, covers, meta))
+
+
+def _cover_json(args, coupling, level, cover) -> dict:
+    """The JSON object of one cover; a product cover has no single coupling, so None."""
+    return {"s": args.s, "lambda": coupling, "level": level, "resolution": args.resolution,
+            "bands": [[a, b] for a, b in cover.intervals]}
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +304,22 @@ def _cmd_sequence(args) -> int:
     return 0
 
 
-def _parse_levels(args, default: list[int]) -> list[int]:
+def _chosen_levels(args, default: list[int]) -> list[int]:
     """The --levels list, or ``default`` without it.  With --levels no cover of
     --level is computed, so ``level`` leaves the metadata and ``levels`` records them."""
     if args.levels is None:
         return default
     args.level = None
-    args.levels = [int(x) for x in args.levels.split(",") if x.strip()]
     return args.levels
 
 
 def _cmd_spectrum1d(args) -> int:
     args.a = _resolve_a(args)
-    covers = tracemap.cover_sequence(ModelParams(args.s, args.a), _parse_levels(args, [args.level]),
-                                     args.resolution, initial_grid=args.grid)
-    _emit_covers(args, covers, lambda: [c.to_json_obj() for c in covers])
+    params = ModelParams(args.s, args.a)
+    levels = _chosen_levels(args, [args.level])
+    covers = tracemap.cover_sequence(params, levels, args.resolution, initial_grid=args.grid)
+    _emit_covers(args, levels, covers,
+                 lambda: [_cover_json(args, params.coupling, level, c) for level, c in zip(levels, covers)])
     return 0
 
 
@@ -343,7 +361,7 @@ def _cmd_spectrum2d(args) -> int:
         labyrinth.LabyrinthParams(args.s, args.a, args.a2), args.level, args.resolution,
         initial_grid=args.grid,
     )
-    _emit_covers(args, [cover], cover.to_json_obj)
+    _emit_covers(args, [args.level], [cover], lambda: _cover_json(args, None, args.level, cover))
     return 0
 
 
@@ -373,7 +391,7 @@ def _cmd_dos2d(args) -> int:
 
 def _cmd_thickness(args) -> int:
     args.a = _resolve_a(args)
-    args.levels = _parse_levels(args, tracemap.thickness_levels(args.level))
+    args.levels = _chosen_levels(args, tracemap.thickness_levels(args.level))
     covers = tracemap.cover_sequence(ModelParams(args.s, args.a), args.levels, args.resolution)
     finest = covers[-1]
     gap_list = bands.gaps(finest)
@@ -426,12 +444,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     from . import acceptance
 
-    wanted = list(range(1, 15))
-    if args.criteria:
-        wanted = sorted({int(x) for x in args.criteria.split(",") if x.strip()})
-        if any(n < 1 or n > 14 for n in wanted):
-            _fail("invalid-config", "criteria numbers must be in 1..14", 2)
-    if 14 in wanted:
+    last = acceptance.DETERMINISM_CRITERION
+    wanted = list(range(1, last + 1)) if args.criteria is None else sorted(set(args.criteria))
+    if any(n < 1 or n > last for n in wanted):
+        _fail("invalid-config", f"criteria numbers must be in 1..{last}", 2)
+    if last in wanted:
         # the check's first run of the suite serves as the report of the other criteria
         det, first = acceptance.run_determinism_check()
         results = [r for r in first if r.number in wanted] + [det]

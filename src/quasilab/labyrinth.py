@@ -291,8 +291,7 @@ def spectrum_2d(p: LabyrinthParams, level: int, resolution: float, *,
         c2 = c1
     else:
         c2 = tracemap.spectrum_cover(p.axis2, level, resolution, initial_grid=initial_grid)
-    prod = product_set(c1, c2)
-    return BandCover(prod.intervals, level=level, s=p.s, coupling=None, resolution=resolution)
+    return product_set(c1, c2)
 
 
 @dataclass(frozen=True)

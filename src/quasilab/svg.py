@@ -38,36 +38,34 @@ def _x_scale(lo: float, hi: float):
     return to_x
 
 
-def band_stack_svg(covers, metadata: dict) -> str:
-    """One horizontal row of bands per cover, stacked top (coarse) to bottom."""
-    covers = [c for c in covers if not c.is_empty]
-    if not covers:
+def _axis_labels(lo: float, hi: float) -> list[str]:
+    """The values at the left and right ends of the x axis, written under the plot."""
+    return [
+        f'<text x="{_fmt(MARGIN)}" y="{_fmt(HEIGHT - 8)}" font-size="11">{_fmt(lo)}</text>',
+        f'<text x="{_fmt(WIDTH - MARGIN - 40)}" y="{_fmt(HEIGHT - 8)}" font-size="11">{_fmt(hi)}</text>',
+    ]
+
+
+def band_stack_svg(levels, covers, metadata: dict) -> str:
+    """One row of bands per nonempty cover, labelled ``level L`` from ``levels``, coarse on top."""
+    rows = [(level, c) for level, c in zip(levels, covers) if not c.is_empty]
+    if not rows:
         return _document(['<text x="20" y="40">empty cover</text>'], metadata)
-    lo = min(c.hull[0] for c in covers)
-    hi = max(c.hull[1] for c in covers)
+    lo = min(c.hull[0] for _, c in rows)
+    hi = max(c.hull[1] for _, c in rows)
     to_x = _x_scale(lo, hi)
-    rows = len(covers)
-    row_h = (HEIGHT - 2 * MARGIN) / rows
+    row_h = (HEIGHT - 2 * MARGIN) / len(rows)
     body = []
-    for i, cover in enumerate(covers):
+    for i, (level, cover) in enumerate(rows):
         y = MARGIN + i * row_h
-        label = f"level {cover.level}" if cover.level is not None else f"row {i}"
-        body.append(
-            f'<text x="4" y="{_fmt(y + 0.6 * row_h)}" font-size="11">{escape(label, quote=False)}</text>'
-        )
+        body.append(f'<text x="4" y="{_fmt(y + 0.6 * row_h)}" font-size="11">{escape(f"level {level}", quote=False)}</text>')
         for a, b in cover.intervals:
             w = max(to_x(b) - to_x(a), 0.3)
             body.append(
                 f'<rect x="{_fmt(to_x(a))}" y="{_fmt(y + 0.15 * row_h)}" '
                 f'width="{_fmt(w)}" height="{_fmt(0.7 * row_h)}" fill="#27496d"/>'
             )
-    body.append(
-        f'<text x="{_fmt(MARGIN)}" y="{_fmt(HEIGHT - 8)}" font-size="11">{_fmt(lo)}</text>'
-    )
-    body.append(
-        f'<text x="{_fmt(WIDTH - MARGIN - 40)}" y="{_fmt(HEIGHT - 8)}" font-size="11">{_fmt(hi)}</text>'
-    )
-    return _document(body, metadata)
+    return _document(body + _axis_labels(lo, hi), metadata)
 
 
 def curve_svg(xs, ys, metadata: dict) -> str:
@@ -86,10 +84,8 @@ def curve_svg(xs, ys, metadata: dict) -> str:
         f'<rect x="{_fmt(MARGIN)}" y="{_fmt(MARGIN)}" width="{_fmt(WIDTH - 2 * MARGIN)}" '
         f'height="{_fmt(HEIGHT - 2 * MARGIN)}" fill="none" stroke="#999"/>',
         f'<polyline points="{pts}" fill="none" stroke="#b33" stroke-width="1.5"/>',
-        f'<text x="{_fmt(MARGIN)}" y="{_fmt(HEIGHT - 8)}" font-size="11">{_fmt(min(xs))}</text>',
-        f'<text x="{_fmt(WIDTH - MARGIN - 40)}" y="{_fmt(HEIGHT - 8)}" font-size="11">{_fmt(max(xs))}</text>',
     ]
-    return _document(body, metadata)
+    return _document(body + _axis_labels(min(xs), max(xs)), metadata)
 
 
 def heat_grid_svg(x_values, y_values, cell_colors, metadata: dict) -> str:
@@ -107,8 +103,4 @@ def heat_grid_svg(x_values, y_values, cell_colors, metadata: dict) -> str:
                 f'width="{_fmt(cw)}" height="{_fmt(ch)}" fill="{cell_colors[i][j]}" '
                 f'stroke="#fff" stroke-width="0.5"/>'
             )
-    body.append(f'<text x="{_fmt(MARGIN)}" y="{_fmt(HEIGHT - 8)}" font-size="11">{_fmt(float(x_values[0]))}</text>')
-    body.append(
-        f'<text x="{_fmt(WIDTH - MARGIN - 40)}" y="{_fmt(HEIGHT - 8)}" font-size="11">{_fmt(float(x_values[-1]))}</text>'
-    )
-    return _document(body, metadata)
+    return _document(body + _axis_labels(float(x_values[0]), float(x_values[-1])), metadata)

@@ -258,7 +258,7 @@ def cover_sequence(
     *,
     initial_grid: int = DEFAULT_GRID,
 ) -> list[BandCover]:
-    """Nested outer covers over increasing levels; each is computed inside the previous.
+    """One nested outer cover per entry of the increasing ``levels``, each inside the previous.
 
     The first level samples the search interval [-2(1+a), 2(1+a)] on a uniform
     grid.  Deeper levels only resample inside the bands already found, which
@@ -296,10 +296,7 @@ def cover_sequence(
                                      f"exceed the cap of {TRACE_WORK_CAP} before level {lvl}")
         if not out:
             e, sizes = np.linspace(-bound, bound, initial_grid), np.array([initial_grid])
-        out.append(BandCover(
-            _level_bands(params, e, sizes, lvl, radius, resolution),
-            level=lvl, s=params.s, coupling=params.coupling, resolution=resolution,
-        ))
+        out.append(BandCover(_level_bands(params, e, sizes, lvl, radius, resolution)))
     return out
 
 

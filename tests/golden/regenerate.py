@@ -1,6 +1,7 @@
 """Rewrite digests.json from the argvs in tests/test_golden.py.
 
-Run from the repository root: ``PYTHONPATH=src python tests/golden/regenerate.py``.
+Run from the repository root: ``python tests/golden/regenerate.py``; it puts
+``src/`` on ``sys.path`` itself, so ``PYTHONPATH=src`` is optional.
 Before it overwrites the file, it prints each argv whose exit code or file
 digests changed, with the old and the new values.
 """
@@ -11,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parent))
+sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
 
 from test_golden import ARGVS, DIGESTS, artifact_digests, versions  # noqa: E402
 

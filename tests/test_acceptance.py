@@ -4,14 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one line per criterion,
 or equivalently ``quasilab verify`` for the table form.
 """
 
-import pytest
-
 from quasilab import acceptance, jacobi1d, labyrinth
-
-
-@pytest.fixture(scope="module")
-def ctx():
-    return acceptance.VerifyContext()
 
 
 def _check(result):
@@ -25,27 +18,27 @@ def _check(result):
     return result
 
 
-def test_criterion_01_trace_conservation(ctx):
-    _check(acceptance.run_criterion(1, ctx))
+def test_criterion_01_trace_conservation():
+    _check(acceptance.run_criterion(1))
 
 
-def test_criterion_02_semiconjugacy(ctx):
-    _check(acceptance.run_criterion(2, ctx))
+def test_criterion_02_semiconjugacy():
+    _check(acceptance.run_criterion(2))
 
 
-def test_criterion_03_free_spectrum(ctx):
-    _check(acceptance.run_criterion(3, ctx))
+def test_criterion_03_free_spectrum():
+    _check(acceptance.run_criterion(3))
 
 
-def test_criterion_04_free_ids(ctx):
-    _check(acceptance.run_criterion(4, ctx))
+def test_criterion_04_free_ids():
+    _check(acceptance.run_criterion(4))
 
 
-def test_criterion_05_spectral_symmetry(ctx):
-    _check(acceptance.run_criterion(5, ctx))
+def test_criterion_05_spectral_symmetry():
+    _check(acceptance.run_criterion(5))
 
 
-def test_criterion_05_does_not_use_the_sturm_solver(ctx, monkeypatch):
+def test_criterion_05_does_not_use_the_sturm_solver(monkeypatch):
     # the solver mirrors its nonnegative half, so its lists are symmetric by
     # construction; the criterion must hold without it
     def refuse(*args, **kwargs):
@@ -54,39 +47,39 @@ def test_criterion_05_does_not_use_the_sturm_solver(ctx, monkeypatch):
     for module in (jacobi1d, labyrinth, acceptance):
         monkeypatch.setattr(module, "eigenvalues_offdiag", refuse, raising=False)
     labyrinth.axis_eigenvalues.cache_clear()
-    _check(acceptance.run_criterion(5, ctx))
+    _check(acceptance.run_criterion(5))
 
 
-def test_criterion_06_tensor_law(ctx):
-    _check(acceptance.run_criterion(6, ctx))
+def test_criterion_06_tensor_law():
+    _check(acceptance.run_criterion(6))
 
 
-def test_criterion_07_product_cdf(ctx):
-    _check(acceptance.run_criterion(7, ctx))
+def test_criterion_07_product_cdf():
+    _check(acceptance.run_criterion(7))
 
 
-def test_criterion_08_log_convolution(ctx):
-    _check(acceptance.run_criterion(8, ctx))
+def test_criterion_08_log_convolution():
+    _check(acceptance.run_criterion(8))
 
 
-def test_criterion_09_small_coupling_interval(ctx):
-    _check(acceptance.run_criterion(9, ctx))
+def test_criterion_09_small_coupling_interval():
+    _check(acceptance.run_criterion(9))
 
 
-def test_criterion_10_large_coupling_cantor(ctx):
-    _check(acceptance.run_criterion(10, ctx))
+def test_criterion_10_large_coupling_cantor():
+    _check(acceptance.run_criterion(10))
 
 
-def test_criterion_11_zero_in_spectrum(ctx):
-    _check(acceptance.run_criterion(11, ctx))
+def test_criterion_11_zero_in_spectrum():
+    _check(acceptance.run_criterion(11))
 
 
-def test_criterion_12_twins(ctx):
-    _check(acceptance.run_criterion(12, ctx))
+def test_criterion_12_twins():
+    _check(acceptance.run_criterion(12))
 
 
-def test_criterion_13_thickness_trend(ctx):
-    _check(acceptance.run_criterion(13, ctx))
+def test_criterion_13_thickness_trend():
+    _check(acceptance.run_criterion(13))
 
 
 def test_criterion_14_determinism():

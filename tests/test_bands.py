@@ -29,7 +29,7 @@ def middle_thirds_cover(level: int) -> BandCover:
     ivs = [(0.0, 1.0)]
     for _ in range(level):
         ivs = [piece for a, b in ivs for piece in ((a, a + (b - a) / 3), (b - (b - a) / 3, b))]
-    return BandCover(tuple(ivs), level=level, resolution=3.0 ** (-level))
+    return BandCover(tuple(ivs))
 
 
 def sample_points(cover, per_band=5):
@@ -211,21 +211,11 @@ class TestBandCover:
         with pytest.raises(ValueError, match=r"by 1e\+308 overflows endpoint 2\.0 to inf"):
             BandCover(((0.0, 1.0), (2.0, 3.0))).scaled(1e308)
 
-    def test_scaled_keeps_metadata(self):
-        c = BandCover(((0.0, 1.0), (2.0, 3.0)), level=2, s=1, coupling=0.5, resolution=1e-3)
-        assert c.scaled(2.0) == BandCover(((0.0, 2.0), (4.0, 6.0)), 2, 1, 0.5, 1e-3)
-
     def test_basic_properties(self):
         c = BandCover(((0, 1), (2, 3)))
         assert c.hull == (0.0, 3.0)
         assert c.total_length == 2.0
         assert c.contains(0.5) and c.contains(2.0) and not c.contains(1.5)
-
-    def test_json_shape(self):
-        c = BandCover(((0, 1),), level=3, s=1, coupling=0.5, resolution=1e-4)
-        assert c.to_json_obj() == {
-            "s": 1, "lambda": 0.5, "level": 3, "resolution": 1e-4, "bands": [[0.0, 1.0]],
-        }
 
 
 class TestGapsAndThickness:

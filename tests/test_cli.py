@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import quasilab
 from quasilab import cli, labyrinth, tracemap, words
 from quasilab.cli import main
+from quasilab.jacobi1d import ModelParams
 
 
 def run_cli(args, tmp_path=None):
@@ -88,6 +89,24 @@ class TestSpectrumCommands:
         assert len(bands) == 1
         assert bands[0][0] == pytest.approx(-4.0, abs=0.05)
         assert bands[0][1] == pytest.approx(4.0, abs=0.05)
+
+    def test_cover_json_carries_each_cover_its_provenance(self):
+        code, out, _ = run_cli(["spectrum1d", "--lambda", "0.5", "--levels", "4,6", "--resolution", "1e-3",
+                                "--format", "json"])
+        assert code == 0
+        covers = json.loads(out)["data"]
+        coupling = ModelParams.from_coupling(1, 0.5).coupling
+        assert [list(c) for c in covers] == [["s", "lambda", "level", "resolution", "bands"]] * 2
+        assert [(c["s"], c["lambda"], c["level"], c["resolution"]) for c in covers] == [
+            (1, coupling, 4, 1e-3), (1, coupling, 6, 1e-3)]
+        assert all(c["bands"] for c in covers)
+
+        code, out, _ = run_cli(["spectrum2d", "--s", "2", "--lambda1", "0.5", "--lambda2", "1", "--level", "5",
+                                "--resolution", "1e-3", "--format", "json"])
+        assert code == 0
+        cover = json.loads(out)["data"]
+        assert list(cover) == ["s", "lambda", "level", "resolution", "bands"]
+        assert (cover["s"], cover["lambda"], cover["level"], cover["resolution"]) == (2, None, 5, 1e-3)
 
     def test_svg_output(self, tmp_path):
         path = tmp_path / "bands.svg"
@@ -256,6 +275,13 @@ class TestErrorsAndDeterminism:
         code, _, err = run_cli(["verify", "--criteria", "99"])
         assert code == 2
 
+    def test_criterion_11_alone_checks_the_covers_of_the_full_run(self):
+        _, full, _ = run_cli(["verify", "--criteria", ",".join(map(str, range(1, 14)))])
+        code, alone, _ = run_cli(["verify", "--criteria", "11"])
+        row = [line for line in full.splitlines() if line.startswith("11 ")]
+        assert code == 0 and "5 covers checked" in row[0]
+        assert alone.splitlines()[1:] == row
+
     @pytest.mark.parametrize("args", [
         ["sequence", "--s", "2", "--n", "6", "--format", "json"],
         ["spectrum1d", "--lambda", "0.5", "--level", "10", "--resolution", "1e-3"],
@@ -350,6 +376,11 @@ class TestInvalidInput:
         ["sweep", "--steps", "2", "--level", "5", "--lambda-min", "nan"],
         # an empty --levels list, refused like ","
         ["spectrum1d", "--a", "2", "--levels", ""],
+        # a --criteria list that names no criterion
+        ["verify", "--criteria", ","],
+        ["verify", "--criteria", " "],
+        ["verify", "--criteria", ",,"],
+        ["verify", "--criteria", ""],
     ])
     def test_rejected_with_exit_2_and_one_json_line(self, args):
         code, out, err = run_cli(args)
@@ -358,6 +389,19 @@ class TestInvalidInput:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-config"
+
+    @pytest.mark.parametrize("args, item", [
+        (["verify", "--criteria", "abc"], "'abc'"),
+        (["verify", "--criteria", "2, x,12"], "'x'"),
+        (["spectrum1d", "--a", "2", "--levels", "3,x"], "'x'"),
+        (["thickness", "--a", "2", "--levels", "3,4.5"], "'4.5'"),
+        (["verify", "--criteria", ","], "','"),
+    ])
+    def test_comma_list_errors_name_the_bad_item(self, args, item, tmp_path):
+        out_file = tmp_path / "out"
+        code, _, err = run_cli(args + ["-o", str(out_file)])
+        assert code == 2 and not out_file.exists()
+        assert item in json.loads(err)["message"]
 
 
     @pytest.mark.parametrize("args, option", [
@@ -619,7 +663,7 @@ _GRAMMAR = {
                    ("--lambda-max", _COUPLING, _AWKWARD, False),
                    ("--steps", st.integers(1, 3), _BAD_INT, True), _LEVEL, _RESOLUTION,
                    _format("csv", "json", "svg")),
-    # criteria 1, 2, 7 and 12 take milliseconds; an empty --criteria would run all 14
+    # criteria 1, 2, 7 and 12 take milliseconds
     "verify": _argv("verify", ("--criteria", st.lists(st.sampled_from(["1", "2", "7", "12"]), min_size=1,
                                                       max_size=3).map(",".join),
                                st.sampled_from(["0", "15", "-3", "x", " ", ",", "2,,99"]), True),

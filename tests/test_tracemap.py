@@ -75,8 +75,7 @@ def reference_cover_sequence(params, levels, resolution, initial_grid=DEFAULT_GR
     spacing = 2.0 * bound / (initial_grid - 1)
     grid = np.linspace(-bound, bound, initial_grid)
     bands = _ref_bands_from_samples(params, grid, levels[0], radius, resolution)
-    out = [BandCover(merge_intervals(bands), level=levels[0], s=params.s,
-                     coupling=params.coupling, resolution=resolution)]
+    out = [BandCover(merge_intervals(bands))]
     for lvl in levels[1:]:
         pieces = []
         for lo, hi in out[-1].intervals:
@@ -85,8 +84,7 @@ def reference_cover_sequence(params, levels, resolution, initial_grid=DEFAULT_GR
             if lo < 0.0 < hi:
                 pts = np.unique(np.append(pts, 0.0))
             pieces.extend(_ref_bands_from_samples(params, pts, lvl, radius, resolution))
-        out.append(BandCover(merge_intervals(pieces), level=lvl, s=params.s,
-                             coupling=params.coupling, resolution=resolution))
+        out.append(BandCover(merge_intervals(pieces)))
     return out
 
 
@@ -319,12 +317,6 @@ class TestSpectrumCover:
         c10 = spectrum_cover(p, 10, 1e-4)
         c14 = spectrum_cover(p, 14, 1e-4)
         assert nests_in(c10, c14, slack=2e-4)
-
-    def test_cover_metadata(self):
-        c = spectrum_cover(ModelParams(2, 2.0), 6, 1e-3)
-        assert c.level == 6 and c.s == 2
-        assert c.coupling == pytest.approx(1.5)
-        assert c.resolution == 1e-3
 
     # (s, coupling, levels, resolution, initial_grid)
     REFERENCE_CASES = [
