@@ -33,23 +33,13 @@ class CriterionResult:
     number: int
     name: str
     passed: bool
+    runtime_ok: bool | None
+    runtime_limit_s: float | None
     detail: str
-    runtime_ok: bool | None = None
-    runtime_limit: float | None = None
 
     @property
     def ok(self) -> bool:
         return self.passed and self.runtime_ok is not False
-
-    def to_json_obj(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "runtime_ok": self.runtime_ok,
-            "runtime_limit_s": self.runtime_limit,
-            "detail": self.detail,
-        }
 
 
 @functools.cache
@@ -59,12 +49,10 @@ def _covers(a: float, levels: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# criteria
+# checks, each returning (passed, detail)
 
 
-def criterion_trace_conservation() -> CriterionResult:
-    limit = 5.0
-    t0 = time.perf_counter()
+def _trace_conservation() -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED)
     pts = rng.uniform(-2.0, 2.0, size=(100_000, 3))
     v = tracemap.TraceVector(pts[:, 0], pts[:, 1], pts[:, 2])
@@ -73,14 +61,10 @@ def criterion_trace_conservation() -> CriterionResult:
     for s in (1, 2, 3):
         g1 = tracemap.fricke_vogt(tracemap.trace_map(s, v))
         worst = max(worst, float(np.max(np.abs(g1 - g0) / (1.0 + np.abs(g0)))))
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        1, "trace-map conservation", worst <= 1e-10,
-        f"max relative drift {worst:.3e} (tol 1e-10)", elapsed < limit, limit,
-    )
+    return worst <= 1e-10, f"max relative drift {worst:.3e} (tol 1e-10)"
 
 
-def criterion_semiconjugacy() -> CriterionResult:
+def _semiconjugacy() -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 1)
     theta, phi = rng.random(10_000), rng.random(10_000)
     worst = 0.0
@@ -89,39 +73,26 @@ def criterion_semiconjugacy() -> CriterionResult:
         rhs = tracemap.factor_map(*tracemap.cat_map(s, theta, phi))
         for l, r in zip(lhs, rhs):
             worst = max(worst, float(np.max(np.abs(l - r))))
-    return CriterionResult(
-        2, "torus semi-conjugacy", worst <= 1e-10, f"max deviation {worst:.3e} (tol 1e-10)",
-    )
+    return worst <= 1e-10, f"max deviation {worst:.3e} (tol 1e-10)"
 
 
-def criterion_free_spectrum() -> CriterionResult:
-    limit = 10.0
-    t0 = time.perf_counter()
+def _free_spectrum() -> tuple[bool, str]:
     cover = _covers(1.0, (20,))[0]
-    elapsed = time.perf_counter() - t0
     if cover.count != 1:
-        return CriterionResult(3, "free-chain spectrum", False,
-                               f"expected one band, got {cover.count}", elapsed < limit, limit)
+        return False, f"expected one band, got {cover.count}"
     lo, hi = cover.intervals[0]
     dist = max(abs(lo + 2.0), abs(hi - 2.0))
-    return CriterionResult(
-        3, "free-chain spectrum", dist <= 1e-3,
-        f"single band, Hausdorff distance to [-2,2] {dist:.3e} (tol 1e-3)",
-        elapsed < limit, limit,
-    )
+    return dist <= 1e-3, f"single band, Hausdorff distance to [-2,2] {dist:.3e} (tol 1e-3)"
 
 
-def criterion_free_ids() -> CriterionResult:
+def _free_ids() -> tuple[bool, str]:
     grid = np.linspace(-2.5, 2.5, 401)
     curve = ids_curve(ModelParams(1, 1.0), grid, 4096)
     err = float(np.max(np.abs(curve - free_ids(grid))))
-    return CriterionResult(
-        4, "free-chain counting function", err <= 1e-2,
-        f"sup deviation {err:.3e} over 401 energies at N=4096 (tol 1e-2)",
-    )
+    return err <= 1e-2, f"sup deviation {err:.3e} over 401 energies at N=4096 (tol 1e-2)"
 
 
-def criterion_spectral_symmetry() -> CriterionResult:
+def _spectral_symmetry() -> tuple[bool, str]:
     worst = 0.0
     for s in (1, 2):
         for a in (1.5, 2.0, 4.0):
@@ -130,28 +101,20 @@ def criterion_spectral_symmetry() -> CriterionResult:
                 off = build_window(ModelParams(s, a), n)[1:]
                 e = symmetric_eigenvalues(np.diag(off, 1) + np.diag(off, -1))
                 worst = max(worst, float(np.max(np.abs(e + e[::-1]))))
-    return CriterionResult(
-        5, "spectral symmetry", worst <= 1e-9, f"max |e_k + e_(N+1-k)| {worst:.3e} (tol 1e-9)",
-    )
+    return worst <= 1e-9, f"max |e_k + e_(N+1-k)| {worst:.3e} (tol 1e-9)"
 
 
-def criterion_tensor_law() -> CriterionResult:
-    limit = 30.0
-    t0 = time.perf_counter()
+def _tensor_law() -> tuple[bool, str]:
     p = labyrinth.LabyrinthParams(1, 1.3, 1.5)
     worst = 0.0
     for n in (6, 8):
         dense = labyrinth.dense_eigs_2d(labyrinth.build_2d(p, n)).support
         prod = np.sort(labyrinth.product_eigs(p, n).support)
         worst = max(worst, float(np.max(np.abs(dense - prod))))
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        6, "2D tensor law", worst <= 1e-7,
-        f"max multiset deviation {worst:.3e} at N=6,8 (tol 1e-7)", elapsed < limit, limit,
-    )
+    return worst <= 1e-7, f"max multiset deviation {worst:.3e} at N=6,8 (tol 1e-7)"
 
 
-def criterion_product_cdf() -> CriterionResult:
+def _product_cdf() -> tuple[bool, str]:
     n = 8
     p = labyrinth.LabyrinthParams(1, 1.3, 1.5)
     dense = labyrinth.dense_eigs_2d(labyrinth.build_2d(p, n))
@@ -160,13 +123,10 @@ def criterion_product_cdf() -> CriterionResult:
     got = labyrinth.dos2d_cdf(p, grid, n)
     err = float(np.max(np.abs(got - dense.cdf(grid))))
     tol = 1.0 / n**2 + 1e-9
-    return CriterionResult(
-        7, "2D counting measure product form", err <= tol,
-        f"sup deviation {err:.3e} over 401 energies at N=8 (tol {tol:.3e})",
-    )
+    return err <= tol, f"sup deviation {err:.3e} over 401 energies at N=8 (tol {tol:.3e})"
 
 
-def criterion_log_convolution() -> CriterionResult:
+def _log_convolution() -> tuple[bool, str]:
     n, nbins = 1024, 1024
     a = hopping_from_coupling(0.5)
     p = labyrinth.LabyrinthParams(1, a, a)
@@ -178,37 +138,28 @@ def criterion_log_convolution() -> CriterionResult:
         direct = labyrinth.dos2d_cdf(p, float(hi), n) - labyrinth.dos2d_cdf(p, float(lo), n)
         conv = labyrinth.log_convolution_cdf(p, (float(lo), float(hi)), n, nbins)
         worst = max(worst, abs(conv - direct))
-    return CriterionResult(
-        8, "log-convolution identity", worst <= tol,
-        f"max interval deviation {worst:.3e} over 20 intervals (tol {tol:.3e})",
-    )
+    return worst <= tol, f"max interval deviation {worst:.3e} over 20 intervals (tol {tol:.3e})"
 
 
-def criterion_small_coupling_interval() -> CriterionResult:
+def _small_coupling_interval() -> tuple[bool, str]:
     res = 1e-4
     a = hopping_from_coupling(0.1)
     c1 = _covers(a, (15,))[0]
     prod = bands.product_set(c1, c1)
     wide = [hi - lo for lo, hi in bands.gaps(prod) if hi - lo > 4.0 * res]
-    return CriterionResult(
-        9, "small-coupling product interval", bands.is_interval(prod, 4.0 * res),
-        f"{len(wide)} gaps above tol {4 * res:.1e} (largest {max(wide, default=0.0):.3e})",
-    )
+    return (bands.is_interval(prod, 4.0 * res),
+            f"{len(wide)} gaps above tol {4 * res:.1e} (largest {max(wide, default=0.0):.3e})")
 
 
-def criterion_large_coupling_cantor() -> CriterionResult:
-    seq = _covers(4.0, (5, 10, 15))
-    lengths = [bands.product_set(c, c).total_length for c in seq]
-    decreasing = lengths[0] > lengths[1] > lengths[2]
-    has_gaps = bands.product_set(seq[-1], seq[-1]).count > 1
-    return CriterionResult(
-        10, "large-coupling Cantor trend", decreasing and has_gaps,
-        "product lengths " + " > ".join(f"{v:.4f}" for v in lengths)
-        + f", gaps present: {has_gaps}",
-    )
+def _large_coupling_cantor() -> tuple[bool, str]:
+    prods = [bands.product_set(c, c) for c in _covers(4.0, (5, 10, 15))]
+    lengths = [prod.total_length for prod in prods]
+    has_gaps = prods[-1].count > 1
+    return (lengths[0] > lengths[1] > lengths[2] and has_gaps,
+            "product lengths " + " > ".join(f"{v:.4f}" for v in lengths) + f", gaps present: {has_gaps}")
 
 
-def criterion_zero_in_spectrum() -> CriterionResult:
+def _zero_in_spectrum() -> tuple[bool, str]:
     survived = True
     for lam in (0.0, 0.5, 1.5, 3.75):
         p = ModelParams(1, hopping_from_coupling(lam))
@@ -219,14 +170,12 @@ def criterion_zero_in_spectrum() -> CriterionResult:
     covers = _covers(1.0, (20,)) + _covers(hopping_from_coupling(0.1), (15,)) + _covers(4.0, (5, 10, 15))
     missing = [c for c in covers if not c.contains(0.0)]
     prod_ok = all(bands.product_set(c, c).contains(0.0) for c in covers)
-    return CriterionResult(
-        11, "zero belongs to every spectrum", survived and not missing and prod_ok,
-        f"orbit of E=0 bounded for all couplings: {survived}; "
-        f"{len(covers)} covers checked, {len(missing)} missing zero",
-    )
+    return (survived and not missing and prod_ok,
+            f"orbit of E=0 bounded for all couplings: {survived}; "
+            f"{len(covers)} covers checked, {len(missing)} missing zero")
 
 
-def criterion_twins() -> CriterionResult:
+def _twins() -> tuple[bool, str]:
     cap = 10**7
     ok = True
     checked = 0
@@ -241,13 +190,10 @@ def criterion_twins() -> CriterionResult:
             checked += 1
             if len(x) > 3 * len(y) or rep is None or not rep.check(y, x):
                 ok = False
-    return CriterionResult(
-        12, "twin combinatorics", ok,
-        f"{checked} witnesses verified for s in {{1,2,3}}, k <= 12; parity patterns match",
-    )
+    return ok, f"{checked} witnesses verified for s in {{1,2,3}}, k <= 12; parity patterns match"
 
 
-def criterion_thickness_trend() -> CriterionResult:
+def _thickness_trend() -> tuple[bool, str]:
     lams = (1.0, 0.5, 0.2, 0.1)
     taus = [bands.thickness(_covers(hopping_from_coupling(lam), (15,))[0]) for lam in lams]
     inversions = []
@@ -257,26 +203,25 @@ def criterion_thickness_trend() -> CriterionResult:
             inversions.append(drop)
     ok = len(inversions) == 0 or (len(inversions) == 1 and inversions[0] <= 0.05)
     shown = ", ".join("inf" if math.isinf(t) else f"{t:.3f}" for t in taus)
-    return CriterionResult(
-        13, "thickness trend in the coupling", ok,
-        f"thickness at lambda {lams}: {shown}; inversions {len(inversions)}",
-    )
+    return ok, f"thickness at lambda {lams}: {shown}; inversions {len(inversions)}"
 
 
+#: Criterion k is row k - 1: (name, runtime budget in seconds or None, check).
+#: A budget covers the whole check.
 _CRITERIA = [
-    criterion_trace_conservation,
-    criterion_semiconjugacy,
-    criterion_free_spectrum,
-    criterion_free_ids,
-    criterion_spectral_symmetry,
-    criterion_tensor_law,
-    criterion_product_cdf,
-    criterion_log_convolution,
-    criterion_small_coupling_interval,
-    criterion_large_coupling_cantor,
-    criterion_zero_in_spectrum,
-    criterion_twins,
-    criterion_thickness_trend,
+    ("trace-map conservation", 5.0, _trace_conservation),
+    ("torus semi-conjugacy", None, _semiconjugacy),
+    ("free-chain spectrum", 10.0, _free_spectrum),
+    ("free-chain counting function", None, _free_ids),
+    ("spectral symmetry", None, _spectral_symmetry),
+    ("2D tensor law", 30.0, _tensor_law),
+    ("2D counting measure product form", None, _product_cdf),
+    ("log-convolution identity", None, _log_convolution),
+    ("small-coupling product interval", None, _small_coupling_interval),
+    ("large-coupling Cantor trend", None, _large_coupling_cantor),
+    ("zero belongs to every spectrum", None, _zero_in_spectrum),
+    ("twin combinatorics", None, _twins),
+    ("thickness trend in the coupling", None, _thickness_trend),
 ]
 
 
@@ -287,7 +232,11 @@ DETERMINISM_CRITERION = len(_CRITERIA) + 1
 def run_criterion(number: int) -> CriterionResult:
     if not 1 <= number <= len(_CRITERIA):
         raise ValueError(f"criterion number must be in 1..{len(_CRITERIA)}, got {number}")
-    return _CRITERIA[number - 1]()
+    name, budget, check = _CRITERIA[number - 1]
+    t0 = time.perf_counter()
+    passed, detail = check()
+    elapsed = time.perf_counter() - t0
+    return CriterionResult(number, name, passed, None if budget is None else elapsed < budget, budget, detail)
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
@@ -304,7 +253,7 @@ def format_table(results) -> str:
         if r.runtime_ok is None:
             runtime = "-"
         else:
-            runtime = f"<{r.runtime_limit:.0f}s" if r.runtime_ok else "OVER"
+            runtime = f"<{r.runtime_limit_s:.0f}s" if r.runtime_ok else "OVER"
         lines.append(f"{r.number:2d} {r.name:<38} {status:<6} {runtime:<8} {r.detail}")
     return "\n".join(lines) + "\n"
 
@@ -321,7 +270,7 @@ def run_determinism_check() -> tuple[CriterionResult, list[CriterionResult]]:
     second = run_all()
     identical = format_table(first) == format_table(second)
     result = CriterionResult(
-        DETERMINISM_CRITERION, "determinism of the verification run", identical,
+        DETERMINISM_CRITERION, "determinism of the verification run", identical, None, None,
         "two fresh runs rendered byte-identical tables" if identical
         else "reruns differ: outputs are not deterministic",
     )

@@ -13,6 +13,7 @@ invalid configuration or domain errors, 3 for resource caps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import math
@@ -457,7 +458,7 @@ def _cmd_verify(args) -> int:
     ok = all(r.ok for r in results)
     if args.fmt == "json":
         args.criteria = wanted
-        _write(args.output, _json_text(_metadata(args), [r.to_json_obj() for r in results]))
+        _write(args.output, _json_text(_metadata(args), [dataclasses.asdict(r) for r in results]))
     else:
         _write(args.output, acceptance.format_table(results))
     return 0 if ok else 1

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one line per criterion,
 or equivalently ``quasilab verify`` for the table form.
 """
 
-from quasilab import acceptance, jacobi1d, labyrinth
+from quasilab import acceptance, cli, jacobi1d, labyrinth
 
 
 def _check(result):
@@ -13,29 +13,22 @@ def _check(result):
     assert result.passed, f"criterion {result.number} failed: {result.detail}"
     if result.runtime_ok is not None:
         assert result.runtime_ok, (
-            f"criterion {result.number} exceeded its {result.runtime_limit:.0f}s budget"
+            f"criterion {result.number} exceeded its {result.runtime_limit_s:.0f}s budget"
         )
     return result
 
 
-def test_criterion_01_trace_conservation():
-    _check(acceptance.run_criterion(1))
+def _criterion_test(number):
+    def test():
+        _check(acceptance.run_criterion(number))
+    return test
 
 
-def test_criterion_02_semiconjugacy():
-    _check(acceptance.run_criterion(2))
-
-
-def test_criterion_03_free_spectrum():
-    _check(acceptance.run_criterion(3))
-
-
-def test_criterion_04_free_ids():
-    _check(acceptance.run_criterion(4))
-
-
-def test_criterion_05_spectral_symmetry():
-    _check(acceptance.run_criterion(5))
+# one test per row of the table, named after its check so that a failure names
+# the criterion: test_criterion_01_trace_conservation, ...
+for _number in range(1, acceptance.DETERMINISM_CRITERION):
+    _name = f"test_criterion_{_number:02d}{acceptance._CRITERIA[_number - 1][2].__name__}"
+    globals()[_name] = _criterion_test(_number)
 
 
 def test_criterion_05_does_not_use_the_sturm_solver(monkeypatch):
@@ -50,36 +43,20 @@ def test_criterion_05_does_not_use_the_sturm_solver(monkeypatch):
     _check(acceptance.run_criterion(5))
 
 
-def test_criterion_06_tensor_law():
-    _check(acceptance.run_criterion(6))
+def test_every_name_fits_the_table_column():
+    assert all(len(name) <= 38 for name, _, _ in acceptance._CRITERIA)
 
 
-def test_criterion_07_product_cdf():
-    _check(acceptance.run_criterion(7))
-
-
-def test_criterion_08_log_convolution():
-    _check(acceptance.run_criterion(8))
-
-
-def test_criterion_09_small_coupling_interval():
-    _check(acceptance.run_criterion(9))
-
-
-def test_criterion_10_large_coupling_cantor():
-    _check(acceptance.run_criterion(10))
-
-
-def test_criterion_11_zero_in_spectrum():
-    _check(acceptance.run_criterion(11))
-
-
-def test_criterion_12_twins():
-    _check(acceptance.run_criterion(12))
-
-
-def test_criterion_13_thickness_trend():
-    _check(acceptance.run_criterion(13))
+def test_a_check_over_its_budget_fails_its_row(monkeypatch, capsys):
+    rows = list(acceptance._CRITERIA)
+    name, _, check = rows[1]
+    rows[1] = (name, 0.0, check)
+    monkeypatch.setattr(acceptance, "_CRITERIA", rows)
+    result = acceptance.run_criterion(2)
+    assert (result.passed, result.runtime_ok, result.runtime_limit_s, result.ok) == (True, False, 0.0, False)
+    assert acceptance.format_table([result]).splitlines()[1].startswith(f" 2 {name:<38} FAIL   OVER     max")
+    assert cli.main(["verify", "--criteria", "2"]) == 1
+    assert "FAIL   OVER" in capsys.readouterr().out
 
 
 def test_criterion_14_determinism():

@@ -321,7 +321,11 @@ class TestErrorsAndDeterminism:
         monkeypatch.setattr(acceptance, "run_all", lambda *a: calls.append(a) or run_all(*a))
         code, out, _ = run_cli(["verify", "--format", "json"] + (["--criteria", criteria] if criteria else []))
         assert code == 0 and len(calls) == 2
-        assert [r["number"] for r in json.loads(out)["data"]] == numbers
+        rows = json.loads(out)["data"]
+        assert [r["number"] for r in rows] == numbers
+        keys = ["number", "name", "passed", "runtime_ok", "runtime_limit_s", "detail"]
+        assert all(list(r) == keys for r in rows)
+        assert rows[-1]["runtime_ok"] is None and rows[-1]["runtime_limit_s"] is None
 
 
 def run_cli_subprocess(args, timeout):
