@@ -299,7 +299,7 @@ def _cmd_sequence(args) -> int:
         witness = words.twin_witness(args.s, args.twin_k)
         rep = words.find_twin(words.iterate(args.s, args.twin_k), witness, "odd")
         data["twin"] = {"k": args.twin_k, "witness_length": len(witness),
-                        "report": rep.to_json() if rep else None}
+                        "report": dataclasses.asdict(rep) if rep else None}
         rows.append(("twin_offset", rep.offset if rep else ""))
     _emit(args, "key,value", rows, lambda: data)
     return 0

@@ -304,8 +304,6 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
 def ids_curve(params: ModelParams, energies, n: int, *, source: str = "substitution",
               beta: float = 0.0) -> np.ndarray:
     """Finite-volume IDS (1/N) #{eigenvalues <= E} over a vector of energies."""
-    if n < 1:
-        raise ValueError("N must be positive")
     w = build_window(params, n, source, beta=beta)
     return count_below_offdiag(w[1:], energies).astype(float) / n
 

@@ -15,9 +15,9 @@ rule that boundary bonds are dropped; the 2D coupling from (m, n) to
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ EIG_TOL = 1e-11
 AXIS_MEMO_SIZE = 32
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class LabyrinthParams:
     """Common substitution order s and the two per-axis hopping values."""
 
@@ -53,17 +53,12 @@ class LabyrinthParams:
     a2: float
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("s must be a positive integer")
-        if not all(a > 0 and 0.0 < a * a < math.inf for a in (self.a1, self.a2)):
-            raise ValueError(
-                f"hopping values must be positive and finite, and so must their squares, "
-                f"got a1={self.a1}, a2={self.a2}"
-            )
+        for a in (self.a1, self.a2):
+            ModelParams(self.s, a)
 
     @property
     def couplings(self) -> tuple[float, float]:
-        return (abs(self.a1**2 - 1) / self.a1, abs(self.a2**2 - 1) / self.a2)
+        return (self.axis1.coupling, self.axis2.coupling)
 
     @property
     def axis1(self) -> ModelParams:
@@ -126,8 +121,6 @@ def axis_eigenvalues(s: int, a: float, n: int) -> np.ndarray:
 
 def eigs_1d_axes(p: LabyrinthParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue lists of the two 1D restrictions to [0, N-1] (see :func:`axis_eigenvalues`)."""
-    if n < 1:
-        raise ValueError("N must be positive")
     return axis_eigenvalues(p.s, p.a1, n), axis_eigenvalues(p.s, p.a2, n)
 
 
@@ -294,26 +287,20 @@ def spectrum_2d(p: LabyrinthParams, level: int, resolution: float, *,
     return product_set(c1, c2)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SublatticeReport:
     """Sup-distances between the eigenvalue CDFs of the parity blocks."""
 
     n: int
-    sizes: tuple[int, int, int]  # full, even, odd
+    sites_full: int
+    sites_even: int
+    sites_odd: int
     even_odd_distance: float
     full_even_distance: float
     full_odd_distance: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "sites_full": self.sizes[0],
-            "sites_even": self.sizes[1],
-            "sites_odd": self.sizes[2],
-            "even_odd_distance": self.even_odd_distance,
-            "full_even_distance": self.full_even_distance,
-            "full_odd_distance": self.full_odd_distance,
-        }
+        return dataclasses.asdict(self)
 
 
 def sublattice_dos_compare(p: LabyrinthParams, n: int) -> SublatticeReport:
@@ -326,7 +313,7 @@ def sublattice_dos_compare(p: LabyrinthParams, n: int) -> SublatticeReport:
     eigs = {sub: dense_eigs_2d(mat) for sub, mat in mats.items()}
     return SublatticeReport(
         n,
-        (len(mats["full"]), len(mats["even"]), len(mats["odd"])),
+        len(mats["full"]), len(mats["even"]), len(mats["odd"]),
         ks_distance(eigs["even"], eigs["odd"]),
         ks_distance(eigs["full"], eigs["even"]),
         ks_distance(eigs["full"], eigs["odd"]),

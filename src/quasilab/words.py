@@ -51,17 +51,13 @@ def word_length(s: int, n: int, max_len: float = math.inf) -> int:
 
 
 def iterate(s: int, n: int, max_len: int = DEFAULT_WORD_CAP) -> str:
-    """The n-th iterate C(n) of the substitution on "a".
+    """The n-th iterate C(n) of the substitution on "a": the prefix of u_s of length L(n).
 
-    Built through the concatenation rule C(n+1) = C(n)^s C(n-1), which is also the
-    identity the test suite checks letter by letter.  Raises ResourceLimitError if
-    the result would exceed ``max_len`` letters.
+    For k < n, L(n) / L(k) > s, so :func:`prefix` builds each C(k+1) = C(k)^s C(k-1)
+    whole and stops at C(n).  Raises ResourceLimitError if the result would
+    exceed ``max_len`` letters.
     """
-    word_length(s, n, max_len)
-    prev, cur = "b", "a"
-    for _ in range(n):
-        prev, cur = cur, cur * s + prev
-    return cur
+    return prefix(s, word_length(s, n, max_len), max_len)
 
 
 def prefix(s: int, length: int, max_len: int = DEFAULT_WORD_CAP) -> str:
@@ -138,9 +134,6 @@ class TwinReport:
     pos1: int
     pos2: int
     offset: int
-
-    def to_json(self) -> dict:
-        return {"parity": self.parity, "pos1": self.pos1, "pos2": self.pos2, "offset": self.offset}
 
     def check(self, y: str, x: str) -> bool:
         """Re-validate this report against the words it was derived from."""

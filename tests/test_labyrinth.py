@@ -21,7 +21,7 @@ from quasilab.labyrinth import (
     zero_product_mass,
 )
 from quasilab.bands import is_interval
-from quasilab.jacobi1d import build_window
+from quasilab.jacobi1d import ModelParams, build_window
 
 FREE = LabyrinthParams(1, 1.0, 1.0)
 GENERIC = LabyrinthParams(1, 1.3, 1.5)
@@ -61,10 +61,25 @@ class TestParams:
             LabyrinthParams(1, -1.0, 1.0)
         with pytest.raises(ValueError, match="positive and finite"):
             LabyrinthParams(1, 1.0, math.inf)
-        with pytest.raises(ValueError, match="their squares"):
+        with pytest.raises(ValueError, match="its square"):
             LabyrinthParams(1, 1e200, 1.0)  # a * a overflows
-        with pytest.raises(ValueError, match="their squares"):
+        with pytest.raises(ValueError, match="its square"):
             LabyrinthParams(1, 1.0, 1e-300)  # a * a underflows to a zero coupling
+
+    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("a", [1.5, 0.0, -1.0, math.inf, math.nan, 1e200, 1e-300])
+    def test_each_axis_is_checked_as_a_chain(self, s, a):
+        try:
+            ModelParams(s, a)
+        except ValueError as exc:
+            for axes in ((a, 1.0), (1.0, a)):
+                with pytest.raises(ValueError) as caught:
+                    LabyrinthParams(s, *axes)
+                assert str(caught.value) == str(exc)
+        else:
+            for axes in ((a, 1.0), (1.0, a)):
+                p = LabyrinthParams(s, *axes)
+                assert p.couplings == (p.axis1.coupling, p.axis2.coupling)
 
 
 class TestBuild2D:
@@ -374,7 +389,7 @@ class TestSublattices:
     def test_free_distance_small(self):
         rep = sublattice_dos_compare(LabyrinthParams(1, 1.0, 1.0), 8)
         assert rep.even_odd_distance <= 0.15
-        assert rep.sizes[0] == 64 and rep.sizes[1] + rep.sizes[2] == 64
+        assert rep.sites_full == 64 and rep.sites_even + rep.sites_odd == 64
 
     def test_distance_shrinks_with_n(self):
         p = GENERIC
