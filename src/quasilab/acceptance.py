@@ -80,7 +80,7 @@ def _free_spectrum() -> tuple[bool, str]:
     cover = _covers(1.0, (20,))[0]
     if cover.count != 1:
         return False, f"expected one band, got {cover.count}"
-    lo, hi = cover.intervals[0]
+    lo, hi = cover.intervals[0].tolist()
     dist = max(abs(lo + 2.0), abs(hi - 2.0))
     return dist <= 1e-3, f"single band, Hausdorff distance to [-2,2] {dist:.3e} (tol 1e-3)"
 
@@ -146,7 +146,7 @@ def _small_coupling_interval() -> tuple[bool, str]:
     a = hopping_from_coupling(0.1)
     c1 = _covers(a, (15,))[0]
     prod = bands.product_set(c1, c1)
-    wide = [hi - lo for lo, hi in bands.gaps(prod) if hi - lo > 4.0 * res]
+    wide = [hi - lo for lo, hi in bands.gaps(prod).tolist() if hi - lo > 4.0 * res]
     return (bands.is_interval(prod, 4.0 * res),
             f"{len(wide)} gaps above tol {4 * res:.1e} (largest {max(wide, default=0.0):.3e})")
 

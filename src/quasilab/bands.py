@@ -1,6 +1,6 @@
 """Band covers: finite unions of closed intervals approximating spectra from
 outside, with the gap/thickness/dimension statistics and the set arithmetic
-(products, sums, logs) that the two-dimensional model calls for.
+(products, logs) that the two-dimensional model calls for.
 
 Thickness follows the ordered-gap (Newhouse) convention: the bridges flanking a
 gap extend to the nearest gap at least as long, or to the hull boundary.  For
@@ -20,13 +20,13 @@ from .errors import ResourceLimitError
 #: Cap on the interval count of a merged cover and on the bands of a trace-map cover.
 INTERVAL_CAP = 10**6
 
-#: Guard on the band pairs of product/sum set arithmetic.  Pairs are formed
-#: and merged in blocks, so it bounds time, not working memory: a product of
-#: two 2000-band covers at the guard took 0.2-0.4 s (best of 5, one BLAS thread)
-#: on a 2-core x86 machine, with a traced peak of 1-3 MB.
+#: Guard on the band pairs of a product set.  Pairs are formed and merged in
+#: blocks, so it bounds time, not working memory: a product of two 2000-band
+#: covers at the guard took 0.2-0.4 s (best of 5, one BLAS thread) on a 2-core
+#: x86 machine, with a traced peak of 1-3 MB.
 _PAIR_GUARD = 4 * 10**6
 
-#: Pairs formed and merged at once by product/sum set arithmetic.
+#: Pairs formed and merged at once by a product set.
 _PAIR_BLOCK = 2**14
 
 #: Default positive floor used when taking logarithms of covers.
@@ -54,36 +54,41 @@ def _merged_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def merge_intervals(pairs):
-    """Sort [lo, hi] pairs and merge the ones that overlap or touch.
+    """Sort [lo, hi] pairs and merge the ones that overlap or touch, as an (m, 2) array.
 
     ``pairs`` is an (n, 2) array or a sequence of pairs.  More than INTERVAL_CAP
     merged intervals raise ResourceLimitError.
     """
     arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if arr.size == 0:
-        return ()
+        return arr
     merged_lo, merged_hi = _merged_runs(arr[:, 0], arr[:, 1])
     if merged_lo.size > INTERVAL_CAP:
         raise ResourceLimitError(f"{merged_lo.size} intervals exceed the cap of {INTERVAL_CAP}")
-    return tuple(zip(merged_lo.tolist(), merged_hi.tolist()))
+    return np.column_stack([merged_lo, merged_hi])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandCover:
-    """Sorted disjoint closed intervals; the caller keeps how they were produced."""
+    """Sorted disjoint closed intervals, a read-only float64 array of shape (n, 2);
+    the caller keeps how they were produced."""
 
-    intervals: tuple
+    intervals: np.ndarray
 
     def __post_init__(self):
-        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
-        for (a, b) in ivs:
-            if not a <= b:  # also true when either endpoint is NaN
-                if math.isnan(a) or math.isnan(b):
-                    raise ValueError("interval endpoints must not be NaN")
-                raise ValueError("intervals must satisfy lo <= hi")
-        for (_, b), (c, _) in zip(ivs, ivs[1:]):
-            if c <= b:
-                raise ValueError("intervals must be sorted and disjoint")
+        ivs = np.array(self.intervals, dtype=float)
+        if ivs.size == 0:
+            ivs = ivs.reshape(0, 2)
+        if ivs.ndim != 2 or ivs.shape[1] != 2:
+            raise ValueError("intervals must be (lo, hi) pairs")
+        bad = np.flatnonzero(~(ivs[:, 0] <= ivs[:, 1]))  # also true when either endpoint is NaN
+        if bad.size:
+            if np.isnan(ivs[bad[0]]).any():
+                raise ValueError("interval endpoints must not be NaN")
+            raise ValueError("intervals must satisfy lo <= hi")
+        if np.any(ivs[1:, 0] <= ivs[:-1, 1]):
+            raise ValueError("intervals must be sorted and disjoint")
+        ivs.setflags(write=False)
         object.__setattr__(self, "intervals", ivs)
 
     @property
@@ -92,20 +97,21 @@ class BandCover:
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not len(self.intervals)
 
     @property
     def hull(self) -> tuple[float, float]:
         if self.is_empty:
             raise ValueError("an empty cover has no hull")
-        return (self.intervals[0][0], self.intervals[-1][1])
+        return (float(self.intervals[0, 0]), float(self.intervals[-1, 1]))
 
     @property
     def total_length(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
+        # left to right, as printed by thickness and criterion 10; np.sum is pairwise
+        return float(sum((self.intervals[:, 1] - self.intervals[:, 0]).tolist()))
 
     def contains(self, x: float) -> bool:
-        return any(a <= x <= b for a, b in self.intervals)
+        return bool(np.any((self.intervals[:, 0] <= x) & (x <= self.intervals[:, 1])))
 
     def scaled(self, factor: float) -> "BandCover":
         """The cover with every endpoint multiplied by ``factor``.
@@ -121,7 +127,8 @@ class BandCover:
         """
         if not (math.isfinite(factor) and factor > 0):
             raise ValueError(f"scaling factor must be finite and positive, got {factor!r}")
-        ends = [x for iv in self.intervals for x in iv]
+        # Python floats, so the messages show plain reprs
+        ends = self.intervals.ravel().tolist()
         images = [x * factor for x in ends]
         for x, y in zip(ends, images):
             if math.isinf(y):
@@ -138,14 +145,12 @@ class BandCover:
                     f"scaling by {factor!r} gives endpoints {x0!r} and {x1!r} "
                     f"the same image {y0!r}"
                 )
-        return BandCover(tuple(zip(images[::2], images[1::2])))
+        return BandCover(np.reshape(images, (-1, 2)))
 
 
-def gaps(cover: BandCover) -> list[tuple[float, float]]:
-    """Open gaps between consecutive bands, strictly inside the hull."""
-    return [
-        (b, c) for (_, b), (c, _) in zip(cover.intervals, cover.intervals[1:])
-    ]
+def gaps(cover: BandCover) -> np.ndarray:
+    """Open gaps between consecutive bands, strictly inside the hull, as an (m, 2) array."""
+    return np.column_stack([cover.intervals[:-1, 1], cover.intervals[1:, 0]])
 
 
 def _blocking_indices(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,13 +189,11 @@ def thickness(cover: BandCover) -> float:
     difference overflows and which keep the ratios' bits away from the
     subnormal range.  A ratio beyond the float range rounds to inf or 0.
     """
-    gs = gaps(cover)
-    if not gs:
+    if cover.count < 2:
         return math.inf
     scale = 1.0 if math.isfinite(cover.hull[1] - cover.hull[0]) else 0.5
     hull_lo, hull_hi = (scale * x for x in cover.hull)
-    glo = scale * np.array([g[0] for g in gs])
-    ghi = scale * np.array([g[1] for g in gs])
+    glo, ghi = scale * gaps(cover).T
     lengths = ghi - glo
     left, right = _blocking_indices(lengths)
     left_edge = np.where(left >= 0, ghi[left], hull_lo)
@@ -223,44 +226,15 @@ def box_dimension_estimate(covers) -> float:
 # set arithmetic
 
 
-def _pair_hulls(la, ha, lb, hb, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Flat lower and upper ends of the product (or sum) of every pair of bands."""
-    if kind == "product":
-        cands = np.stack([
-            np.multiply.outer(la, lb),
-            np.multiply.outer(la, hb),
-            np.multiply.outer(ha, lb),
-            np.multiply.outer(ha, hb),
-        ])
-        return cands.min(axis=0).ravel(), cands.max(axis=0).ravel()
-    return np.add.outer(la, lb).ravel(), np.add.outer(ha, hb).ravel()
-
-
-def _combine(a: BandCover, b: BandCover, kind: str) -> tuple:
-    """Merged pairwise products (or sums), formed and merged in blocks of pairs.
-
-    A block is about ``_PAIR_BLOCK`` pairs: whole rows of the cover with more
-    bands, so under the guard none exceeds 2**14 pairs.  A union does not
-    depend on how the pairs are grouped and the endpoints are the same floats,
-    so merging the merged blocks gives the tuples of one merge of all pairs.
-    """
-    la = np.array([iv[0] for iv in a.intervals])
-    ha = np.array([iv[1] for iv in a.intervals])
-    lb = np.array([iv[0] for iv in b.intervals])
-    hb = np.array([iv[1] for iv in b.intervals])
-    if la.size * lb.size > _PAIR_GUARD:
-        raise ResourceLimitError(
-            f"{la.size} x {lb.size} interval pairs exceed the working guard of {_PAIR_GUARD}"
-        )
-    if not la.size * lb.size:
-        return ()
-    if la.size < lb.size:  # products and sums of floats commute exactly
-        la, ha, lb, hb = lb, hb, la, ha
-    step = max(1, _PAIR_BLOCK // lb.size)
-    return merge_intervals(np.concatenate([
-        np.column_stack(_merged_runs(*_pair_hulls(la[k:k + step], ha[k:k + step], lb, hb, kind)))
-        for k in range(0, la.size, step)
-    ]))
+def _pair_hulls(la, ha, lb, hb) -> tuple[np.ndarray, np.ndarray]:
+    """Flat lower and upper ends of the product of every pair of bands."""
+    cands = np.stack([
+        np.multiply.outer(la, lb),
+        np.multiply.outer(la, hb),
+        np.multiply.outer(ha, lb),
+        np.multiply.outer(ha, hb),
+    ])
+    return cands.min(axis=0).ravel(), cands.max(axis=0).ravel()
 
 
 def product_set(a: BandCover, b: BandCover) -> BandCover:
@@ -268,13 +242,27 @@ def product_set(a: BandCover, b: BandCover) -> BandCover:
 
     Each pair of bands contributes [min, max] over the four endpoint products,
     which is exact for products of intervals of any signs.
+
+    The pairs are formed and merged in blocks of about ``_PAIR_BLOCK``: whole
+    rows of the cover with more bands, so under the guard none exceeds 2**14
+    pairs.  A union does not depend on how the pairs are grouped and the
+    endpoints are the same floats, so merging the merged blocks gives the
+    bands of one merge of all pairs.
     """
-    return BandCover(_combine(a, b, "product"))
-
-
-def sum_set(a: BandCover, b: BandCover) -> BandCover:
-    """Minkowski sum {x + y} of two covers."""
-    return BandCover(_combine(a, b, "sum"))
+    (la, ha), (lb, hb) = a.intervals.T, b.intervals.T
+    if la.size * lb.size > _PAIR_GUARD:
+        raise ResourceLimitError(
+            f"{la.size} x {lb.size} interval pairs exceed the working guard of {_PAIR_GUARD}"
+        )
+    if not la.size * lb.size:
+        return BandCover(())
+    if la.size < lb.size:  # products of floats commute exactly
+        la, ha, lb, hb = lb, hb, la, ha
+    step = max(1, _PAIR_BLOCK // lb.size)
+    return BandCover(merge_intervals(np.concatenate([
+        np.column_stack(_merged_runs(*_pair_hulls(la[k:k + step], ha[k:k + step], lb, hb)))
+        for k in range(0, la.size, step)
+    ])))
 
 
 def log_positive_part(a: BandCover, floor: float = DEFAULT_LOG_FLOOR) -> BandCover:
@@ -286,7 +274,7 @@ def log_positive_part(a: BandCover, floor: float = DEFAULT_LOG_FLOOR) -> BandCov
     if floor <= 0:
         raise ValueError("the clipping floor must be positive")
     out = []
-    for lo, hi in a.intervals:
+    for lo, hi in a.intervals.tolist():
         if hi < floor:
             continue
         out.append((math.log(max(lo, floor)), math.log(hi)))
@@ -299,4 +287,5 @@ def is_interval(cover: BandCover, tol: float) -> bool:
     """True when every gap of the cover is no longer than ``tol``."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    return all(hi - lo <= tol for lo, hi in gaps(cover))
+    lo, hi = gaps(cover).T
+    return bool(np.all(hi - lo <= tol))

@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dos1d", help="integrated density of states curve")
     p.set_defaults(run=_cmd_dos1d)
     _add_model(p, "")
-    p.add_argument("--N", type=int, default=2048, dest="n")
+    p.add_argument("--N", type=_int_at_least(1), default=2048, dest="n")
     p.add_argument("--grid", type=_energy_grid, default=401)
     p.add_argument("--emin", type=_finite_float, default=None)
     p.add_argument("--emax", type=_finite_float, default=None)
@@ -272,14 +272,14 @@ def _emit_covers(args, levels, covers, data):
     if covers[-1].is_empty:
         _fail("empty-cover", f"no sample survived to level {levels[-1]} "
               f"(--grid {args.grid}); try a denser --grid", 1)
-    rows = ((level, lo, hi) for level, c in zip(levels, covers) for lo, hi in c.intervals)
+    rows = ((level, lo, hi) for level, c in zip(levels, covers) for lo, hi in c.intervals.tolist())
     _emit(args, "level,band_lo,band_hi", rows, data, lambda meta: svg.band_stack_svg(levels, covers, meta))
 
 
 def _cover_json(args, coupling, level, cover) -> dict:
     """The JSON object of one cover; a product cover has no single coupling, so None."""
     return {"s": args.s, "lambda": coupling, "level": level, "resolution": args.resolution,
-            "bands": [[a, b] for a, b in cover.intervals]}
+            "bands": cover.intervals.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def _cmd_thickness(args) -> int:
 
     meta = _emit(args, "key,value", rows(), lambda: data)
     if args.gaps_output:
-        _write(args.gaps_output, _csv_text(meta, "gap_lo,gap_hi", gap_list))
+        _write(args.gaps_output, _csv_text(meta, "gap_lo,gap_hi", gap_list.tolist()))
     return 0
 
 
@@ -433,7 +433,7 @@ def _cmd_sweep(args) -> int:
         for l2 in lams[i:]:
             prod = bands.product_set(covers[l1], covers[l2])
             cells[l1, l2] = cells[l2, l1] = (int(bands.is_interval(prod, 4.0 * args.resolution)),
-                                             sum(hi - lo for lo, hi in bands.gaps(prod)))
+                                             sum(hi - lo for lo, hi in bands.gaps(prod).tolist()))
     rows = [(l1, l2, *cells[l1, l2], thick[l1], thick[l2]) for l1 in lams for l2 in lams]
     header = "lambda1,lambda2,is_interval,total_gap_length,thickness1,thickness2"
     _emit(args, header, rows, lambda: [dict(zip(header.split(","), row)) for row in rows],

@@ -136,14 +136,6 @@ def product_eigs(p: LabyrinthParams, n: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(np.multiply.outer(e1, e2).ravel())
 
 
-def zero_product_mass(p: LabyrinthParams, n: int) -> float:
-    """Fraction of product eigenvalues that are exactly zero ((2N-1)/N^2 for odd N)."""
-    e1, e2 = eigs_1d_axes(p, n)
-    z1 = int(np.count_nonzero(e1 == 0.0))
-    z2 = int(np.count_nonzero(e2 == 0.0))
-    return (z1 * n + z2 * n - z1 * z2) / (n * n)
-
-
 # ---------------------------------------------------------------------------
 # product counting
 

@@ -59,7 +59,7 @@ def band_stack_svg(levels, covers, metadata: dict) -> str:
     for i, (level, cover) in enumerate(rows):
         y = MARGIN + i * row_h
         body.append(f'<text x="4" y="{_fmt(y + 0.6 * row_h)}" font-size="11">{escape(f"level {level}", quote=False)}</text>')
-        for a, b in cover.intervals:
+        for a, b in cover.intervals.tolist():
             w = max(to_x(b) - to_x(a), 0.3)
             body.append(
                 f'<rect x="{_fmt(to_x(a))}" y="{_fmt(y + 0.15 * row_h)}" '

@@ -175,7 +175,7 @@ def _refine_edges(params, surviving, escaping, level, radius, resolution) -> np.
     return escaping
 
 
-def _level_bands(params, e, sizes, level, radius, resolution) -> tuple:
+def _level_bands(params, e, sizes, level, radius, resolution) -> np.ndarray:
     """Merged bands of one level from the samples ``e`` of consecutive segments.
 
     ``sizes`` gives each segment's sample count.  All samples are tested in one
@@ -185,7 +185,7 @@ def _level_bands(params, e, sizes, level, radius, resolution) -> tuple:
     raise before any edge is refined.
     """
     if not e.size:
-        return ()
+        return np.empty((0, 2))
     first = np.zeros(e.size, dtype=bool)
     first[np.cumsum(sizes) - sizes] = True
     last = np.roll(first, -1)
@@ -208,7 +208,7 @@ def _level_bands(params, e, sizes, level, radius, resolution) -> tuple:
     return merge_intervals(np.column_stack([lo, hi]))
 
 
-def _band_samples(intervals, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+def _band_samples(intervals: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """The samples of every band of a level, built in one pass, and each band's count.
 
     Band [lo, hi] gets m = max(17, ceil((hi - lo) / spacing) + 1) samples with
@@ -217,7 +217,7 @@ def _band_samples(intervals, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     underflows to 0, and hi itself last.  The band with lo < 0 < hi also gets
     the zero energy, as ``np.unique(np.append(samples, 0.0))`` would add it.
     """
-    lo, hi = np.array(intervals, dtype=float).reshape(-1, 2).T
+    lo, hi = intervals.T
     width = hi - lo
     m = np.maximum(17, np.ceil(width / spacing).astype(np.int64) + 1)
     ends = np.cumsum(m)

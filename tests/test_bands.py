@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasilab import bands
+from quasilab import bands, tracemap
 from quasilab.bands import (
     BandCover,
     box_dimension_estimate,
@@ -16,10 +16,10 @@ from quasilab.bands import (
     log_positive_part,
     merge_intervals,
     product_set,
-    sum_set,
     thickness,
 )
 from quasilab.errors import ResourceLimitError
+from quasilab.jacobi1d import ModelParams
 
 
 def middle_thirds_cover(level: int) -> BandCover:
@@ -73,7 +73,7 @@ U = sys.float_info.epsilon / 2
 
 def refusal_causes(c, factor):
     """What ``c.scaled(factor)`` must name when it raises, recomputed from the images."""
-    pairs = [(x, x * factor) for iv in c.intervals for x in iv]
+    pairs = [(x, x * factor) for x in c.intervals.ravel().tolist()]
     causes = [f"overflows endpoint {x!r}" for x, y in pairs if math.isinf(y)]
     causes += [
         f"takes endpoint {x!r} to {y!r}, below the smallest normal float"
@@ -103,7 +103,7 @@ def scaled_or_refused(c, factor):
 
 def gap_and_bridge_lengths(c):
     """Every gap of ``c`` and its two ordered-gap bridges, by brute force."""
-    gs = gaps(c)
+    gs = gaps(c).tolist()
     lo, hi = c.hull
     out = []
     for i, (a, b) in enumerate(gs):
@@ -142,10 +142,10 @@ def scaled_thickness_tolerance(M, m):
 
 class TestMergeIntervals:
     def test_merges_overlaps(self):
-        assert merge_intervals([(0, 2), (1, 3), (5, 6)]) == ((0.0, 3.0), (5.0, 6.0))
+        assert merge_intervals([(0, 2), (1, 3), (5, 6)]).tolist() == [[0.0, 3.0], [5.0, 6.0]]
 
     def test_merges_touching(self):
-        assert merge_intervals([(0, 1), (1, 2)]) == ((0.0, 2.0),)
+        assert merge_intervals([(0, 1), (1, 2)]).tolist() == [[0.0, 2.0]]
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(bands, "INTERVAL_CAP", 10)
@@ -170,12 +170,78 @@ class TestMergeIntervals:
         pairs = [(a / 2, (a + w) / 2) for a, w in raw]
         shuffled = pairs[:]
         rnd.shuffle(shuffled)
-        want = merge_intervals(sorted(pairs))
-        assert merge_intervals(shuffled) == want
-        assert merge_intervals(np.array(shuffled)) == want
+        want = merge_intervals(sorted(pairs)).tolist()
+        assert merge_intervals(shuffled).tolist() == want
+        assert merge_intervals(np.array(shuffled)).tolist() == want
+
+
+def tuple_loop_refusal(ivs):
+    """The message a cover kept as a tuple of float pairs gives ``ivs``, or None if it accepts them."""
+    ivs = tuple((float(a), float(b)) for a, b in ivs)
+    for a, b in ivs:
+        if not a <= b:
+            if math.isnan(a) or math.isnan(b):
+                return "interval endpoints must not be NaN"
+            return "intervals must satisfy lo <= hi"
+    for (_, b), (c, _) in zip(ivs, ivs[1:]):
+        if c <= b:
+            return "intervals must be sorted and disjoint"
+    return None
+
+
+endpoints = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 2.0]), st.floats())
+# raw lists give unsorted, overlapping and NaN pairs; sorted endpoints paired in
+# order give covers, touching bands and -0.0 against 0.0
+raw_pairs = st.lists(st.tuples(endpoints, endpoints), max_size=6)
+ordered_pairs = st.lists(endpoints, max_size=12).map(sorted).map(lambda xs: list(zip(xs[::2], xs[1::2])))
 
 
 class TestBandCover:
+    @given(st.one_of(raw_pairs, ordered_pairs))
+    @example([])
+    @example([(0.0, 1.0), (1.0, 2.0)])  # touching
+    @example([(-1.0, -0.0), (0.0, 1.0)])  # -0.0 touches 0.0
+    @example([(-math.inf, 0.0), (1.0, math.inf)])
+    @example([(1.0, 0.0), (math.nan, 2.0)])  # the first bad pair names the fault
+    def test_refuses_exactly_as_the_tuple_loop(self, ivs):
+        want = tuple_loop_refusal(ivs)
+        if want is None:
+            assert BandCover(ivs).intervals.tolist() == [[float(a), float(b)] for a, b in ivs]
+            return
+        with pytest.raises(ValueError) as err:
+            BandCover(ivs)
+        assert str(err.value) == want
+
+    def test_intervals_are_a_read_only_float64_copy(self):
+        source = np.array([[0, 1], [2, 3]])
+        c = BandCover(source)
+        assert c.intervals.dtype == np.float64 and c.intervals.shape == (2, 2)
+        assert not c.intervals.flags.writeable
+        with pytest.raises(ValueError):
+            c.intervals[0, 0] = -1.0
+        source[0, 0] = -1
+        assert c.intervals.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert BandCover(()).intervals.shape == (0, 2)
+
+    @pytest.mark.parametrize("ivs", [[(0.0, 1.0, 2.0)], [0.0, 1.0], [[[0.0, 1.0]]]])
+    def test_refuses_what_is_not_pairs(self, ivs):
+        with pytest.raises(ValueError, match="pairs"):
+            BandCover(ivs)
+
+    def test_every_producer_gives_the_array(self):
+        c = BandCover(((-2.0, -1.0), (1.0, 2.0)))
+        made = [product_set(c, c), c.scaled(3.0), log_positive_part(c),
+                *tracemap.cover_sequence(ModelParams(1, 1.5), [2, 4], 1e-3)]
+        for cover in made:
+            assert cover.intervals.dtype == np.float64 and cover.intervals.shape == (cover.count, 2)
+            assert not cover.intervals.flags.writeable
+
+    def test_total_length_sums_left_to_right(self):
+        # widths 1 and fifteen of 2**-53: left to right each small width rounds
+        # away, where numpy's pairwise sum gives 1 + 7 * 2**-52
+        ivs = [(-1.0, 0.0)] + [(0.13 + 0.005 * k, 0.13 + 0.005 * k + 2.0**-53) for k in range(15)]
+        assert BandCover(ivs).total_length.hex() == sum(b - a for a, b in ivs).hex() == (1.0).hex()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BandCover(((0, 1), (0.5, 2)))
@@ -221,12 +287,12 @@ class TestBandCover:
 class TestGapsAndThickness:
     def test_single_band_no_gaps(self):
         c = BandCover(((0, 1),))
-        assert gaps(c) == []
+        assert gaps(c).shape == (0, 2)
         assert thickness(c) == math.inf
 
     def test_two_bands(self):
         c = BandCover(((0, 1), (2, 3)))
-        assert gaps(c) == [(1.0, 2.0)]
+        assert gaps(c).tolist() == [[1.0, 2.0]]
 
     def test_middle_thirds_level_2_gaps(self):
         c = middle_thirds_cover(2)
@@ -297,7 +363,7 @@ class TestGapsAndThickness:
         image = scaled_or_refused(c, factor)
         if image is None:
             return
-        if not gaps(c):
+        if not len(gaps(c)):
             assert thickness(image) == math.inf
             return
         M = max(abs(y) for iv in image.intervals for y in iv)
@@ -338,17 +404,17 @@ class TestBoxDimension:
 class TestProductSet:
     def test_symmetric_squares(self):
         c = BandCover(((-2.0, 2.0),))
-        assert product_set(c, c).intervals == ((-4.0, 4.0),)
+        assert product_set(c, c).intervals.tolist() == [[-4.0, 4.0]]
 
     def test_positive_bands(self):
         a = BandCover(((1.0, 2.0),))
         b = BandCover(((3.0, 4.0),))
-        assert product_set(a, b).intervals == ((3.0, 8.0),)
+        assert product_set(a, b).intervals.tolist() == [[3.0, 8.0]]
 
     def test_identity_band(self):
         a = BandCover(((-2.0, -1.0), (1.0, 2.0)))
         one = BandCover(((1.0, 1.0),))
-        assert product_set(a, one).intervals == a.intervals
+        assert product_set(a, one).intervals.tolist() == a.intervals.tolist()
 
     @given(covers(max_bands=3), covers(max_bands=3))
     @settings(max_examples=60)
@@ -378,9 +444,9 @@ class TestBlockedSetArithmetic:
     def test_result_does_not_depend_on_the_block(self, a, b, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bands, "_PAIR_BLOCK", 10**6)  # more than all pairs: one block
-            want = (product_set(a, b), sum_set(a, b))
+            want = product_set(a, b).intervals.tolist()
             mp.setattr(bands, "_PAIR_BLOCK", block)
-            got = (product_set(a, b), sum_set(a, b))
+            got = product_set(a, b).intervals.tolist()
         assert got == want
 
     def test_pair_guard_refuses_before_any_pair_is_formed(self, monkeypatch):
@@ -391,9 +457,8 @@ class TestBlockedSetArithmetic:
         big = BandCover(tuple((k, k + 0.5) for k in range(2001)))
         small = BandCover(tuple((k, k + 0.5) for k in range(2000)))
         for x, y in ((big, small), (small, big)):
-            for op in (product_set, sum_set):
-                with pytest.raises(ResourceLimitError, match="2001 x 2000|2000 x 2001"):
-                    op(x, y)
+            with pytest.raises(ResourceLimitError, match="2001 x 2000|2000 x 2001"):
+                product_set(x, y)
 
     def test_peak_memory_at_the_guard_is_a_few_blocks(self):
         # bound fixed from the block arithmetic before measuring: a block of
@@ -412,33 +477,6 @@ class TestBlockedSetArithmetic:
             tracemalloc.stop()
         assert prod.hull[1] == 4.0 and prod.count > 1
         assert peak < 16 * 2**20
-
-
-class TestSumSet:
-    def test_unit_intervals(self):
-        c = BandCover(((0.0, 1.0),))
-        assert sum_set(c, c).intervals == ((0.0, 2.0),)
-
-    def test_translated_bands(self):
-        a = BandCover(((0.0, 1.0), (10.0, 11.0)))
-        b = BandCover(((0.0, 1.0),))
-        assert sum_set(a, b).intervals == ((0.0, 2.0), (10.0, 12.0))
-
-    def test_middle_thirds_sum_fills_interval(self):
-        # classical: C + C = [0, 2]; at level 10 the cover sum leaves only
-        # float-rounding slivers, far below any geometric scale
-        c = middle_thirds_cover(10)
-        s = sum_set(c, c)
-        assert s.hull == (0.0, 2.0)
-        assert is_interval(s, 1e-12)
-
-    @given(covers(max_bands=3), covers(max_bands=3))
-    @settings(max_examples=60)
-    def test_contains_pointwise_sums(self, a, b):
-        total = sum_set(a, b)
-        for x in sample_points(a, 3):
-            for y in sample_points(b, 3):
-                assert total.contains(x + y)
 
 
 class TestLogPositivePart:
@@ -463,14 +501,11 @@ class TestLogPositivePart:
         with pytest.raises(ValueError):
             log_positive_part(BandCover(((-3.0, -1.0),)))
 
-    def test_roundtrip_with_sum(self):
-        # exp(log A + log B) recovers the product hull for positive covers
-        a = BandCover(((1.0, 2.0),))
-        b = BandCover(((3.0, 4.0),))
-        s = sum_set(log_positive_part(a), log_positive_part(b))
-        lo, hi = s.hull
-        assert math.exp(lo) == pytest.approx(3.0)
-        assert math.exp(hi) == pytest.approx(8.0)
+    def test_roundtrip_with_exp(self):
+        # exp(log A) recovers every band of a positive cover
+        a = BandCover(((1.0, 2.0), (3.0, 8.0)))
+        out = log_positive_part(a)
+        assert np.exp(out.intervals) == pytest.approx(a.intervals)
 
 
 class TestIsInterval:
@@ -480,7 +515,7 @@ class TestIsInterval:
     def test_detects_gap(self):
         c = BandCover(((0, 1), (2, 3)))
         assert is_interval(c, 0.5) is False
-        assert [g for g in gaps(c) if g[1] - g[0] > 0.5] == [(1.0, 2.0)]
+        assert [g for g in gaps(c).tolist() if g[1] - g[0] > 0.5] == [[1.0, 2.0]]
         assert is_interval(c, 1.0) is True
 
     def test_tolerates_small_gaps(self):

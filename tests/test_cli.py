@@ -347,6 +347,7 @@ class TestInvalidInput:
         ["dos1d", "--a", "2", "--N", "16", "--grid", "0"],
         ["dos2d", "--a1", "2", "--a2", "1", "--N", "4", "--grid", "0"],
         ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--phases", "0"],
+        ["dos1d", "--a", "2", "--N", "0", "--grid", "5"],
         # hopping values whose square overflows
         ["dos1d", "--a", "1e200", "--N", "64", "--grid", "5"],
         ["dos1d", "--lambda", "1e200", "--N", "64", "--grid", "5"],
@@ -406,6 +407,12 @@ class TestInvalidInput:
         code, _, err = run_cli(args + ["-o", str(out_file)])
         assert code == 2 and not out_file.exists()
         assert item in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("sub, model", [("dos1d", ["--a", "2"]), ("dos2d", ["--a1", "2", "--a2", "1"])])
+    def test_box_side_errors_name_the_flag(self, sub, model):
+        code, _, err = run_cli([sub, *model, "--N", "0", "--grid", "5"])
+        assert code == 2
+        assert "argument --N: must be at least 1, got 0" in json.loads(err)["message"]
 
 
     @pytest.mark.parametrize("args, option", [

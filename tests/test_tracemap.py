@@ -283,13 +283,13 @@ class TestLevelSamples:
     @pytest.mark.parametrize("spacing", [0.25, 1e-3])
     def test_one_pass_has_the_bits_of_per_band_linspace(self, middle, spacing):
         intervals = [(-7.0, -3.5), (-3.0, -3.0), (-2.5, -2.5 + 2**-50), middle, (3.0, 3.0), (4.0, 9.75)]
-        samples, sizes = tracemap._band_samples(intervals, spacing)
+        samples, sizes = tracemap._band_samples(np.array(intervals), spacing)
         want = self.per_band_linspace(intervals, spacing)
         assert sizes.tolist() == [seg.size for seg in want]
         assert samples.tobytes() == np.concatenate(want).tobytes()
 
     def test_no_bands_give_no_samples(self):
-        samples, sizes = tracemap._band_samples((), 0.25)
+        samples, sizes = tracemap._band_samples(np.empty((0, 2)), 0.25)
         assert samples.size == 0 and sizes.size == 0
 
 
