@@ -347,7 +347,6 @@ class TestInvalidInput:
         ["dos1d", "--a", "2", "--N", "16", "--grid", "0"],
         ["dos2d", "--a1", "2", "--a2", "1", "--N", "4", "--grid", "0"],
         ["dos1d", "--a", "2", "--N", "16", "--grid", "5", "--phases", "0"],
-        ["dos1d", "--a", "2", "--N", "0", "--grid", "5"],
         # hopping values whose square overflows
         ["dos1d", "--a", "1e200", "--N", "64", "--grid", "5"],
         ["dos1d", "--lambda", "1e200", "--N", "64", "--grid", "5"],
@@ -401,19 +400,16 @@ class TestInvalidInput:
         (["spectrum1d", "--a", "2", "--levels", "3,x"], "'x'"),
         (["thickness", "--a", "2", "--levels", "3,4.5"], "'4.5'"),
         (["verify", "--criteria", ","], "','"),
+        # a box side below 1 names its flag
+        (["dos1d", "--a", "2", "--N", "0", "--grid", "5"], "argument --N: must be at least 1, got 0"),
+        (["dos2d", "--a1", "2", "--a2", "1", "--N", "0", "--grid", "5"],
+         "argument --N: must be at least 1, got 0"),
     ])
     def test_comma_list_errors_name_the_bad_item(self, args, item, tmp_path):
         out_file = tmp_path / "out"
         code, _, err = run_cli(args + ["-o", str(out_file)])
         assert code == 2 and not out_file.exists()
         assert item in json.loads(err)["message"]
-
-    @pytest.mark.parametrize("sub, model", [("dos1d", ["--a", "2"]), ("dos2d", ["--a1", "2", "--a2", "1"])])
-    def test_box_side_errors_name_the_flag(self, sub, model):
-        code, _, err = run_cli([sub, *model, "--N", "0", "--grid", "5"])
-        assert code == 2
-        assert "argument --N: must be at least 1, got 0" in json.loads(err)["message"]
-
 
     @pytest.mark.parametrize("args, option", [
         (["sequence", "--n", "3"], "-o"),
