@@ -157,23 +157,28 @@ def _blocking_indices(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each gap, the nearest gap on each side with length >= its own.
 
     Monotonic-stack passes; -1 marks 'none, bridge runs to the hull boundary'.
+    The passes run over Python floats and lists, which index and compare
+    faster than numpy scalars do.
     """
-    m = lengths.size
-    left = np.full(m, -1, dtype=np.intp)
+    values = lengths.tolist()
+    m = len(values)
+    left, right = [-1] * m, [-1] * m
     stack: list[int] = []
-    for i in range(m):
-        while stack and lengths[stack[-1]] < lengths[i]:
+    for i, x in enumerate(values):
+        while stack and values[stack[-1]] < x:
             stack.pop()
-        left[i] = stack[-1] if stack else -1
+        if stack:
+            left[i] = stack[-1]
         stack.append(i)
-    right = np.full(m, -1, dtype=np.intp)
     stack = []
     for i in range(m - 1, -1, -1):
-        while stack and lengths[stack[-1]] < lengths[i]:
+        x = values[i]
+        while stack and values[stack[-1]] < x:
             stack.pop()
-        right[i] = stack[-1] if stack else -1
+        if stack:
+            right[i] = stack[-1]
         stack.append(i)
-    return left, right
+    return np.array(left, dtype=np.intp), np.array(right, dtype=np.intp)
 
 
 def thickness(cover: BandCover) -> float:

@@ -7,9 +7,9 @@ drawn from a metallic-mean sequence defines the Jacobi matrix
 
 The restriction to an N-site window keeps only the interior couplings, giving a
 zero-diagonal symmetric tridiagonal matrix.  Eigenvalue counting runs through a
-Sturm (LDL^T inertia) recurrence vectorised over energies, and full spectra come
-from bisection on those counts; the integrated density of states (IDS) is the
-normalised counting function.
+Sturm (LDL^T inertia) recurrence vectorised over energies and over stacks of
+equal-length windows, and full spectra come from bisection on those counts; the
+integrated density of states (IDS) is the normalised counting function.
 
 The diagonal is zero, so the chain is bipartite: flipping the sign on every
 other site maps H to -H, the spectrum is symmetric about 0, and for odd N
@@ -123,45 +123,83 @@ def _count_sign_bits(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
 def count_below_offdiag(offdiag, energies) -> np.ndarray:
     """Eigenvalues of the zero-diagonal tridiagonal matrix below each energy.
 
-    ``offdiag`` holds the N-1 couplings of an N x N matrix.  The LDL^T pivot
-    recurrence q_1 = -E, q_k = -E - b_{k-1}^2 / q_{k-1} counts eigenvalues through
-    the number of pivots with the sign bit set, in IEEE arithmetic without a
-    pivot guard (see the module docstring); the computation is vectorised
-    across energies.  A zero coupling (b^2 = 0) splits the matrix into a direct
-    sum; each block is counted on its own and the counts are added, so no 0/0
-    pivot arises and the count stays monotone.  At an energy that is itself an
-    eigenvalue of a leading submatrix the count may land on either side of the
-    jump.  NaN energies raise ``ValueError``.
+    ``offdiag`` holds the N-1 couplings of an N x N matrix, or is a (P, N-1)
+    stack of P such windows.  ``energies`` is a scalar or a 1-D array shared by
+    every window, or a (P, M) array with one row per window.  The result has
+    shape (M,) for one window and (P, M) for a stack; each row equals the
+    count of its window on its own, bit for bit.
+
+    The LDL^T pivot recurrence q_1 = -E, q_k = -E - b_{k-1}^2 / q_{k-1} counts
+    eigenvalues through the number of pivots with the sign bit set, in IEEE
+    arithmetic without a pivot guard (see the module docstring); the
+    computation is vectorised across the P x M lanes of (window, energy).  A
+    zero coupling (b^2 = 0) splits its window into a direct sum: the pivot
+    after it restarts at exactly -E, as if each block were counted on its own
+    and the counts added, so no 0/0 pivot arises and the count stays monotone.
+    At an energy that is itself an eigenvalue of a leading submatrix the count
+    may land on either side of the jump.  NaN energies raise ``ValueError``.
+
+    Cost: each site takes a few numpy calls whatever the number of lanes, so
+    at small lane counts a pass is bound by numpy's per-call cost, not by its
+    arithmetic.  At N = 2048 on a 2-core x86 machine one window took about
+    1.2 us a site at 1-64 energies, 2.0 us at 401 and 4.9 us at 2005.  Within a
+    block of _COUNT_BLOCK sites each coupling of a stack is copied across its
+    window's lanes, so that every step is a full-length elementwise divide:
+    against P separate passes over 401 energies, one pass gained 1.3 / 1.6 /
+    2.3x at P = 2 / 3 / 5, where broadcasting a (P, 1) coupling column gained
+    1.1 / 1.3 / 1.8x (median of 9).  One window's couplings enter as Python
+    floats, which numpy broadcasts at no cost.
     """
-    off = np.asarray(offdiag, dtype=float)
-    off2 = np.square(off)
-    neg_e = np.negative(np.atleast_1d(np.asarray(energies, dtype=float)))
-    if np.isnan(neg_e).any():
+    off2 = np.square(np.asarray(offdiag, dtype=float))
+    if off2.ndim > 2:
+        raise ValueError("couplings must be one window or a (P, N-1) stack of windows")
+    stack = np.atleast_2d(off2)
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    if np.isnan(e).any():
         raise ValueError("energies must not be NaN")
-    cuts = np.flatnonzero(off2 == 0.0)
-    if cuts.size:
-        ends = np.concatenate([[-1], cuts, [off.size]])
-        return sum(count_below_offdiag(off[lo + 1:hi], energies) for lo, hi in zip(ends, ends[1:]))
-    buf = np.empty((min(_COUNT_BLOCK, off2.size + 1), neg_e.size))
+    p, sites, m = stack.shape[0], stack.shape[1] + 1, e.shape[-1]
+    neg_e = np.negative(np.broadcast_to(e, (p, m))).reshape(-1)  # lanes in window-major order
+    block = min(_COUNT_BLOCK, sites)
+    buf = np.empty((block, neg_e.size))
     rows = list(buf)
     signs = np.empty(buf.shape, dtype=bool)
     t = np.empty_like(neg_e)
     count = np.zeros(neg_e.size, dtype=np.int64)
+    # the blocks holding a zero coupling of some window
+    cut_blocks = {i - i % block for i in np.nonzero(stack == 0.0)[1].tolist()}
+    # one window broadcasts its couplings as Python floats, at no cost a step
+    couplings = stack[0].tolist() if p == 1 else stack.T
     q = rows[0]
     np.copyto(q, neg_e)
-    row, block = 1, len(rows)
+    row = 1
     divide, subtract = np.divide, np.subtract
     with np.errstate(divide="ignore", over="ignore"):
-        for b2 in off2.tolist():
-            if row == block:
-                count += _count_sign_bits(buf, signs)
-                row = 0
-            divide(b2, q, out=t)
-            q = rows[row]
-            subtract(neg_e, t, out=q)
-            row += 1
+        for lo in range(0, sites - 1, block):
+            b2s = couplings[lo:lo + block]
+            if p > 1:
+                b2s = np.repeat(b2s, m, axis=1)
+            if lo not in cut_blocks:
+                for b2 in b2s:
+                    if row == block:
+                        count += _count_sign_bits(buf, signs)
+                        row = 0
+                    divide(b2, q, out=t)
+                    q = rows[row]
+                    subtract(neg_e, t, out=q)
+                    row += 1
+            else:
+                for b2 in b2s:
+                    if row == block:
+                        count += _count_sign_bits(buf, signs)
+                        row = 0
+                    # -E - (+0.0) is -E bit for bit, signed zeros included
+                    t.fill(0.0)
+                    divide(b2, q, out=t, where=np.not_equal(b2, 0.0))
+                    q = rows[row]
+                    subtract(neg_e, t, out=q)
+                    row += 1
     count += _count_sign_bits(buf[:row], signs)
-    return count
+    return count.reshape(off2.shape[:-1] + (m,))
 
 
 @functools.cache
@@ -204,39 +242,71 @@ def _predict_offdiag(off: np.ndarray) -> np.ndarray | None:
     return np.sort(d)[k - m :] if info.value == 0 else np.full(m, np.nan)
 
 
-def _bisect(off, grid, k, tol, guess, delta):
-    """The bisection of :func:`eigenvalues_offdiag`: the last midpoints of lanes k, or None.
+def _count_rows(off, windows, energies) -> list:
+    """count_below_offdiag of window off[windows[i]] at energies[i] for each i, in one pass.
 
-    A decision count(E) > k is read as E > guess[lane] wherever
-    |E - guess[lane]| > ``delta`` and is a Sturm count elsewhere, so with
-    delta = inf every decision is counted.  None is returned unless one count
-    over the final brackets verifies the path.
+    The energy lists may differ in length: rows are padded with 0.0, whose
+    counts are dropped, and a window with no energies is left out of the pass.
+    """
+    counts = [np.zeros(0, dtype=np.int64)] * len(energies)
+    rows = [i for i, e in enumerate(energies) if e.size]
+    if rows:
+        padded = np.zeros((len(rows), max(energies[i].size for i in rows)))
+        for r, i in enumerate(rows):
+            padded[r, : energies[i].size] = energies[i]
+        for i, c in zip(rows, count_below_offdiag(off[windows[rows]], padded)):
+            counts[i] = c[: energies[i].size]
+    return counts
+
+
+def _bisect(off, grid, k, tol, guess, delta):
+    """The bisection of :func:`eigenvalues_offdiag` over a (P, N-1) stack of windows.
+
+    Window i bisects lanes k on grid[i] with guesses guess[i].  A decision
+    count(E) > k is read as E > guess[i, lane] wherever |E - guess[i, lane]| >
+    delta[i] and is a Sturm count elsewhere, so with delta = inf every
+    decision is counted.  The windows run in lock-step, and each step counts
+    the near lanes of all of them in one pass.  A window stops when none of its
+    own lanes can move, as it would alone, so its bits do not depend on the
+    others.  Returns each window's last midpoints, or None for a window whose
+    path one count over its final brackets does not verify.
     """
     # on [0, inf) the count is ceil(N/2) plus the guesses below E, away from them
-    below = np.searchsorted(guess, grid - delta)
-    counts = off.size + 1 - k.size + below
-    near = np.flatnonzero(below != np.searchsorted(guess, grid + delta, side="right"))
-    if near.size:
-        counts[near] = count_below_offdiag(off, grid[near])
+    below = [np.searchsorted(x, g - d) for x, g, d in zip(guess, grid, delta)]
+    near = [np.flatnonzero(b != np.searchsorted(x, g + d, side="right"))
+            for b, x, g, d in zip(below, guess, grid, delta)]
+    counts = [off.shape[1] + 1 - k.size + b for b in below]
+    going = np.arange(off.shape[0])
+    for c, i, counted in zip(counts, near, _count_rows(off, going, [g[i] for g, i in zip(grid, near)])):
+        c[i] = counted
     # the kth smallest eigenvalue lies in [grid[j-1], grid[j]) for the first j
     # whose count exceeds k; j = 0 or j = grid.size pins it at an end
-    j = np.searchsorted(counts, k, side="right")
-    lo = grid[np.maximum(j - 1, 0)]
-    hi = grid[np.minimum(j, grid.size - 1)]
-    while True:
+    j = np.stack([np.searchsorted(c, k, side="right") for c in counts])
+    lo = grid[going[:, None], np.maximum(j - 1, 0)]
+    hi = grid[going[:, None], np.minimum(j, grid.shape[1] - 1)]
+    # each window's final brackets, as it stops; rows still bisecting are ``going``
+    ends = np.concatenate([lo, hi], axis=1)
+    delta = delta[:, None]
+    while going.size:
         mid = 0.5 * (lo + hi)
-        if not np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
-            break
+        live = ((hi - lo > tol) & (lo < mid) & (mid < hi)).any(axis=1)
+        if not live.all():
+            # a window none of whose lanes can move stops, as it would alone
+            ends[going[~live]] = np.concatenate([lo[~live], hi[~live]], axis=1)
+            going, lo, hi, mid, guess, delta = (x[live] for x in (going, lo, hi, mid, guess, delta))
         above = mid > guess
         # a lane pinned at an end (lo == hi) keeps its value whatever is decided
-        near = np.flatnonzero((np.abs(mid - guess) <= delta) & (lo < hi))
-        if near.size:
-            above[near] = count_below_offdiag(off, mid[near]) > k[near]
+        near = (np.abs(mid - guess) <= delta) & (lo < hi)
+        if near.any():
+            near = [np.flatnonzero(row) for row in near]
+            for a, i, counted in zip(above, near, _count_rows(off, going, [m[i] for m, i in zip(mid, near)])):
+                a[i] = counted > k[i]
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    final = count_below_offdiag(off, np.concatenate([lo, hi]))
-    held = ((final[: k.size] <= k) | (j == 0)) & ((final[k.size :] > k) | (j == grid.size))
-    return mid if held.all() else None
+    lo, hi = ends[:, : k.size], ends[:, k.size :]
+    final = count_below_offdiag(off, ends)
+    held = ((final[:, : k.size] <= k) | (j == 0)) & ((final[:, k.size :] > k) | (j == grid.shape[1]))
+    return [m if h else None for m, h in zip(0.5 * (lo + hi), held.all(axis=1))]
 
 
 def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
@@ -250,6 +320,13 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     The result is those values, their negatives and, for odd N, an exact 0.0,
     sorted: each e_k is bit for bit -e_(N+1-k).  ``tol`` must be positive and
     the couplings finite.
+
+    ``offdiag`` is one window's N-1 couplings, giving N eigenvalues, or a
+    (P, N-1) stack of windows, giving a (P, N) array whose rows are bit for bit
+    the windows' own solves.  The windows of a stack are bisected in lock-step
+    (see :func:`_bisect`): each step makes one count pass for all of them
+    instead of one a window, while each window keeps its own stop rule, its own
+    final check and its own fallback.
 
     Each decision of this bisection is whether count(E) > k, with count the
     Sturm count.  The nonnegative eigenvalues are the singular values x_k of
@@ -287,18 +364,28 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     off = np.asarray(offdiag, dtype=float)
-    n = off.size + 1
-    bound = 2.0 * (1.0 + (float(np.max(np.abs(off))) if off.size else 0.0))
-    if not bound < math.inf:
+    if off.ndim > 2:
+        raise ValueError("couplings must be one window or a (P, N-1) stack of windows")
+    stack = np.atleast_2d(off)
+    n = stack.shape[1] + 1
+    bound = 2.0 * (1.0 + (np.abs(stack).max(axis=1) if n > 1 else np.zeros(len(stack))))
+    if not (bound < math.inf).all():
         raise ValueError("couplings must be finite")
-    grid = np.linspace(0.0, bound, 2 * n + 1)
+    grid = np.linspace(0.0, bound, 2 * n + 1, axis=1)
     k = np.arange(n - n // 2, n)
-    guess = _predict_offdiag(off)
-    mid = None if guess is None else _bisect(off, grid, k, tol, guess, n * np.finfo(float).eps * bound)
-    if mid is None:
-        mid = _bisect(off, grid, k, tol, np.zeros(k.size), math.inf)
-    pos = np.sort(mid)
-    return np.concatenate([-pos[::-1], np.zeros(n % 2), pos])
+    guess = [_predict_offdiag(w) for w in stack]
+    if guess[0] is None:
+        mids = [None] * len(stack)
+    else:
+        mids = _bisect(stack, grid, k, tol, np.stack(guess), n * np.finfo(float).eps * bound)
+    redo = [i for i, mid in enumerate(mids) if mid is None]
+    if redo:
+        plain = _bisect(stack[redo], grid[redo], k, tol, np.zeros((len(redo), k.size)), np.full(len(redo), math.inf))
+        for i, mid in zip(redo, plain):
+            mids[i] = mid
+    pos = np.sort(np.stack(mids), axis=1)
+    eigs = np.concatenate([-pos[:, ::-1], np.zeros((len(mids), n % 2)), pos], axis=1)
+    return eigs.reshape(off.shape[:-1] + (n,))
 
 
 def ids_curve(params: ModelParams, energies, n: int, *, source: str = "substitution",

@@ -16,7 +16,6 @@ rule that boundary bonds are dropped; the 2D coupling from (m, n) to
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -105,23 +104,52 @@ def dense_eigs_2d(matrix: np.ndarray) -> EmpiricalMeasure:
     return EmpiricalMeasure(symmetric_eigenvalues(matrix))
 
 
-@functools.lru_cache(maxsize=AXIS_MEMO_SIZE)
+#: The memoised 1D eigenvalue lists, keyed by (s, a, N), least recently used first.
+_AXIS_MEMO: dict = {}
+
+
+def _axis_lists(s: int, hoppings, n: int) -> list:
+    """The memoised eigenvalue lists of the chains with these hopping values.
+
+    The lists not memoised are solved together, as one stack of windows
+    bisected in lock-step (see :func:`eigenvalues_offdiag`), and each is the
+    same bits as its own solve.  Every list asked for becomes the most
+    recently used; beyond AXIS_MEMO_SIZE the least recently used are dropped.
+    """
+    keys = [(s, a, n) for a in hoppings]
+    cold = [key for key in dict.fromkeys(keys) if key not in _AXIS_MEMO]
+    if cold:
+        windows = np.stack([build_window(ModelParams(s, a), n)[:-1] for _, a, _ in cold])
+        for key, eigs in zip(cold, eigenvalues_offdiag(windows, EIG_TOL)):
+            eigs.setflags(write=False)
+            _AXIS_MEMO[key] = eigs
+    for key in keys:
+        _AXIS_MEMO[key] = _AXIS_MEMO.pop(key)
+    while len(_AXIS_MEMO) > AXIS_MEMO_SIZE:
+        del _AXIS_MEMO[next(iter(_AXIS_MEMO))]
+    return [_AXIS_MEMO[key] for key in keys]
+
+
 def axis_eigenvalues(s: int, a: float, n: int) -> np.ndarray:
     """Sorted, read-only eigenvalues of one 1D chain restricted to [0, N-1].
 
     The couplings are the first N-1 hopping values.  The solver mirrors the
     nonnegative half, so the list is exactly symmetric, with an exact zero for
     odd N (see :func:`eigenvalues_offdiag`).  The last AXIS_MEMO_SIZE lists are
-    memoised in process.
+    memoised in process; ``axis_eigenvalues.cache_clear()`` empties the memo.
     """
-    eigs = eigenvalues_offdiag(build_window(ModelParams(s, a), n)[:-1], EIG_TOL)
-    eigs.setflags(write=False)
-    return eigs
+    return _axis_lists(s, (a,), n)[0]
+
+
+axis_eigenvalues.cache_clear = _AXIS_MEMO.clear
 
 
 def eigs_1d_axes(p: LabyrinthParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue lists of the two 1D restrictions to [0, N-1] (see :func:`axis_eigenvalues`)."""
-    return axis_eigenvalues(p.s, p.a1, n), axis_eigenvalues(p.s, p.a2, n)
+    """Eigenvalue lists of the two 1D restrictions to [0, N-1] (see :func:`axis_eigenvalues`).
+
+    Two different axes that are not memoised are solved in one lock-step bisection.
+    """
+    return tuple(_axis_lists(p.s, (p.a1, p.a2), n))
 
 
 def product_eigs(p: LabyrinthParams, n: int) -> EmpiricalMeasure:
@@ -171,20 +199,30 @@ def count_products_leq(e1, e2, energies):
     the one the N1 x N2 comparison gives, and #{p < E} is the count at
     ``np.nextafter(E, -inf)``.  Energies go in chunks of about _COUNT_BLOCK
     rows x energies elements.
+
+    When both lists are mirrored, -e[::-1] == e (as ``eigenvalues_offdiag``
+    returns them, bit for bit), a row -x of e1 against -e2[::-1] counts what
+    row x counts against e2, so one pass over the rows e1 >= 0 counts each
+    positive row twice and a zero row once.  The test costs O(N) and no sort.
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.sort(np.asarray(e2, dtype=float))
     energies = np.asarray(energies, dtype=float)
     flat = energies.reshape(-1)
     counts = np.zeros(flat.size, dtype=np.int64)
-    for a, b in ((np.abs(e1[e1 >= 0]), e2), (-e1[e1 < 0], -e2[::-1])):
+    pos, neg = np.abs(e1[e1 >= 0]), -e1[e1 < 0]
+    if np.array_equal(-e1[::-1], e1) and np.array_equal(-e2[::-1], e2):
+        halves = [(pos, e2, np.where(pos > 0, 2, 1))]
+    else:
+        halves = [(pos, e2, np.ones(pos.size, dtype=np.int64)), (neg, -e2[::-1], np.ones(neg.size, dtype=np.int64))]
+    for a, b, weight in halves:
         if a.size == 0 or b.size == 0:
             continue
         step = max(1, _COUNT_BLOCK // a.size)
         # E / 0, E / tiny and overflowing products are guesses or the very floats compared
         with np.errstate(all="ignore"):
             for k in range(0, flat.size, step):
-                counts[k:k + step] += _row_counts(a, b, flat[k:k + step]).sum(axis=0)
+                counts[k:k + step] += weight @ _row_counts(a, b, flat[k:k + step])
     return int(counts[0]) if energies.ndim == 0 else counts.reshape(energies.shape)
 
 

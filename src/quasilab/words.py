@@ -88,6 +88,18 @@ def _alpha_longdouble(s: int) -> np.longdouble:
     return (s_ld + 2 - np.sqrt(s_ld * s_ld + 4)) / (2 * s_ld)
 
 
+def _index_blocks(indices):
+    """The integers of ``indices`` as int64 arrays of at most ``_INDEX_BLOCK`` entries."""
+    if isinstance(indices, range):
+        for i in range(0, len(indices), _INDEX_BLOCK):
+            r = indices[i:i + _INDEX_BLOCK]
+            yield np.arange(r.start, r.stop, r.step, dtype=np.int64)
+    else:
+        it = iter(indices)
+        while (n := np.fromiter(islice(it, _INDEX_BLOCK), np.int64)).size:
+            yield n
+
+
 def rotation_sequence(s, beta, indices) -> str:
     """Sturmian coding of the circle rotation with the metallic-mean frequency.
 
@@ -104,15 +116,15 @@ def rotation_sequence(s, beta, indices) -> str:
     same word as beta = 0 and beta in (-1, 1) enters unchanged.
 
     ``indices`` is any iterable of integers (typically ``range(1, N + 1)``); it
-    is coded ``_INDEX_BLOCK`` indices at a time.
+    is coded ``_INDEX_BLOCK`` indices at a time, a ``range`` as ``np.arange``
+    blocks and any other iterable through ``np.fromiter``.
     """
     _check_s(s)
     al = _alpha_longdouble(s)
     be = np.longdouble(math.fmod(beta, 1.0))
     window = np.longdouble(1.0) - al
-    it = iter(indices)
     blocks = []
-    while (n := np.fromiter(islice(it, _INDEX_BLOCK), np.int64)).size:
+    for n in _index_blocks(indices):
         in_window = np.mod(n * al + be, np.longdouble(1.0)) >= window
         blocks.append((in_window.view(np.uint8) + ord("a")).tobytes())
     return b"".join(blocks).decode("ascii")

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -284,7 +285,42 @@ class TestBandCover:
         assert c.contains(0.5) and c.contains(2.0) and not c.contains(1.5)
 
 
+def blocking_indices_reference(lengths):
+    """The monotonic-stack passes over numpy scalars, the oracle of ``bands._blocking_indices``."""
+    m = lengths.size
+    left = np.full(m, -1, dtype=np.intp)
+    stack = []
+    for i in range(m):
+        while stack and lengths[stack[-1]] < lengths[i]:
+            stack.pop()
+        left[i] = stack[-1] if stack else -1
+        stack.append(i)
+    right = np.full(m, -1, dtype=np.intp)
+    stack = []
+    for i in range(m - 1, -1, -1):
+        while stack and lengths[stack[-1]] < lengths[i]:
+            stack.pop()
+        right[i] = stack[-1] if stack else -1
+        stack.append(i)
+    return left, right
+
+
 class TestGapsAndThickness:
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 5e-324]),
+                              st.floats(min_value=0.0, max_value=1e300)), max_size=40))
+    def test_blocking_indices_match_the_numpy_scalar_passes(self, lengths):
+        lengths = np.array(lengths, dtype=float)
+        got, want = bands._blocking_indices(lengths), blocking_indices_reference(lengths)
+        assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    @given(covers(max_bands=12))
+    @example(middle_thirds_cover(4))
+    @example(BandCover(((0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0))))  # equal gaps
+    def test_thickness_matches_the_numpy_scalar_passes(self, c):
+        with mock.patch.object(bands, "_blocking_indices", blocking_indices_reference):
+            want = thickness(c)
+        assert repr(thickness(c)) == repr(want)
+
     def test_single_band_no_gaps(self):
         c = BandCover(((0, 1),))
         assert gaps(c).shape == (0, 2)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import quasilab
 from quasilab import cli, labyrinth, tracemap, words
 from quasilab.cli import main
-from quasilab.jacobi1d import ModelParams
+from quasilab.jacobi1d import ModelParams, ids_curve
 
 
 def run_cli(args, tmp_path=None):
@@ -139,6 +139,39 @@ class TestDosCommands:
         ])
         meta = json.loads(out)["meta"]
         assert meta["phases"] == 3 and "max_pairwise_spread" in meta
+
+    @pytest.mark.parametrize("grid, phases", [(65537, 64), (401, 12), (5, 64)])
+    def test_dos1d_passes_hold_no_more_lanes_than_the_budget(self, monkeypatch, tmp_path, grid, phases):
+        monkeypatch.setattr(cli, "DOS1D_WORK_CAP", 10**12)  # the cap refuses 65537 x 64 at any N
+        passes = []
+        count = cli.count_below_offdiag
+
+        def recording(off, energies):
+            passes.append(len(off))
+            return count(off, energies)
+
+        monkeypatch.setattr(cli, "count_below_offdiag", recording)
+        code, _, err = run_cli(["dos1d", "--a", "2", "--N", "16", "--grid", str(grid), "--phases", str(phases),
+                                "--format", "svg", "-o", str(tmp_path / "dos.svg")])
+        assert code == 0, err
+        assert sum(passes) == phases
+        assert max(passes) == min(phases, max(1, cli.DOS1D_LANES // grid))
+        assert all(p * grid <= max(cli.DOS1D_LANES, grid) for p in passes)
+
+    def test_dos1d_stacked_curves_are_the_single_window_curves(self):
+        import numpy as np
+
+        # 12 windows of 401 energies: passes of 5, 5 and 2 windows
+        code, out, _ = run_cli(["dos1d", "--a", "1.7", "--s", "2", "--N", "300", "--phases", "12", "--seed", "3",
+                                "--format", "json"])
+        data = json.loads(out)["data"]
+        grid, params = np.array(data["energies"]), ModelParams(2, 1.7)
+        first, *rotations = data["curves"]
+        assert first["window"] == "substitution:0" and first["ids"] == ids_curve(params, grid, 300).tolist()
+        betas = np.random.default_rng(3).random(11)
+        for curve, b in zip(rotations, betas, strict=True):
+            assert curve["window"] == f"rotation:{b:.6f}"
+            assert curve["ids"] == ids_curve(params, grid, 300, source="rotation", beta=float(b)).tolist()
 
     def test_dos2d_csv_and_histogram(self, tmp_path):
         cdf_path = tmp_path / "cdf.csv"
@@ -510,7 +543,7 @@ class TestResourceCaps:
         def boom(*args, **kwargs):
             raise AssertionError("work started before the cap was checked")
 
-        for holder, name in ((tracemap, "_level_bands"), (cli, "ids_curve"), (cli.np, "linspace")):
+        for holder, name in ((tracemap, "_level_bands"), (cli, "build_window"), (cli.np, "linspace")):
             monkeypatch.setattr(holder, name, boom)
         for args in (
             ["spectrum1d", "--lambda", "0", "--grid", "257", "--levels", _first_ladder_over_work_cap(257)],

@@ -273,6 +273,21 @@ class TestAgainstReferences:
         assert np.max(np.abs(got - np.linalg.eigvalsh(chain_matrix(off)))) <= 1e-10
 
 
+@pytest.fixture
+def verdicts(monkeypatch):
+    """Whether each window's bisection in a solve passed its check (None when unpredicted)."""
+    out = []
+    bisect = jacobi1d._bisect
+
+    def recording(off, grid, k, tol, guess, delta):
+        mids = bisect(off, grid, k, tol, guess, delta)
+        out.extend(None if d == math.inf else mid is not None for d, mid in zip(delta, mids))
+        return mids
+
+    monkeypatch.setattr(jacobi1d, "_bisect", recording)
+    return out
+
+
 class TestPredictedBisection:
     """Predicted, replayed and verified bisection against plain bisection, bit for bit."""
 
@@ -300,20 +315,6 @@ class TestPredictedBisection:
         got = eigenvalues_offdiag(off, tol)
         want = eigenvalues_half_spectrum_reference(off, tol)
         assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
-
-    @pytest.fixture
-    def verdicts(self, monkeypatch):
-        """Whether each bisection of a solve passed its check (None when unpredicted)."""
-        out = []
-        bisect = jacobi1d._bisect
-
-        def recording(off, grid, k, tol, guess, delta):
-            mid = bisect(off, grid, k, tol, guess, delta)
-            out.append(None if delta == math.inf else mid is not None)
-            return mid
-
-        monkeypatch.setattr(jacobi1d, "_bisect", recording)
-        return out
 
     @pytest.mark.parametrize("s,lam,n", [(1, 2.0, 500), (1, 5.0, 500), (3, 2.0, 300)])
     def test_decisions_close_to_a_guess_are_counted(self, verdicts, s, lam, n):
@@ -380,6 +381,130 @@ class TestPredictedBisection:
         assert jacobi1d._dlasq1() is not None
         eigenvalues_offdiag(build_window(ModelParams(1, 1.6), 1023)[:-1], EIG_TOL)
         assert verdicts == [True]
+
+
+def block_split_reference(offdiag, energies) -> np.ndarray:
+    """The count of each block between zero couplings, added: the oracle of a window with zero couplings."""
+    off = np.asarray(offdiag, dtype=float)
+    ends = np.concatenate([[-1], np.flatnonzero(off == 0.0), [off.size]])
+    return sum(count_below_reference(off[lo + 1:hi], energies) for lo, hi in zip(ends, ends[1:]))
+
+
+_COUPLINGS = st.one_of(st.sampled_from([0.5, 1.0, 1.7, 3.0]), st.floats(min_value=0.1, max_value=4.0))
+_ENERGIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]),
+                      st.floats(min_value=-9.0, max_value=9.0))
+
+
+class TestStackedCount:
+    """A (P, N-1) stack of windows counted in one pass, row by row against each window alone."""
+
+    @settings(max_examples=60)
+    @given(st.data(), st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=70),
+           st.booleans(), st.booleans())
+    def test_rows_are_the_single_window_counts(self, data, p, n, per_window, cut):
+        windows = np.array(data.draw(st.lists(st.lists(_COUPLINGS, min_size=n - 1, max_size=n - 1),
+                                              min_size=p, max_size=p)), dtype=float).reshape(p, n - 1)
+        if cut and n > 1:  # a zero coupling in one window only
+            windows[data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, n - 2))] = 0.0
+        m = data.draw(st.integers(min_value=1, max_value=12))
+        shape = (p, m) if per_window else (m,)
+        energies = np.array(data.draw(st.lists(_ENERGIES, min_size=p * m if per_window else m,
+                                               max_size=p * m if per_window else m))).reshape(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # zero couplings restart the pivots: no 0 / 0
+            got = count_below_offdiag(windows, energies)
+        assert got.shape == (p, m) and got.dtype == np.int64
+        for w, row, e in zip(windows, got, np.broadcast_to(energies, (p, m))):
+            assert row.tobytes() == count_below_offdiag(w, e).tobytes()
+            assert row.tobytes() == block_split_reference(w, e).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 64, 65])
+    def test_zero_coupling_in_one_window_only(self, n):
+        # sizes straddle the pivot blocks; the zero sits in the last block of window 1
+        windows = np.stack([build_window(ModelParams(s, 1.7), n)[1:] for s in (1, 2, 3)])
+        if n > 1:
+            windows[1, -1] = 0.0
+        energies = np.concatenate([np.linspace(-5.0, 5.0, 41), [0.0, -0.0, math.inf, -math.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = count_below_offdiag(windows, energies)
+        for w, row in zip(windows, got):
+            assert row.tolist() == block_split_reference(w, energies).tolist()
+
+    def test_shapes(self):
+        off = build_window(ModelParams(1, 2.0), 9)[1:]
+        assert count_below_offdiag(off, 0.5).shape == (1,)
+        assert count_below_offdiag(off, [0.5, 1.0]).shape == (2,)
+        assert count_below_offdiag(off[None], [0.5, 1.0]).shape == (1, 2)
+        assert count_below_offdiag(np.stack([off] * 3), [[0.5], [1.0], [2.0]]).shape == (3, 1)
+        with pytest.raises(ValueError):
+            count_below_offdiag(np.stack([off] * 3), [[0.5], [1.0]])
+        with pytest.raises(ValueError, match="stack"):
+            count_below_offdiag(off.reshape(1, 1, -1), [0.5])
+
+    @pytest.mark.parametrize("nan", [math.nan, -math.nan])
+    def test_nan_energies_are_refused(self, nan):
+        windows = np.stack([build_window(ModelParams(s, 2.0), 10)[1:] for s in (1, 2)])
+        for energies in ([0.0, nan], [[0.0, 1.0], [nan, 1.0]]):
+            with pytest.raises(ValueError, match="NaN"):
+                count_below_offdiag(windows, energies)
+
+
+class TestLockStep:
+    """A stack of windows solved in one lock-step bisection against each window solved alone."""
+
+    @settings(max_examples=15)
+    @given(st.sampled_from([1, 2, 3]), st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=1, max_size=3),
+           st.integers(min_value=1, max_value=600), st.sampled_from([1e-11, 1e-12]), st.integers(0, 3))
+    @example(1, [0.3, 40.0], 500, 1e-11, 0)  # grids of bound 4 and 82: the bisections stop at different steps
+    @example(2, [1.6, 1.6], 301, 1e-12, 0)
+    @example(3, [0.2, 3.0, 50.0], 200, 1e-11, 3)
+    def test_same_bytes_as_separate_solves(self, s, hoppings, n, tol, cut):
+        windows = np.stack([build_window(ModelParams(s, a), n)[:-1] for a in hoppings])
+        if cut and n > 1:
+            windows[-1, cut - 1 :: cut + 2] = 0.0  # a direct sum in the last window only
+        got = eigenvalues_offdiag(windows, tol)
+        assert got.shape == (len(hoppings), n)
+        for w, row in zip(windows, got):
+            assert row.tobytes() == eigenvalues_offdiag(w, tol).tobytes()
+            assert row.tobytes() == eigenvalues_half_spectrum_reference(w, tol).tobytes()
+
+    def test_a_spoiled_guess_falls_back_in_its_own_window_only(self, monkeypatch, verdicts):
+        windows = np.stack([build_window(ModelParams(1, a), 500)[:-1] for a in (0.3, 40.0)])
+        tol = 1e-12
+        predict = jacobi1d._predict_offdiag
+
+        def spoiled(off):
+            x = predict(off)
+            if off.max() == 40.0:
+                # ten times the solver's delta, N * eps * bound, with bound 82
+                x[::7] += 10 * off.size * np.finfo(float).eps * 82.0
+            return x
+
+        monkeypatch.setattr(jacobi1d, "_predict_offdiag", spoiled)
+        got = eigenvalues_offdiag(windows, tol)
+        # the first window's replay holds; the second's fails and only it is bisected again
+        assert verdicts == [True, False, None]
+        for w, row in zip(windows, got):
+            assert row.tobytes() == eigenvalues_half_spectrum_reference(w, tol).tobytes()
+
+    def test_one_count_pass_a_step_for_the_stack(self, monkeypatch):
+        windows = np.stack([build_window(ModelParams(1, a), 640)[:-1] for a in (1.3, 2.2)])
+        calls = []
+        count = jacobi1d.count_below_offdiag
+
+        def counting(off, energies):
+            calls.append(np.shape(off))
+            return count(off, energies)
+
+        monkeypatch.setattr(jacobi1d, "count_below_offdiag", counting)
+        for w in windows:
+            eigenvalues_offdiag(w, EIG_TOL)
+        separate = len(calls)
+        calls.clear()
+        eigenvalues_offdiag(windows, EIG_TOL)
+        # 13 passes alone, 8 in lock-step: the steps where both windows count share a pass
+        assert len(calls) < separate and (2, 639) in calls
 
 
 class TestInputValidation:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quasilab import labyrinth
 from quasilab.errors import ResourceLimitError
 from quasilab.labyrinth import (
+    AXIS_MEMO_SIZE,
     LabyrinthParams,
     axis_eigenvalues,
     build_2d,
@@ -202,6 +204,17 @@ class TestAxisMemo:
         eigs_1d_axes(FREE, 9)
         assert solves == [8, 8, 9]
 
+    def test_least_recently_used_list_is_dropped(self, solves):
+        sizes = range(2, AXIS_MEMO_SIZE + 2)
+        for n in sizes:
+            axis_eigenvalues(1, 1.5, n)
+        axis_eigenvalues(1, 1.5, 2)  # now the most recently used
+        axis_eigenvalues(1, 1.5, AXIS_MEMO_SIZE + 2)  # drops size 3, the least recently used
+        assert solves == [*sizes, AXIS_MEMO_SIZE + 2]
+        axis_eigenvalues(1, 1.5, 2)
+        axis_eigenvalues(1, 1.5, 3)
+        assert solves == [*sizes, AXIS_MEMO_SIZE + 2, 3]
+
     def test_lists_are_read_only(self, solves):
         for e in eigs_1d_axes(GENERIC, 7):
             with pytest.raises(ValueError):
@@ -287,6 +300,63 @@ class TestProductCounting:
         assert got.shape == energies.shape
         want = np.searchsorted(_enumerated(e1, e2), energies, side="right")
         assert np.array_equal(got, want)
+
+
+_POSITIVE = st.one_of(st.floats(min_value=1e-3, max_value=4.0), st.sampled_from([0.5, 1.0, 2.0, 5e-324, 1e-170]))
+
+
+@st.composite
+def _mirrored_lists(draw):
+    """Lists with -e[::-1] == e, sorted or not, of odd or even length, and near misses of them."""
+    half = draw(st.lists(_POSITIVE, min_size=0, max_size=9))
+    if draw(st.booleans()):
+        half = sorted(half)
+        half = [-x for x in half[::-1]]  # the negative half, ascending
+    else:
+        half = [x if draw(st.booleans()) else -x for x in half]  # unsorted
+    middle = [draw(st.sampled_from([0.0, -0.0]))] if draw(st.booleans()) else []
+    e = half + middle + [-x for x in half[::-1]]
+    if not e:
+        e = [0.0]
+    spoil = draw(st.sampled_from(["none", "ulp", "shuffle"]))
+    if spoil == "ulp":  # one entry one ulp off the mirror
+        i = draw(st.integers(0, len(e) - 1))
+        e[i] = float(np.nextafter(e[i], draw(st.sampled_from([math.inf, -math.inf]))))
+    elif spoil == "shuffle":
+        e = draw(st.permutations(e))
+    return e
+
+
+class TestMirroredCounting:
+    @given(_mirrored_lists(), _mirrored_lists(), st.data())
+    def test_matches_direct_enumeration(self, e1, e2, data):
+        prods = _enumerated(e1, e2)
+        energy = st.one_of(
+            st.sampled_from(prods.tolist()),
+            st.floats(min_value=-17, max_value=17),
+            st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf]),
+        )
+        energies = np.array(data.draw(st.lists(energy, min_size=1, max_size=8)))
+        assert count_products_leq(e1, e2, energies).tolist() == [_direct_count(e1, e2, x) for x in energies]
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_mirrored_axes_take_one_pass_over_half_the_rows(self, monkeypatch, n):
+        rows = []
+        row_counts = labyrinth._row_counts
+
+        def recording(a, b, e):
+            rows.append(a.size)
+            return row_counts(a, b, e)
+
+        monkeypatch.setattr(labyrinth, "_row_counts", recording)
+        e1, e2 = eigs_1d_axes(GENERIC, n)
+        grid = np.linspace(-9.0, 9.0, 41)
+        got = count_products_leq(e1, e2, grid)
+        assert rows == [n - n // 2]  # the positive rows, and the zero row of odd n
+        assert got.tolist() == [_direct_count(e1, e2, x) for x in grid]
+        rows.clear()
+        count_products_leq(e1, np.nextafter(e2, 1.0), grid)  # no longer mirrored: both halves
+        assert rows == [n // 2 + n % 2, n // 2]
 
 
 class TestDos2dCdf:

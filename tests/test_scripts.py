@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/: each runs at a tiny size and writes its files."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -93,3 +94,56 @@ def test_labyrinth_dos_demo_counts_give_the_product_list_bytes(tmp_path, n):
     cdf, histogram = _product_list_csvs(n)
     assert (tmp_path / "cdf.csv").read_bytes() == cdf
     assert (tmp_path / "histogram.csv").read_bytes() == histogram
+
+
+def test_bench_pairs_writes_every_run_with_medians_and_wins(monkeypatch, tmp_path, capsys):
+    script = _load("bench_pairs")
+    shas = {"HEAD~1": "a" * 40, "HEAD": "b" * 40}
+    jobs_per_s = {("base", 1): 10.0, ("head", 1): 12.0, ("base", 2): 11.0, ("head", 2): 10.0,
+                  ("base", 3): 9.0, ("head", 3): 13.0}
+
+    def extract(rev, dest):
+        dest.mkdir(parents=True)
+        return shas[rev]
+
+    def run_perfbench(tree, workload, seed, seconds):
+        # a stand-in for run.py: its environment line, a table, and its final JSON
+        v = jobs_per_s[tree.name, seed]
+        metrics = {"jobs_per_s": (v, "1/s"), "job_p50_s": (1 / v, "s"), "job_tail_s": (3 / v, "s"),
+                   "setup_s": (0.3, "s"), "peak_rss_mb": (40.0 + seed, "MB")}
+        final = {"correct": True, "attempted": 7, "failed": 0,
+                 "metrics": {k: {"value": x, "unit": u} for k, (x, u) in metrics.items()}}
+        env = {"workload": workload, "seed": seed, "tree": tree.name}
+        return f"environment {json.dumps(env)}\nperfbench {workload}: 7 jobs\n{json.dumps(final)}\n"
+
+    monkeypatch.setattr(script, "extract", extract)
+    monkeypatch.setattr(script, "run_perfbench", run_perfbench)
+    out = tmp_path / "bench.json"
+    assert script.main(["--base", "HEAD~1", "--workload", "dos-fresh", "--seeds", "1,2,3",
+                        "--seconds", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"base", "head", "seconds", "command", "summary", "runs"}
+    assert (report["base"], report["head"], report["seconds"]) == (shas["HEAD~1"], shas["HEAD"], 2.0)
+    runs = report["runs"]
+    assert len(runs) == 6
+    for run in runs:
+        assert set(run) == {"tree", "workload", "seed", "position", "environment", "result",
+                            "loadavg_before", "loadavg_after"}
+        assert run["environment"] == {"workload": "dos-fresh", "seed": run["seed"], "tree": run["tree"]}
+        assert len(run["loadavg_before"]) == len(run["loadavg_after"]) == 3
+    # each seed is one pair: both trees, one in each position
+    for seed in (1, 2, 3):
+        pair = sorted((r["position"], r["tree"]) for r in runs if r["seed"] == seed)
+        assert [p for p, _ in pair] == [0, 1] and {t for _, t in pair} == {"base", "head"}
+    summary = report["summary"]["dos-fresh"]
+    assert summary["pairs"] == 3 and summary["seeds"] == [1, 2, 3]
+    assert summary["failed"] == {"base": 0, "head": 0}
+    assert set(summary["metrics"]) == {"jobs_per_s", "job_p50_s", "job_tail_s", "setup_s", "peak_rss_mb"}
+    jobs = summary["metrics"]["jobs_per_s"]
+    assert jobs["base"] == {"median": 10.0, "q1": 9.5, "q3": 10.5}
+    assert jobs["head"] == {"median": 12.0, "q1": 11.0, "q3": 12.5}
+    assert (jobs["head_wins"], jobs["head_losses"], jobs["ties"]) == (2, 1, 0)
+    p50 = summary["metrics"]["job_p50_s"]  # lower is better: the same pairs are won
+    assert p50["better"] == "lower" and (p50["head_wins"], p50["head_losses"], p50["ties"]) == (2, 1, 0)
+    assert summary["metrics"]["setup_s"]["ties"] == 3
+    assert "wrote" in capsys.readouterr().out

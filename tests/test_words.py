@@ -167,6 +167,15 @@ class TestBlockedRotation:
     def test_empty_iterable(self):
         assert rotation_sequence(1, 0.5, []) == ""
         assert rotation_sequence(1, 0.5, iter(())) == ""
+        assert rotation_sequence(1, 0.5, range(4, 4)) == ""
+
+    @given(st.integers(min_value=-3 * B, max_value=3 * B), st.integers(min_value=0, max_value=3 * B),
+           st.sampled_from([1, 2, 3, -1, -2, 7, -B - 1]), st.sampled_from([1, 2, 3]),
+           st.sampled_from([0.0, 0.375, -0.6]))
+    def test_range_codes_as_its_list(self, start, length, step, s, beta):
+        # a range is coded as arange blocks, a list through fromiter: the words agree
+        r = range(start, start + step * length, step)
+        assert rotation_sequence(s, beta, r) == rotation_sequence(s, beta, list(r))
 
     def test_peak_memory_is_a_few_blocks(self):
         # bound fixed from the block arithmetic before measuring: a block of
