@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the benchmark on two revisions in pairs and write BENCH_<sha>.json.
+"""Run the benchmark on HEAD and on a base revision in pairs, and write BENCH_<sha>.json.
 
 Both revisions are extracted with ``git archive`` into a temporary directory,
 so each run sees only committed files, as a fresh checkout would.  Each pair
@@ -103,12 +103,10 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--base", required=True, help="the revision to compare against, e.g. HEAD~1")
-    ap.add_argument("--head", default="HEAD", help="the revision measured (default HEAD)")
+    ap.add_argument("--base", required=True, help="the revision HEAD is compared against, e.g. HEAD~1")
     ap.add_argument("--workload", default=",".join(WORKLOADS), help="comma-separated workloads (default all)")
     ap.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10", help="comma-separated seeds, one pair each")
     ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--order-seed", type=int, default=0, help="seed of the random order within each pair")
     ap.add_argument("--out", default=None, help="output path (default BENCH_<head short sha>.json in the repo)")
     args = ap.parse_args(argv)
     workloads = args.workload.split(",")
@@ -116,10 +114,10 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload in {args.workload!r}")
     seeds = [int(s) for s in args.seeds.split(",")]
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    rng = random.Random(args.order_seed)
+    rng = random.Random(0)  # the order within each pair
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        shas = {side: extract(rev, Path(tmp) / side) for side, rev in (("base", args.base), ("head", args.head))}
+        shas = {side: extract(rev, Path(tmp) / side) for side, rev in (("base", args.base), ("head", "HEAD"))}
         for workload in workloads:
             for seed in seeds:
                 order = rng.sample(["base", "head"], 2)

@@ -42,9 +42,10 @@ DOS1D_FLOOR = 1024
 
 #: Lanes (windows x energies) of one dos1d count pass.  A pass costs a few numpy
 #: calls a site however many lanes it holds, so stacking windows saves calls: per
-#: lane-site a pass cost 4.8-7.2 ns at 401 lanes and 3.2-3.4 ns from 2005 lanes
-#: on, flat up to 6416 (N = 2048 and 6144, 2-core x86).  At 2048 lanes the pivot
-#: and coupling blocks of a pass take 1 MiB; more lanes gain nothing and hold more.
+#: lane-site a pass cost 4.4 ns at 401 lanes, 2.5 ns at 2005 and 2.7-2.8 ns at
+#: 3208-6416 (N = 2048, 2-core x86, see jacobi1d.count_below_offdiag).  At 2048
+#: lanes the pivot and coupling blocks of a pass take 1 MiB; more lanes gain
+#: nothing and hold more.
 DOS1D_LANES = 2048
 
 #: Namespace attributes written into every artifact's metadata, in this order,

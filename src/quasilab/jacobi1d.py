@@ -141,14 +141,17 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
 
     Cost: each site takes a few numpy calls whatever the number of lanes, so
     at small lane counts a pass is bound by numpy's per-call cost, not by its
-    arithmetic.  At N = 2048 on a 2-core x86 machine one window took about
-    1.2 us a site at 1-64 energies, 2.0 us at 401 and 4.9 us at 2005.  Within a
-    block of _COUNT_BLOCK sites each coupling of a stack is copied across its
-    window's lanes, so that every step is a full-length elementwise divide:
-    against P separate passes over 401 energies, one pass gained 1.3 / 1.6 /
-    2.3x at P = 2 / 3 / 5, where broadcasting a (P, 1) coupling column gained
-    1.1 / 1.3 / 1.8x (median of 9).  One window's couplings enter as Python
-    floats, which numpy broadcasts at no cost.
+    arithmetic.  At N = 2048 on a 2-core x86 machine (best of 7) one window
+    took 1.0-1.1 us a site at 1-64 energies, 1.75 us at 401 and 4.5 us at
+    2005.  Stacks of 401-energy windows cost 4.4 / 3.3 / 2.8 / 2.5 / 2.7 /
+    2.8 ns a lane-site at P = 1 / 2 / 3 / 5 / 8 / 16: the saving ends near
+    2000 lanes, which sets the lane budget of ``dos1d`` (``cli.DOS1D_LANES``).
+    Within a block of _COUNT_BLOCK sites each coupling of a stack is copied
+    across its window's lanes, so that every step is a full-length
+    elementwise divide: against P separate passes over 401 energies, one pass
+    gained 1.3 / 1.6 / 2.3x at P = 2 / 3 / 5, where broadcasting a (P, 1)
+    coupling column gained 1.1 / 1.3 / 1.8x (median of 9).  One window's
+    couplings enter as Python floats, which numpy broadcasts at no cost.
     """
     off2 = np.square(np.asarray(offdiag, dtype=float))
     if off2.ndim > 2:
