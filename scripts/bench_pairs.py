@@ -4,16 +4,19 @@
 Both revisions are extracted with ``git archive`` into a temporary directory,
 so each run sees only committed files, as a fresh checkout would.  Each pair
 runs ``perfbench/run.py --trace 0`` once from each tree on the same seed, in
-an order drawn at random per pair.  The script reads only what run.py prints:
-its ``environment`` line and its final line of JSON.
+an order drawn at random per pair, for the ``run_seconds`` that BENCHMARK.json
+sets.  The script reads only what run.py prints: its ``environment`` line and
+its final line of JSON.
 
     python scripts/bench_pairs.py --base HEAD~1 --workload dos-fresh --seeds 51,52,53
 
-The file holds every run (tree, workload, seed, position in its pair, the
-environment line, the final JSON and the load average before and after) and,
-per workload and end-to-end metric, each side's median and quartiles and the
-number of pairs the head won, lost and tied, with "better" taken from
-BENCHMARK.json.
+The file holds every run (tree, workload, seed, position in its pair, exit
+status, the environment line and the final JSON, or the tail of stderr for a
+run that failed, and the load average before and after) and, per workload and
+end-to-end metric over the pairs whose two runs both finished, each side's
+median and quartiles and the number of pairs the head won, lost and tied, with
+"better" taken from BENCHMARK.json.  It is rewritten after every run, so a
+crash keeps what was measured.
 """
 
 from __future__ import annotations
@@ -45,21 +48,24 @@ def extract(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> str:
-    """The standard output of one untraced benchmark run from ``tree``."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
-                          cwd=tree, capture_output=True, text=True, timeout=900)
-    if proc.returncode != 0:
-        raise RuntimeError(f"run.py failed in {tree}: {proc.stderr.strip()[-400:]}")
-    return proc.stdout
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> subprocess.CompletedProcess:
+    """One untraced benchmark run from ``tree``; a run past 900 s is stopped and reads as failed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    try:
+        return subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=900)
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(cmd, -9, "", "timed out after 900 s")
 
 
-def parse_run(stdout: str) -> tuple[dict, dict]:
-    """(environment, final JSON) from run.py's output."""
+def parse_run(stdout: str) -> tuple[dict, dict] | None:
+    """(environment, final JSON) from run.py's output, or None when it holds no such lines."""
     lines = stdout.strip().splitlines()
-    env = next(json.loads(ln.split(" ", 1)[1]) for ln in lines if ln.startswith("environment "))
-    return env, json.loads(lines[-1])
+    try:
+        env = next(json.loads(ln.split(" ", 1)[1]) for ln in lines if ln.startswith("environment "))
+        return env, json.loads(lines[-1])
+    except (StopIteration, IndexError, ValueError):
+        return None
 
 
 def quartiles(values: list[float]) -> dict:
@@ -68,13 +74,21 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: each side's median and quartiles, and the head's wins, losses and ties."""
+    """Per workload and metric: each side's median and quartiles, and the head's wins, losses and ties.
+
+    Only pairs whose two runs both finished count; ``failed_runs`` counts the runs that did not.
+    """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
+        failed_runs = {"base": 0, "head": 0}
         for r in runs:
-            if r["workload"] == workload:
+            if r["workload"] != workload:
+                continue
+            if "result" in r:
                 pairs.setdefault(r["seed"], {})[r["tree"]] = r["result"]
+            else:
+                failed_runs[r["tree"]] += 1
         pairs = {seed: p for seed, p in pairs.items() if set(p) == {"base", "head"}}
         metrics = {}
         for name, direction in better.items():
@@ -96,6 +110,7 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
             "pairs": len(pairs),
             "seeds": sorted(pairs),
             "failed": {side: sum(p[side]["failed"] for p in pairs.values()) for side in ("base", "head")},
+            "failed_runs": failed_runs,
             "metrics": metrics,
         }
     return out
@@ -106,34 +121,41 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="the revision HEAD is compared against, e.g. HEAD~1")
     ap.add_argument("--workload", default=",".join(WORKLOADS), help="comma-separated workloads (default all)")
     ap.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10", help="comma-separated seeds, one pair each")
-    ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--out", default=None, help="output path (default BENCH_<head short sha>.json in the repo)")
     args = ap.parse_args(argv)
     workloads = args.workload.split(",")
     if not set(workloads) <= set(WORKLOADS):
         ap.error(f"unknown workload in {args.workload!r}")
     seeds = [int(s) for s in args.seeds.split(",")]
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     rng = random.Random(0)  # the order within each pair
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         shas = {side: extract(rev, Path(tmp) / side) for side, rev in (("base", args.base), ("head", "HEAD"))}
+        out = ROOT / f"BENCH_{shas['head'][:7]}.json"
         for workload in workloads:
             for seed in seeds:
                 order = rng.sample(["base", "head"], 2)
                 for position, side in enumerate(order):
                     load_before = os.getloadavg()
-                    env, result = parse_run(run_perfbench(Path(tmp) / side, workload, seed, args.seconds))
-                    runs.append({"tree": side, "workload": workload, "seed": seed, "position": position,
-                                 "environment": env, "result": result,
-                                 "loadavg_before": list(load_before), "loadavg_after": list(os.getloadavg())})
-                    print(f"{workload} seed {seed} {side}: jobs_per_s "
-                          f"{result['metrics'].get('jobs_per_s', {}).get('value')}", flush=True)
-    report = {"base": shas["base"], "head": shas["head"], "seconds": args.seconds,
-              "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
-              "summary": summarise(runs, better), "runs": runs}
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{shas['head'][:7]}.json"
-    out.write_text(json.dumps(report, indent=1) + "\n")
+                    proc = run_perfbench(Path(tmp) / side, workload, seed, seconds)
+                    run = {"tree": side, "workload": workload, "seed": seed, "position": position,
+                           "returncode": proc.returncode}
+                    parsed = parse_run(proc.stdout) if proc.returncode == 0 else None
+                    if parsed:
+                        run["environment"], run["result"] = parsed
+                        status = f"jobs_per_s {run['result']['metrics'].get('jobs_per_s', {}).get('value')}"
+                    else:
+                        run["stderr_tail"] = proc.stderr.strip()[-400:]
+                        status = f"failed (exit {proc.returncode})"
+                    run["loadavg_before"], run["loadavg_after"] = list(load_before), list(os.getloadavg())
+                    runs.append(run)
+                    print(f"{workload} seed {seed} {side}: {status}", flush=True)
+                    report = {"base": shas["base"], "head": shas["head"], "seconds": seconds,
+                              "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+                              "summary": summarise(runs, better), "runs": runs}
+                    out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
     return 0
 

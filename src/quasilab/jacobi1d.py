@@ -181,26 +181,20 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
             b2s = couplings[lo:lo + block]
             if p > 1:
                 b2s = np.repeat(b2s, m, axis=1)
-            if lo not in cut_blocks:
-                for b2 in b2s:
-                    if row == block:
-                        count += _count_sign_bits(buf, signs)
-                        row = 0
-                    divide(b2, q, out=t)
-                    q = rows[row]
-                    subtract(neg_e, t, out=q)
-                    row += 1
-            else:
-                for b2 in b2s:
-                    if row == block:
-                        count += _count_sign_bits(buf, signs)
-                        row = 0
+            cut = lo in cut_blocks
+            for b2 in b2s:
+                if row == block:
+                    count += _count_sign_bits(buf, signs)
+                    row = 0
+                if cut:
                     # -E - (+0.0) is -E bit for bit, signed zeros included
                     t.fill(0.0)
                     divide(b2, q, out=t, where=np.not_equal(b2, 0.0))
-                    q = rows[row]
-                    subtract(neg_e, t, out=q)
-                    row += 1
+                else:
+                    divide(b2, q, out=t)
+                q = rows[row]
+                subtract(neg_e, t, out=q)
+                row += 1
     count += _count_sign_bits(buf[:row], signs)
     return count.reshape(off2.shape[:-1] + (m,))
 

@@ -210,19 +210,19 @@ def count_products_leq(e1, e2, energies):
     energies = np.asarray(energies, dtype=float)
     flat = energies.reshape(-1)
     counts = np.zeros(flat.size, dtype=np.int64)
-    pos, neg = np.abs(e1[e1 >= 0]), -e1[e1 < 0]
-    if np.array_equal(-e1[::-1], e1) and np.array_equal(-e2[::-1], e2):
-        halves = [(pos, e2, np.where(pos > 0, 2, 1))]
-    else:
-        halves = [(pos, e2, np.ones(pos.size, dtype=np.int64)), (neg, -e2[::-1], np.ones(neg.size, dtype=np.int64))]
-    for a, b, weight in halves:
+    mirrored = np.array_equal(-e1[::-1], e1) and np.array_equal(-e2[::-1], e2)
+    halves = ((np.abs(e1[e1 >= 0]), e2), (-e1[e1 < 0], -e2[::-1]))
+    for a, b in halves[:1] if mirrored else halves:
         if a.size == 0 or b.size == 0:
             continue
         step = max(1, _COUNT_BLOCK // a.size)
         # E / 0, E / tiny and overflowing products are guesses or the very floats compared
         with np.errstate(all="ignore"):
             for k in range(0, flat.size, step):
-                counts[k:k + step] += weight @ _row_counts(a, b, flat[k:k + step])
+                rows = _row_counts(a, b, flat[k:k + step])
+                counts[k:k + step] += rows.sum(axis=0)
+                if mirrored:  # the rows -x of e1, which the positive rows x stand for
+                    counts[k:k + step] += rows[a > 0].sum(axis=0)
     return int(counts[0]) if energies.ndim == 0 else counts.reshape(energies.shape)
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -96,11 +97,12 @@ def test_labyrinth_dos_demo_counts_give_the_product_list_bytes(tmp_path, n):
     assert (tmp_path / "histogram.csv").read_bytes() == histogram
 
 
-def test_bench_pairs_writes_every_run_with_medians_and_wins(monkeypatch, tmp_path, capsys):
+def _bench_pairs_stand_in(monkeypatch, tmp_path, jobs_per_s):
+    """bench_pairs with ROOT at tmp_path and run.py replaced; a seed missing from jobs_per_s fails."""
     script = _load("bench_pairs")
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
     shas = {"HEAD~1": "a" * 40, "HEAD": "b" * 40}
-    jobs_per_s = {("base", 1): 10.0, ("head", 1): 12.0, ("base", 2): 11.0, ("head", 2): 10.0,
-                  ("base", 3): 9.0, ("head", 3): 13.0}
 
     def extract(rev, dest):
         dest.mkdir(parents=True)
@@ -108,28 +110,41 @@ def test_bench_pairs_writes_every_run_with_medians_and_wins(monkeypatch, tmp_pat
 
     def run_perfbench(tree, workload, seed, seconds):
         # a stand-in for run.py: its environment line, a table, and its final JSON
+        if (tree.name, seed) not in jobs_per_s:
+            return subprocess.CompletedProcess([], 1, "environment {}\n", "Traceback ...\nMemoryError\n")
         v = jobs_per_s[tree.name, seed]
         metrics = {"jobs_per_s": (v, "1/s"), "job_p50_s": (1 / v, "s"), "job_tail_s": (3 / v, "s"),
                    "setup_s": (0.3, "s"), "peak_rss_mb": (40.0 + seed, "MB")}
         final = {"correct": True, "attempted": 7, "failed": 0,
                  "metrics": {k: {"value": x, "unit": u} for k, (x, u) in metrics.items()}}
-        env = {"workload": workload, "seed": seed, "tree": tree.name}
-        return f"environment {json.dumps(env)}\nperfbench {workload}: 7 jobs\n{json.dumps(final)}\n"
+        env = {"workload": workload, "seed": seed, "tree": tree.name, "seconds": seconds}
+        return subprocess.CompletedProcess([], 0, f"environment {json.dumps(env)}\nperfbench {workload}: 7 jobs\n"
+                                                  f"{json.dumps(final)}\n", "")
 
+    monkeypatch.setattr(script, "ROOT", tmp_path)
     monkeypatch.setattr(script, "extract", extract)
     monkeypatch.setattr(script, "run_perfbench", run_perfbench)
-    out = tmp_path / "bench.json"
-    assert script.main(["--base", "HEAD~1", "--workload", "dos-fresh", "--seeds", "1,2,3",
-                        "--seconds", "2", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
+    return script, shas
+
+
+def test_bench_pairs_writes_every_run_with_medians_and_wins(monkeypatch, tmp_path, capsys):
+    jobs_per_s = {("base", 1): 10.0, ("head", 1): 12.0, ("base", 2): 11.0, ("head", 2): 10.0,
+                  ("base", 3): 9.0, ("head", 3): 13.0}
+    script, shas = _bench_pairs_stand_in(monkeypatch, tmp_path, jobs_per_s)
+    assert script.main(["--base", "HEAD~1", "--workload", "dos-fresh", "--seeds", "1,2,3"]) == 0
+    report = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())
+    run_seconds = json.loads((tmp_path / "BENCHMARK.json").read_text())["run_seconds"]
     assert set(report) == {"base", "head", "seconds", "command", "summary", "runs"}
-    assert (report["base"], report["head"], report["seconds"]) == (shas["HEAD~1"], shas["HEAD"], 2.0)
+    assert (report["base"], report["head"], report["seconds"]) == (shas["HEAD~1"], shas["HEAD"], run_seconds)
     runs = report["runs"]
     assert len(runs) == 6
     for run in runs:
-        assert set(run) == {"tree", "workload", "seed", "position", "environment", "result",
+        assert set(run) == {"tree", "workload", "seed", "position", "returncode", "environment", "result",
                             "loadavg_before", "loadavg_after"}
-        assert run["environment"] == {"workload": "dos-fresh", "seed": run["seed"], "tree": run["tree"]}
+        assert run["returncode"] == 0
+        # every run is made for the benchmark's own run length
+        assert run["environment"] == {"workload": "dos-fresh", "seed": run["seed"], "tree": run["tree"],
+                                      "seconds": run_seconds}
         assert len(run["loadavg_before"]) == len(run["loadavg_after"]) == 3
     # each seed is one pair: both trees, one in each position
     for seed in (1, 2, 3):
@@ -137,7 +152,7 @@ def test_bench_pairs_writes_every_run_with_medians_and_wins(monkeypatch, tmp_pat
         assert [p for p, _ in pair] == [0, 1] and {t for _, t in pair} == {"base", "head"}
     summary = report["summary"]["dos-fresh"]
     assert summary["pairs"] == 3 and summary["seeds"] == [1, 2, 3]
-    assert summary["failed"] == {"base": 0, "head": 0}
+    assert summary["failed"] == summary["failed_runs"] == {"base": 0, "head": 0}
     assert set(summary["metrics"]) == {"jobs_per_s", "job_p50_s", "job_tail_s", "setup_s", "peak_rss_mb"}
     jobs = summary["metrics"]["jobs_per_s"]
     assert jobs["base"] == {"median": 10.0, "q1": 9.5, "q3": 10.5}
@@ -147,3 +162,22 @@ def test_bench_pairs_writes_every_run_with_medians_and_wins(monkeypatch, tmp_pat
     assert p50["better"] == "lower" and (p50["head_wins"], p50["head_losses"], p50["ties"]) == (2, 1, 0)
     assert summary["metrics"]["setup_s"]["ties"] == 3
     assert "wrote" in capsys.readouterr().out
+
+
+def test_bench_pairs_records_a_failed_run_and_keeps_the_rest(monkeypatch, tmp_path, capsys):
+    # the head's run of seed 2 exits 1; the other five runs are kept, and seed 2 is no pair
+    jobs_per_s = {("base", 1): 10.0, ("head", 1): 12.0, ("base", 2): 11.0, ("base", 3): 9.0, ("head", 3): 13.0}
+    script, _ = _bench_pairs_stand_in(monkeypatch, tmp_path, jobs_per_s)
+    assert script.main(["--base", "HEAD~1", "--workload", "covers", "--seeds", "1,2,3"]) == 0
+    report = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())
+    runs = report["runs"]
+    assert len(runs) == 6
+    (failed,) = [r for r in runs if "result" not in r]
+    assert (failed["tree"], failed["seed"], failed["returncode"]) == ("head", 2, 1)
+    assert failed["stderr_tail"].endswith("MemoryError") and "environment" not in failed
+    summary = report["summary"]["covers"]
+    assert summary["pairs"] == 2 and summary["seeds"] == [1, 3]
+    assert summary["failed_runs"] == {"base": 0, "head": 1}
+    jobs = summary["metrics"]["jobs_per_s"]
+    assert (jobs["head_wins"], jobs["head_losses"]) == (2, 0)
+    assert "covers seed 2 head: failed (exit 1)" in capsys.readouterr().out
