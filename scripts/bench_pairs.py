@@ -16,7 +16,8 @@ run that failed, and the load average before and after) and, per workload and
 end-to-end metric over the pairs whose two runs both finished, each side's
 median and quartiles and the number of pairs the head won, lost and tied, with
 "better" taken from BENCHMARK.json.  It is rewritten after every run, so a
-crash keeps what was measured.
+crash keeps what was measured, and it keeps the ``layers`` that
+``bench_layers.py`` wrote for the same two revisions.
 """
 
 from __future__ import annotations
@@ -116,6 +117,15 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def write_report(out: Path, base: str, head: str, **parts) -> None:
+    """Write ``parts`` into the BENCH file ``out``, keeping what it holds for the same two revisions."""
+    report = json.loads(out.read_text()) if out.exists() else {}
+    if (report.get("base"), report.get("head")) != (base, head):
+        report = {}
+    report.update(base=base, head=head, **parts)
+    out.write_text(json.dumps(report, indent=1) + "\n")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", required=True, help="the revision HEAD is compared against, e.g. HEAD~1")
@@ -152,10 +162,9 @@ def main(argv=None) -> int:
                     run["loadavg_before"], run["loadavg_after"] = list(load_before), list(os.getloadavg())
                     runs.append(run)
                     print(f"{workload} seed {seed} {side}: {status}", flush=True)
-                    report = {"base": shas["base"], "head": shas["head"], "seconds": seconds,
-                              "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
-                              "summary": summarise(runs, better), "runs": runs}
-                    out.write_text(json.dumps(report, indent=1) + "\n")
+                    write_report(out, shas["base"], shas["head"], seconds=seconds,
+                                 command=f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+                                 summary=summarise(runs, better), runs=runs)
     print(f"wrote {out}")
     return 0
 

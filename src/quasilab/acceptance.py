@@ -159,19 +159,37 @@ def _large_coupling_cantor() -> tuple[bool, str]:
             "product lengths " + " > ".join(f"{v:.4f}" for v in lengths) + f", gaps present: {has_gaps}")
 
 
+#: The period of T_s on the E = 0 orbit, for s = 1, 2, 3 (see :func:`_zero_in_spectrum`).
+ZERO_ORBIT_PERIOD = {1: 6, 2: 2, 3: 6}
+
+
 def _zero_in_spectrum() -> tuple[bool, str]:
-    survived = True
-    for lam in (0.0, 0.5, 1.5, 3.75):
-        p = ModelParams(1, hopping_from_coupling(lam))
-        v = tracemap.line_point(p, 0.0)
-        if tracemap.escape_time(1, v, 10_000, tracemap.default_escape_radius(lam)) is not None:
-            survived = False
+    """0 lies in every spectrum: its orbit is periodic, and every cover and product holds it.
+
+    The orbit starts at line_point(p, 0) = (c, 0, 0), c = -(a^2 + 1)/(2a).
+    While a point has one nonzero coordinate, 2xz is +-0 and U acts as
+    R(x, y, z) = (-y, x, z), so T_s acts as the signed permutation R^s P and
+    the point keeps one nonzero coordinate.  R P (x, y, z) = (-z, x, y) runs
+    e_x -> e_y -> e_z -> -e_x, so s = 1 has period 6; R^2 P (x, y, z) =
+    (-x, -z, y) sends e_x to -e_x, period 2; R^3 P (x, y, z) = (z, -x, y) runs
+    e_x -> -e_y -> -e_z -> -e_x, period 6.  c is only copied and negated, so
+    T_s^p returns the start exactly under ``==``, which equates +-0 (the zeros'
+    signs need not return), at every coupling.
+    """
+    periodic = True
+    for s, period in ZERO_ORBIT_PERIOD.items():
+        for lam in (0.0, 0.5, 1.5, 3.75):
+            start = v = tracemap.line_point(ModelParams(s, hopping_from_coupling(lam)), 0.0)
+            for _ in range(period):
+                v = tracemap.trace_map(s, v)
+            periodic &= all(x == x0 for x, x0 in zip(v, start))
     # the covers of criteria 3, 9 and 10
     covers = _covers(1.0, (20,)) + _covers(hopping_from_coupling(0.1), (15,)) + _covers(4.0, (5, 10, 15))
     missing = [c for c in covers if not c.contains(0.0)]
     prod_ok = all(bands.product_set(c, c).contains(0.0) for c in covers)
-    return (survived and not missing and prod_ok,
-            f"orbit of E=0 bounded for all couplings: {survived}; "
+    return (periodic and not missing and prod_ok,
+            f"orbit of E=0 returns after {', '.join(map(str, ZERO_ORBIT_PERIOD.values()))} steps "
+            f"for s=1, 2, 3 at 4 couplings: {periodic}; "
             f"{len(covers)} covers checked, {len(missing)} missing zero")
 
 

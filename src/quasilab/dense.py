@@ -1,9 +1,10 @@
 """Dense symmetric eigenvalues through LAPACK (``np.linalg.eigvalsh``).
 
-The 2D checks compare the product formula, built on the Sturm bisection of
-``jacobi1d``, with a dense solve of the whole Labyrinth box.  LAPACK shares no
-code with the Sturm path, so that comparison stays an independent check; the
-spectral-symmetry criterion reads these eigenvalues for the same reason.
+The 2D checks compare the product formula, built on the certified 1D solves of
+``jacobi1d``, with a dense solve of the whole Labyrinth box.  The dense solve
+(dsyevd) shares no routine with that path's dqds values or Sturm counts, so the
+comparison stays an independent check; the spectral-symmetry criterion reads
+these eigenvalues for the same reason.
 """
 
 from __future__ import annotations

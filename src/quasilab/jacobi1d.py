@@ -8,12 +8,13 @@ drawn from a metallic-mean sequence defines the Jacobi matrix
 The restriction to an N-site window keeps only the interior couplings, giving a
 zero-diagonal symmetric tridiagonal matrix.  Eigenvalue counting runs through a
 Sturm (LDL^T inertia) recurrence vectorised over energies and over stacks of
-equal-length windows, and full spectra come from bisection on those counts; the
-integrated density of states (IDS) is the normalised counting function.
+equal-length windows, which certify full spectra from LAPACK's dqds or, failing
+that, bisect for them; the integrated density of states (IDS) is the normalised
+counting function.
 
 The diagonal is zero, so the chain is bipartite: flipping the sign on every
 other site maps H to -H, the spectrum is symmetric about 0, and for odd N
-(det_N = -b^2 det_{N-2}, det_1 = 0) it contains 0.  The solver bisects only
+(det_N = -b^2 det_{N-2}, det_1 = 0) it contains 0.  The solver computes only
 the nonnegative half and mirrors it.
 
 The recurrence runs in plain IEEE arithmetic with no pivot guard, as in Kahan's
@@ -21,14 +22,15 @@ bisection and LAPACK ``dstebz``: a zero pivot makes the next pivot an infinity,
 b^2 / inf = 0 makes the one after it -E again, and a pivot counts as negative
 when its sign bit is set, so -0.0 and -inf count.  Kahan's analysis, carried
 over to IEEE infinities by Demmel, Dhillon and Ren (ETNA 1995), shows that this
-count is monotone in the energy, which bisection needs.
+count is monotone in the energy, which the certificate and bisection need.
 
-The bisection is dqds-predicted: LAPACK's dlasq1, reached through ctypes in
-the OpenBLAS that numpy's wheels bundle (builds checked: numpy 2.4.6, Linux
-x86-64), gives the eigenvalues to high relative accuracy, each bisection
-decision is read off them, and Sturm counts verify the path, so the result
-keeps plain bisection's bits; without dlasq1 every decision is counted (see
-:func:`eigenvalues_offdiag`).
+The eigenvalues are dqds's, certified by one Sturm count: LAPACK's dlasq1,
+reached through ctypes in the OpenBLAS that numpy's wheels bundle (builds
+checked: numpy 2.4.6, Linux x86-64), gives them to high relative accuracy, and
+one count pass at x -+ tol/2 proves each within tol/2 of the count's
+eigenvalue (see :func:`eigenvalues_offdiag`).  So the bits depend on that
+OpenBLAS build.  A window whose certificate fails, or every window where
+dlasq1 is missing, falls back to plain bisection on the counts.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def _predict_offdiag(off: np.ndarray) -> np.ndarray | None:
     C[i+1, i] = b[2i+1], so the spectrum is +-sigma(C), plus 0 for odd N.
     dlasq1 takes C^T as a square upper bidiagonal of side k = ceil(N/2): for odd
     N a zero last diagonal entry adds one zero singular value, which is
-    dropped.  A failure (INFO != 0) gives NaNs, which the verification rejects.
+    dropped.  A failure (INFO != 0) gives NaNs, which send the window to bisection.
     """
     dlasq1 = _dlasq1()
     if dlasq1 is None:
@@ -239,124 +241,97 @@ def _predict_offdiag(off: np.ndarray) -> np.ndarray | None:
     return np.sort(d)[k - m :] if info.value == 0 else np.full(m, np.nan)
 
 
-def _count_rows(off, windows, energies) -> list:
-    """count_below_offdiag of window off[windows[i]] at energies[i] for each i, in one pass.
+def _bisect(off, grid, k, tol):
+    """Plain bisection of :func:`eigenvalues_offdiag` over a (P, N-1) stack of windows.
 
-    The energy lists may differ in length: rows are padded with 0.0, whose
-    counts are dropped, and a window with no energies is left out of the pass.
+    Window i bisects lanes k on grid[i], each decision count(E) > k a Sturm
+    count.  The windows run in lock-step, one count pass a step for all of
+    them, and a window stops when none of its own lanes can move, as it would
+    alone, so its bits do not depend on the others.  Returns each window's
+    last midpoints.
     """
-    counts = [np.zeros(0, dtype=np.int64)] * len(energies)
-    rows = [i for i, e in enumerate(energies) if e.size]
-    if rows:
-        padded = np.zeros((len(rows), max(energies[i].size for i in rows)))
-        for r, i in enumerate(rows):
-            padded[r, : energies[i].size] = energies[i]
-        for i, c in zip(rows, count_below_offdiag(off[windows[rows]], padded)):
-            counts[i] = c[: energies[i].size]
-    return counts
-
-
-def _bisect(off, grid, k, tol, guess, delta):
-    """The bisection of :func:`eigenvalues_offdiag` over a (P, N-1) stack of windows.
-
-    Window i bisects lanes k on grid[i] with guesses guess[i].  A decision
-    count(E) > k is read as E > guess[i, lane] wherever |E - guess[i, lane]| >
-    delta[i] and is a Sturm count elsewhere, so with delta = inf every
-    decision is counted.  The windows run in lock-step, and each step counts
-    the near lanes of all of them in one pass.  A window stops when none of its
-    own lanes can move, as it would alone, so its bits do not depend on the
-    others.  Returns each window's last midpoints, or None for a window whose
-    path one count over its final brackets does not verify.
-    """
-    # on [0, inf) the count is ceil(N/2) plus the guesses below E, away from them
-    below = [np.searchsorted(x, g - d) for x, g, d in zip(guess, grid, delta)]
-    near = [np.flatnonzero(b != np.searchsorted(x, g + d, side="right"))
-            for b, x, g, d in zip(below, guess, grid, delta)]
-    counts = [off.shape[1] + 1 - k.size + b for b in below]
-    going = np.arange(off.shape[0])
-    for c, i, counted in zip(counts, near, _count_rows(off, going, [g[i] for g, i in zip(grid, near)])):
-        c[i] = counted
     # the kth smallest eigenvalue lies in [grid[j-1], grid[j]) for the first j
     # whose count exceeds k; j = 0 or j = grid.size pins it at an end
-    j = np.stack([np.searchsorted(c, k, side="right") for c in counts])
-    lo = grid[going[:, None], np.maximum(j - 1, 0)]
-    hi = grid[going[:, None], np.minimum(j, grid.shape[1] - 1)]
-    # each window's final brackets, as it stops; rows still bisecting are ``going``
-    ends = np.concatenate([lo, hi], axis=1)
-    delta = delta[:, None]
+    j = np.stack([np.searchsorted(c, k, side="right") for c in count_below_offdiag(off, grid)])
+    rows = np.arange(off.shape[0])[:, None]
+    lo = grid[rows, np.maximum(j - 1, 0)]
+    hi = grid[rows, np.minimum(j, grid.shape[1] - 1)]
+    going = rows[:, 0]  # the windows still bisecting
+    mids = np.empty_like(lo)
     while going.size:
         mid = 0.5 * (lo + hi)
         live = ((hi - lo > tol) & (lo < mid) & (mid < hi)).any(axis=1)
-        if not live.all():
-            # a window none of whose lanes can move stops, as it would alone
-            ends[going[~live]] = np.concatenate([lo[~live], hi[~live]], axis=1)
-            going, lo, hi, mid, guess, delta = (x[live] for x in (going, lo, hi, mid, guess, delta))
-        above = mid > guess
-        # a lane pinned at an end (lo == hi) keeps its value whatever is decided
-        near = (np.abs(mid - guess) <= delta) & (lo < hi)
-        if near.any():
-            near = [np.flatnonzero(row) for row in near]
-            for a, i, counted in zip(above, near, _count_rows(off, going, [m[i] for m, i in zip(mid, near)])):
-                a[i] = counted > k[i]
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    lo, hi = ends[:, : k.size], ends[:, k.size :]
-    final = count_below_offdiag(off, ends)
-    held = ((final[:, : k.size] <= k) | (j == 0)) & ((final[:, k.size :] > k) | (j == grid.shape[1]))
-    return [m if h else None for m, h in zip(0.5 * (lo + hi), held.all(axis=1))]
+        mids[going[~live]] = mid[~live]
+        going, lo, hi, mid = (x[live] for x in (going, lo, hi, mid))
+        if going.size:
+            above = count_below_offdiag(off[going], mid) > k
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+    return mids
+
+
+def _certified(off, k, tol):
+    """Each window's dlasq1 values if one count pass certifies them (see :func:`eigenvalues_offdiag`), else None."""
+    guess = [_predict_offdiag(w) for w in off]
+    held = [i for i, x in enumerate(guess) if x is not None and not np.isnan(x).any()]
+    out = [None] * len(guess)
+    if held:
+        x = np.stack([guess[i] for i in held])
+        lo = np.minimum(x - 0.5 * tol, np.nextafter(x, -math.inf))
+        hi = np.maximum(x + 0.5 * tol, np.nextafter(x, math.inf))
+        counts = count_below_offdiag(off[held], np.concatenate([lo, hi], axis=1))
+        ok = ((counts[:, : k.size] <= k) & (counts[:, k.size :] > k)).all(axis=1)
+        for i, row, good in zip(held, x, ok):
+            if good:
+                out[i] = row
+    return out
 
 
 def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
-    """All eigenvalues of the zero-diagonal tridiagonal matrix, by bisection.
+    """All eigenvalues of the zero-diagonal tridiagonal matrix, certified to ``tol``.
 
     The spectrum is symmetric (see the module docstring), so only the
-    nonnegative half is computed.  A uniform grid of 2N+1 energies over
-    [0, bound], bound = 2(1 + max|b|) a Gershgorin-style bound, seeds a bracket
-    for each of the floor(N/2) largest eigenvalues; each bracket is then halved
-    until its width is at most ``tol`` or its midpoint rounds to an endpoint.
-    The result is those values, their negatives and, for odd N, an exact 0.0,
-    sorted: each e_k is bit for bit -e_(N+1-k).  ``tol`` must be positive and
-    the couplings finite.
+    floor(N/2) positive-half values x_k are computed; the result is those
+    values, their negatives and, for odd N, an exact 0.0, sorted: each e_k is
+    bit for bit -e_(N+1-k).  ``tol`` must be positive and the couplings finite.
+
+    The x_k are the singular values of the odd-even block of H, which LAPACK's
+    dqds returns (:func:`_predict_offdiag`; Fernando and Parlett, Numer. Math.
+    67, 1994).  One Sturm count pass at lo_k = x_k - tol/2 and hi_k = x_k +
+    tol/2 (the adjacent floats where these round back to x_k) certifies them
+    when count(lo_k) <= k < count(hi_k) for every k, k counted from 0 over all
+    N eigenvalues.  Proof: the IEEE count is monotone in E and runs from 0 to
+    N (module docstring), so it is the counting function #{j : e_j < E} of N
+    values e_0 <= ... <= e_(N-1), the eigenvalues the count sees (at each E it
+    is the exact count of H with its couplings changed by a few ulps; Kahan);
+    only at an energy equal to some e_j may the count land on either side.  count(lo_k) <= k
+    says that at most k of the e_j lie below lo_k, so e_k >= lo_k, and
+    count(hi_k) > k says that e_k < hi_k.  So a held certificate puts e_k in
+    [x_k - tol/2, x_k + tol/2) (up to that choice at hi_k itself), which is
+    the guarantee a bisection bracket of width tol gives, and x_k is within
+    tol/2 of e_k.
+
+    A window falls back to plain bisection (:func:`_bisect`), on its own, when
+    dlasq1 is not found (:func:`_dlasq1`), when its values hold a NaN
+    (dlasq1's INFO != 0; a NaN never reaches the count), or when its
+    certificate fails.  Plain bisection seeds a bracket for each x_k from a
+    uniform grid of 2N+1 energies over [0, bound], bound = 2(1 + max|b|) a
+    Gershgorin-style bound, and halves it until its width is at most ``tol``
+    or its midpoint rounds to an endpoint, every decision a Sturm count.
+
+    The bits of a certified solve are dlasq1's, so they depend on the
+    OpenBLAS build that numpy bundles; without dlasq1 they are the
+    bisection's, certified to the same ``tol`` but different.
 
     ``offdiag`` is one window's N-1 couplings, giving N eigenvalues, or a
     (P, N-1) stack of windows, giving a (P, N) array whose rows are bit for bit
-    the windows' own solves.  The windows of a stack are bisected in lock-step
-    (see :func:`_bisect`): each step makes one count pass for all of them
-    instead of one a window, while each window keeps its own stop rule, its own
-    final check and its own fallback.
+    the windows' own solves: the certificate is one count pass for the whole
+    stack, and the windows that fall back are bisected in lock-step, one count
+    pass a step for all of them.
 
-    Each decision of this bisection is whether count(E) > k, with count the
-    Sturm count.  The nonnegative eigenvalues are the singular values x_k of
-    the odd-even block of H, which LAPACK's dqds returns
-    (:func:`_predict_offdiag`), and the decision is read as E > x_k except on
-    the lanes where |E - x_k| <= delta: those lanes, and only those, get a
-    Sturm count, in one pass per step.  On the grid, the count is
-    ceil(N/2) + #{x_k < E} except at the points within delta of some x_k,
-    which are counted.  One count over the final brackets must then give
-    count(lo) <= k < count(hi), on one side only for a bracket pinned at an
-    end of the grid.  The count is monotone in E (module docstring), and
-    brackets only shrink, so a wrong decision leaves the count's jump past k
-    outside the final bracket for good and the check fails.  A check that
-    passes means every decision was the one the count makes, so every bit of
-    the result is that of plain bisection.  Where dlasq1 is not found
-    (:func:`_dlasq1`) or the check fails, the same bisection runs with
-    delta = inf, so that every decision is counted.
-
-    delta = N * eps * bound is the scale of the distance from x_k to the energy
-    where the count passes k.  dqds returns every singular value of the
-    bidiagonal C to a relative O(N * eps) (Demmel and Kahan, SIAM J. Sci. Stat.
-    Comput. 11, 1990; Fernando and Parlett, Numer. Math. 67, 1994); the IEEE
-    count at E is the exact count of the chain with its couplings changed by a
-    few ulps (Kahan; Demmel, Dhillon and Ren), which moves each eigenvalue by a
-    relative O(N * eps) at most (Demmel and Kahan).  Both are at most a few
-    N * eps * |C|, and |C| <= 2 max|b| < bound.  Over 200 model windows (s =
-    1-3, coupling 0.01-60, N 2-4096) the largest distance measured was 0.23
-    N * eps * bound.  delta sets only how many counts are made: one too small
-    fails the check and costs a second bisection, never a different result.
-
-    Cost: dlasq1 takes O(N^2) time and O(N) memory.  On a 2-core Xeon (one
-    BLAS thread, best of 5) the s = 1, a = 1.6 chain at tol = 1e-11 took 16 /
-    164 ms at N = 1023 / 4096, with 8 / 11 counts.
+    Cost: dlasq1 takes O(N^2) time and O(N) memory, the certificate one count
+    over 2 floor(N/2) lanes, and plain bisection about 30 counts over
+    floor(N/2) lanes.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -368,20 +343,15 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     bound = 2.0 * (1.0 + (np.abs(stack).max(axis=1) if n > 1 else np.zeros(len(stack))))
     if not (bound < math.inf).all():
         raise ValueError("couplings must be finite")
-    grid = np.linspace(0.0, bound, 2 * n + 1, axis=1)
     k = np.arange(n - n // 2, n)
-    guess = [_predict_offdiag(w) for w in stack]
-    if guess[0] is None:
-        mids = [None] * len(stack)
-    else:
-        mids = _bisect(stack, grid, k, tol, np.stack(guess), n * np.finfo(float).eps * bound)
-    redo = [i for i, mid in enumerate(mids) if mid is None]
+    pos = _certified(stack, k, tol)
+    redo = [i for i, x in enumerate(pos) if x is None]
     if redo:
-        plain = _bisect(stack[redo], grid[redo], k, tol, np.zeros((len(redo), k.size)), np.full(len(redo), math.inf))
-        for i, mid in zip(redo, plain):
-            mids[i] = mid
-    pos = np.sort(np.stack(mids), axis=1)
-    eigs = np.concatenate([-pos[:, ::-1], np.zeros((len(mids), n % 2)), pos], axis=1)
+        grid = np.linspace(0.0, bound[redo], 2 * n + 1, axis=1)
+        for i, mid in zip(redo, _bisect(stack[redo], grid, k, tol)):
+            pos[i] = mid
+    pos = np.sort(np.stack(pos), axis=1)
+    eigs = np.concatenate([-pos[:, ::-1], np.zeros((len(pos), n % 2)), pos], axis=1)
     return eigs.reshape(off.shape[:-1] + (n,))
 
 

@@ -112,8 +112,8 @@ def _axis_lists(s: int, hoppings, n: int) -> list:
     """The memoised eigenvalue lists of the chains with these hopping values.
 
     The lists not memoised are solved together, as one stack of windows
-    bisected in lock-step (see :func:`eigenvalues_offdiag`), and each is the
-    same bits as its own solve.  Every list asked for becomes the most
+    (see :func:`eigenvalues_offdiag`), and each is the same bits as its own
+    solve.  Every list asked for becomes the most
     recently used; beyond AXIS_MEMO_SIZE the least recently used are dropped.
     """
     keys = [(s, a, n) for a in hoppings]
@@ -147,7 +147,7 @@ axis_eigenvalues.cache_clear = _AXIS_MEMO.clear
 def eigs_1d_axes(p: LabyrinthParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue lists of the two 1D restrictions to [0, N-1] (see :func:`axis_eigenvalues`).
 
-    Two different axes that are not memoised are solved in one lock-step bisection.
+    Two different axes that are not memoised are solved as one stack of windows.
     """
     return tuple(_axis_lists(p.s, (p.a1, p.a2), n))
 

@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one line per criterion,
 or equivalently ``quasilab verify`` for the table form.
 """
 
-from quasilab import acceptance, cli, jacobi1d, labyrinth
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quasilab import acceptance, cli, jacobi1d, labyrinth, tracemap
 
 
 def _check(result):
@@ -83,3 +86,31 @@ def test_criterion_14_recomputes_the_1d_lists(monkeypatch, solves):
     result, _ = acceptance.run_determinism_check()
     assert result.passed
     assert len(per_run) == 2 and per_run[0] == per_run[1] > 0
+
+
+#: The period of the E = 0 orbit derived in criterion 11's docstring.
+ZERO_PERIOD = {1: 6, 2: 2, 3: 6}
+
+
+def test_criterion_11_reads_the_derived_periods():
+    assert acceptance.ZERO_ORBIT_PERIOD == ZERO_PERIOD
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([1, 2, 3]),
+       st.one_of(st.floats(min_value=1e-3, max_value=1e150),
+                 st.floats(min_value=-3.0, max_value=150.0).map(lambda u: min(max(10.0**u, 1e-3), 1e150))))
+@example(1, 1e-3)
+@example(2, 1.0)
+@example(3, 1.3)
+@example(1, 4.0)
+@example(2, 1e150)
+@example(3, 1e150)
+def test_the_zero_orbit_returns_after_its_derived_period(s, a):
+    start = v = tracemap.line_point(jacobi1d.ModelParams(s, a), 0.0)
+    steps = []
+    for t in range(1, 2 * ZERO_PERIOD[s] + 1):
+        v = tracemap.trace_map(s, v)
+        if all(x == x0 for x, x0 in zip(v, start)):  # == equates +-0
+            steps.append(t)
+    assert steps == [ZERO_PERIOD[s], 2 * ZERO_PERIOD[s]]

@@ -183,6 +183,13 @@ def count_below_reference(offdiag, energies) -> np.ndarray:
     return count
 
 
+def block_split_reference(offdiag, energies) -> np.ndarray:
+    """The count of each block between zero couplings, added: the oracle of a window with zero couplings."""
+    off = np.asarray(offdiag, dtype=float)
+    ends = np.concatenate([[-1], np.flatnonzero(off == 0.0), [off.size]])
+    return sum(count_below_reference(off[lo + 1:hi], energies) for lo, hi in zip(ends, ends[1:]))
+
+
 def eigenvalues_full_range_reference(offdiag, tol):
     """Bisection of all N eigenvalues from a 4N+1 grid over [-bound, bound], the oracle of the half solver."""
     off = np.asarray(offdiag, dtype=float)
@@ -273,63 +280,127 @@ class TestAgainstReferences:
         assert np.max(np.abs(got - np.linalg.eigvalsh(chain_matrix(off)))) <= 1e-10
 
 
+#: c in the bound tol/2 + c N eps ||H|| on the distance from a certified value to
+#: dense ``eigvalsh``, fixed before measuring: the count's eigenvalues and the
+#: dense solve's each lie within a few eps ||H|| of H's (Kahan; backward
+#: stability), which N eps ||H|| covers.
+DENSE_SLACK = 1.0
+
+#: Above this size the dense check is left out: eigvalsh takes 0.5 s at N = 2048.
+DENSE_MAX_N = 1100
+
+
+def assert_certified(off, got, tol):
+    """Each value of a solve within tol/2 of the jump of an independent count, and near dense eigvalsh.
+
+    lo = e - tol/2 and hi = e + tol/2, or the adjacent floats where these round
+    back to e, must give count(lo) <= k < count(hi) for the kth value e.
+    """
+    off = np.asarray(off, dtype=float)
+    k = np.arange(off.size + 1)
+    lo = np.minimum(got - 0.5 * tol, np.nextafter(got, -math.inf))
+    hi = np.maximum(got + 0.5 * tol, np.nextafter(got, math.inf))
+    assert np.all(block_split_reference(off, lo) <= k) and np.all(block_split_reference(off, hi) > k)
+    if off.size < DENSE_MAX_N:
+        dense = np.linalg.eigvalsh(chain_matrix(off))
+        norm = float(np.max(np.abs(dense)))
+        slack = 0.5 * tol + DENSE_SLACK * k.size * np.finfo(float).eps * norm
+        assert np.max(np.abs(got - dense)) <= slack
+
+
 @pytest.fixture
-def verdicts(monkeypatch):
-    """Whether each window's bisection in a solve passed its check (None when unpredicted)."""
+def fell_back(monkeypatch):
+    """The couplings of each window that a solve sent to plain bisection, in order."""
     out = []
     bisect = jacobi1d._bisect
 
-    def recording(off, grid, k, tol, guess, delta):
-        mids = bisect(off, grid, k, tol, guess, delta)
-        out.extend(None if d == math.inf else mid is not None for d, mid in zip(delta, mids))
-        return mids
+    def recording(off, grid, k, tol):
+        out.extend(w.tolist() for w in off)
+        return bisect(off, grid, k, tol)
 
     monkeypatch.setattr(jacobi1d, "_bisect", recording)
     return out
 
 
-class TestPredictedBisection:
-    """Predicted, replayed and verified bisection against plain bisection, bit for bit."""
-
-    @settings(max_examples=40)
-    @given(st.sampled_from([1, 2, 3]), st.floats(min_value=0.0, max_value=50.0),
+#: The solves of test_same_bits_as_plain_bisection and test_certified_by_an_independent_count:
+#: (s, coupling, tol, N, cut), where cut > 0 zeroes every cut-th coupling.
+_SOLVES = (st.sampled_from([1, 2, 3]), st.floats(min_value=0.0, max_value=50.0),
            st.sampled_from([1e-10, 1e-11, 1e-12]),
            st.integers(min_value=1, max_value=2048), st.sampled_from([0, 2, 3, 7]))
-    @example(1, 1.0, 1e-10, 1, 0)
-    @example(2, 1.0, 1e-11, 2, 0)
-    @example(3, 1.0, 1e-12, 3, 0)
-    @example(1, 0.0, 1e-12, 300, 0)  # the free chain
-    @example(1, 0.0, 1e-11, 201, 2)  # 2-site blocks: +-1, each 100 times, and 0
-    @example(2, 3.0, 1e-12, 98, 3)  # 3-site blocks, each with a zero eigenvalue
-    @example(3, 50.0, 1e-11, 503, 7)
-    @example(1, 1.6, 1e-11, 640, 0)
-    @example(2, 0.4, 1e-11, 641, 0)
-    @example(1, 1.0, 1e-12, 641, 2)
-    @example(1, 1.6, 1e-11, 1023, 0)
-    @example(2, 3.0, 1e-11, 4096, 0)
-    @example(3, 0.2, 1e-12, 1500, 3)
+
+
+def _solve_examples(test):
+    for args in [
+        (1, 1.0, 1e-10, 1, 0),
+        (2, 1.0, 1e-11, 2, 0),
+        (3, 1.0, 1e-12, 3, 0),
+        (1, 0.0, 1e-12, 300, 0),  # the free chain
+        (1, 0.0, 1e-11, 201, 2),  # 2-site blocks: +-1, each 100 times, and 0
+        (2, 3.0, 1e-12, 98, 3),  # 3-site blocks, each with a zero eigenvalue
+        (3, 50.0, 1e-11, 503, 7),
+        (1, 1.6, 1e-11, 640, 0),
+        (2, 0.4, 1e-11, 641, 0),
+        (1, 1.0, 1e-12, 641, 2),
+        (1, 1.6, 1e-11, 1023, 0),
+        (2, 3.0, 1e-11, 4096, 0),
+        (3, 0.2, 1e-12, 1500, 3),
+    ]:
+        test = example(*args)(test)
+    return test
+
+
+def _solve_window(s, lam, n, cut):
+    off = build_window(ModelParams.from_coupling(s, lam), n)[1:]
+    if cut:
+        off[cut - 1 :: cut] = 0.0  # a direct sum of cut-site blocks
+    return off
+
+
+class TestPredictedBisection:
+    """dlasq1's values certified by one count pass, and plain bisection where a certificate cannot be had."""
+
+    @settings(max_examples=40)
+    @given(*_SOLVES)
+    @_solve_examples
     def test_same_bits_as_plain_bisection(self, s, lam, tol, n, cut):
-        off = build_window(ModelParams.from_coupling(s, lam), n)[1:]
-        if cut:
-            off[cut - 1 :: cut] = 0.0  # a direct sum of cut-site blocks
-        got = eigenvalues_offdiag(off, tol)
+        # the fallback: without dlasq1 every window is plain bisection
+        off = _solve_window(s, lam, n, cut)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jacobi1d, "_dlasq1", lambda: None)
+            got = eigenvalues_offdiag(off, tol)
         want = eigenvalues_half_spectrum_reference(off, tol)
         assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
+    @settings(max_examples=25)
+    @given(*_SOLVES)
+    @_solve_examples
+    def test_certified_by_an_independent_count(self, s, lam, tol, n, cut):
+        off = _solve_window(s, lam, n, cut)
+
+        def refuse(*args):
+            raise AssertionError("a certificate failed and the window fell back to bisection")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jacobi1d, "_bisect", refuse)
+            got = eigenvalues_offdiag(off, tol)
+        assert np.array_equal(got, -got[::-1]) and np.all(np.diff(got) >= 0)
+        assert_certified(off, got, tol)
+
     @pytest.mark.parametrize("s,lam,n", [(1, 2.0, 500), (1, 5.0, 500), (3, 2.0, 300)])
-    def test_decisions_close_to_a_guess_are_counted(self, verdicts, s, lam, n):
-        # in these solves some midpoint falls between a guess and the count's jump,
-        # so taking every decision from the guesses would fail the check
+    def test_decisions_close_to_a_guess_are_counted(self, fell_back, s, lam, n):
+        # in these solves some guess of dlasq1 lies so close to the count's jump that
+        # bisection decisions read off the guesses went wrong; the certificate counts
+        # every value at x -+ tol/2, and holds
         off = build_window(ModelParams.from_coupling(s, lam), n)[:-1]
         got = eigenvalues_offdiag(off, 1e-12)
-        assert verdicts == [True]
-        assert got.tobytes() == eigenvalues_half_spectrum_reference(off, 1e-12).tobytes()
+        assert fell_back == []
+        assert_certified(off, got, 1e-12)
 
     @pytest.mark.parametrize("spoil", ["shift", "permute", "nan"])
-    def test_wrong_predictions_fall_back_to_the_same_bits(self, monkeypatch, verdicts, spoil):
+    def test_wrong_predictions_fall_back_to_the_same_bits(self, monkeypatch, fell_back, spoil):
         off = build_window(ModelParams(1, 1.6), 500)[:-1]
         tol = 1e-12
-        # the solver's delta, 5.8e-13 here, so a guess moved by 10 delta lies outside its final bracket
+        # N * eps * bound, 5.8e-13 here, so a guess moved by ten times it misses tol/2 by far
         delta = (off.size + 1) * np.finfo(float).eps * 2.0 * (1.0 + float(np.max(off)))
         predict = jacobi1d._predict_offdiag
 
@@ -340,16 +411,16 @@ class TestPredictedBisection:
             elif spoil == "permute":
                 x = np.random.default_rng(0).permutation(x)
             else:
-                x[:] = np.nan
+                x[:] = np.nan  # never counted: the count refuses NaN energies
             return x
 
         monkeypatch.setattr(jacobi1d, "_predict_offdiag", spoiled)
         got = eigenvalues_offdiag(off, tol)
-        assert verdicts == [False, None]  # the replay fails its check, and plain bisection runs
+        assert fell_back == [off.tolist()]  # the certificate fails, and plain bisection runs
         assert got.tobytes() == eigenvalues_half_spectrum_reference(off, tol).tobytes()
 
-    @pytest.mark.parametrize("n,most", [(500, 8), (1023, 9)], ids=["N500", "N1023"])
-    def test_a_predicted_solve_makes_few_counts(self, monkeypatch, n, most):
+    @pytest.mark.parametrize("n", [500, 1023], ids=["N500", "N1023"])
+    def test_a_predicted_solve_makes_few_counts(self, monkeypatch, n):
         calls = []
         count = jacobi1d.count_below_offdiag
 
@@ -360,34 +431,29 @@ class TestPredictedBisection:
         monkeypatch.setattr(jacobi1d, "count_below_offdiag", counting)
         # the Labyrinth's axis solve; plain bisection counts about 30 times
         eigenvalues_offdiag(build_window(ModelParams(1, 1.6), n)[:-1], EIG_TOL)
-        assert len(calls) <= most
+        assert calls == [2 * (n // 2)]  # one pass, at x -+ tol/2 for each of the n // 2 values
 
     @pytest.mark.parametrize("off", [
         [1.6], [1.0, 1.6], build_window(ModelParams(1, 1.6), 641)[1:], build_window(ModelParams(2, 3.0), 1023)[1:],
         np.where(np.arange(1022) % 5 == 4, 0.0, build_window(ModelParams(3, 0.4), 1023)[1:]),
     ], ids=["N2", "N3", "N641", "N1023", "N1023-zero-couplings"])
-    def test_without_dlasq1_every_solve_is_plain_bisection(self, monkeypatch, verdicts, off):
+    def test_without_dlasq1_every_solve_is_plain_bisection(self, monkeypatch, fell_back, off):
         monkeypatch.setattr(jacobi1d, "_dlasq1", lambda: None)
         got = eigenvalues_offdiag(off, 1e-11)
-        assert verdicts == [None]
+        assert fell_back == [np.asarray(off, dtype=float).tolist()]
         assert got.tobytes() == eigenvalues_half_spectrum_reference(off, 1e-11).tobytes()
 
-    def test_dlasq1_resolves_on_the_checked_numpy_builds(self, verdicts):
+    def test_dlasq1_resolves_on_the_checked_numpy_builds(self, fell_back):
         # a numpy upgrade that renames the bundled library would silently make every solve plain bisection
         named = f"numpy {np.__version__}," in jacobi1d.__doc__
         if not (named and platform.system() == "Linux" and platform.machine() == "x86_64"):
             pytest.skip(f"numpy {np.__version__} on {platform.system()} {platform.machine()} "
                         "is not a build named in the jacobi1d docstring")
         assert jacobi1d._dlasq1() is not None
-        eigenvalues_offdiag(build_window(ModelParams(1, 1.6), 1023)[:-1], EIG_TOL)
-        assert verdicts == [True]
-
-
-def block_split_reference(offdiag, energies) -> np.ndarray:
-    """The count of each block between zero couplings, added: the oracle of a window with zero couplings."""
-    off = np.asarray(offdiag, dtype=float)
-    ends = np.concatenate([[-1], np.flatnonzero(off == 0.0), [off.size]])
-    return sum(count_below_reference(off[lo + 1:hi], energies) for lo, hi in zip(ends, ends[1:]))
+        off = build_window(ModelParams(1, 1.6), 1023)[:-1]
+        got = eigenvalues_offdiag(off, EIG_TOL)
+        assert fell_back == []
+        assert_certified(off, got, EIG_TOL)
 
 
 _COUPLINGS = st.one_of(st.sampled_from([0.5, 1.0, 1.7, 3.0]), st.floats(min_value=0.1, max_value=4.0))
@@ -451,7 +517,7 @@ class TestStackedCount:
 
 
 class TestLockStep:
-    """A stack of windows solved in one lock-step bisection against each window solved alone."""
+    """A stack of windows certified in one count pass, or bisected in lock-step, against each window alone."""
 
     @settings(max_examples=15)
     @given(st.sampled_from([1, 2, 3]), st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=1, max_size=3),
@@ -467,9 +533,16 @@ class TestLockStep:
         assert got.shape == (len(hoppings), n)
         for w, row in zip(windows, got):
             assert row.tobytes() == eigenvalues_offdiag(w, tol).tobytes()
-            assert row.tobytes() == eigenvalues_half_spectrum_reference(w, tol).tobytes()
+            assert_certified(w, row, tol)
+        # the fallback: the lock-step bisection, row by row the plain bisection of each window
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jacobi1d, "_dlasq1", lambda: None)
+            got = eigenvalues_offdiag(windows, tol)
+            for w, row in zip(windows, got):
+                assert row.tobytes() == eigenvalues_offdiag(w, tol).tobytes()
+                assert row.tobytes() == eigenvalues_half_spectrum_reference(w, tol).tobytes()
 
-    def test_a_spoiled_guess_falls_back_in_its_own_window_only(self, monkeypatch, verdicts):
+    def test_a_spoiled_guess_falls_back_in_its_own_window_only(self, monkeypatch, fell_back):
         windows = np.stack([build_window(ModelParams(1, a), 500)[:-1] for a in (0.3, 40.0)])
         tol = 1e-12
         predict = jacobi1d._predict_offdiag
@@ -477,16 +550,18 @@ class TestLockStep:
         def spoiled(off):
             x = predict(off)
             if off.max() == 40.0:
-                # ten times the solver's delta, N * eps * bound, with bound 82
+                # ten times N * eps * bound, with bound 82: far beyond tol/2
                 x[::7] += 10 * off.size * np.finfo(float).eps * 82.0
             return x
 
         monkeypatch.setattr(jacobi1d, "_predict_offdiag", spoiled)
         got = eigenvalues_offdiag(windows, tol)
-        # the first window's replay holds; the second's fails and only it is bisected again
-        assert verdicts == [True, False, None]
-        for w, row in zip(windows, got):
-            assert row.tobytes() == eigenvalues_half_spectrum_reference(w, tol).tobytes()
+        # the first window's certificate holds; the second's fails and only it is bisected
+        assert fell_back == [windows[1].tolist()]
+        fell_back.clear()
+        assert got[0].tobytes() == eigenvalues_offdiag(windows[0], tol).tobytes() and fell_back == []
+        assert_certified(windows[0], got[0], tol)
+        assert got[1].tobytes() == eigenvalues_half_spectrum_reference(windows[1], tol).tobytes()
 
     def test_one_count_pass_a_step_for_the_stack(self, monkeypatch):
         windows = np.stack([build_window(ModelParams(1, a), 640)[:-1] for a in (1.3, 2.2)])
@@ -497,14 +572,19 @@ class TestLockStep:
             calls.append(np.shape(off))
             return count(off, energies)
 
+        def passes(off):
+            calls.clear()
+            eigenvalues_offdiag(off, EIG_TOL)
+            return list(calls)
+
         monkeypatch.setattr(jacobi1d, "count_below_offdiag", counting)
-        for w in windows:
-            eigenvalues_offdiag(w, EIG_TOL)
-        separate = len(calls)
-        calls.clear()
-        eigenvalues_offdiag(windows, EIG_TOL)
-        # 13 passes alone, 8 in lock-step: the steps where both windows count share a pass
-        assert len(calls) < separate and (2, 639) in calls
+        # one certificate pass for the whole stack
+        assert [passes(w) for w in windows] == [[(1, 639)]] * 2 and passes(windows) == [(2, 639)]
+        # without dlasq1, 30 passes alone and 30 in lock-step, each for both windows
+        monkeypatch.setattr(jacobi1d, "_dlasq1", lambda: None)
+        separate = sum(len(passes(w)) for w in windows)
+        together = passes(windows)
+        assert len(together) < separate and set(together) == {(2, 639)}
 
 
 class TestInputValidation:

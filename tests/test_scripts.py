@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/: each runs at a tiny size and writes its files."""
 
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -181,3 +182,82 @@ def test_bench_pairs_records_a_failed_run_and_keeps_the_rest(monkeypatch, tmp_pa
     jobs = summary["metrics"]["jobs_per_s"]
     assert (jobs["head_wins"], jobs["head_losses"]) == (2, 0)
     assert "covers seed 2 head: failed (exit 1)" in capsys.readouterr().out
+
+
+def test_every_layer_row_names_a_callable_that_exists():
+    # each row's setup runs against this tree and its callable resolves, as the row's process does it
+    script = _load("bench_layers")
+    assert len({name for name, *_ in script.LAYERS}) == len(script.LAYERS)
+    for name, target, setup, k in script.LAYERS:
+        module, _, attr = target.rpartition(".")
+        assert callable(getattr(importlib.import_module(module), attr, None)), name
+        scope = {}
+        exec(setup, scope)
+        assert isinstance(scope["args"], tuple) and k >= 1, name
+
+
+def test_bench_layers_runs_every_row_in_pairs_and_keeps_failed_rows(monkeypatch, tmp_path, capsys):
+    script = _load("bench_layers")
+    shas = {"HEAD~1": "a" * 40, "HEAD": "b" * 40}
+    # what bench_pairs wrote for the same revisions stays in the file
+    (tmp_path / "BENCH_bbbbbbb.json").write_text(json.dumps({"base": shas["HEAD~1"], "head": shas["HEAD"],
+                                                             "summary": {"covers": {}}, "runs": []}))
+
+    def extract(rev, dest):
+        dest.mkdir(parents=True)
+        return shas[rev]
+
+    rows = [("fast", "quasilab.jacobi1d.free_ids", "args = (0.0,)", 3),
+            ("gone", "quasilab.jacobi1d.no_such_name", "args = ()", 2)]
+    seen = []
+
+    def run_row(tree, target, setup, k):
+        # a stand-in for the row's process: the base takes 2 ms, the head 1 ms, and a missing name raises
+        seen.append((tree.name, target, k))
+        if target.endswith("no_such_name") and tree.name == "head":
+            return subprocess.CompletedProcess([], 1, "", "Traceback ...\nAttributeError: no_such_name\n")
+        best = 0.002 if tree.name == "base" else 0.001
+        return subprocess.CompletedProcess([], 0, json.dumps([best * 1.5] * (k - 1) + [best]) + "\n", "")
+
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    monkeypatch.setattr(script.bench_pairs, "extract", extract)
+    monkeypatch.setattr(script, "run_row", run_row)
+    monkeypatch.setattr(script, "LAYERS", rows)
+    assert script.main(["--base", "HEAD~1", "--pairs", "3"]) == 0
+    report = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())
+    assert report["summary"] == {"covers": {}} and report["runs"] == []
+    layers = report["layers"]
+    assert [r["row"] for r in layers["table"]] == ["fast", "gone"] and [r["k"] for r in layers["table"]] == [3, 2]
+    runs = layers["runs"]
+    assert len(runs) == len(seen) == 12
+    # each pair runs each row once from each tree, one in each position
+    for pair in range(3):
+        for name in ("fast", "gone"):
+            both = sorted((r["position"], r["tree"]) for r in runs if (r["pair"], r["row"]) == (pair, name))
+            assert [p for p, _ in both] == [0, 1] and {t for _, t in both} == {"base", "head"}
+    fast = layers["summary"]["fast"]
+    assert fast["pairs"] == 3 and fast["failed_runs"] == {"base": 0, "head": 0}
+    assert fast["base"]["median"] == 0.002 and fast["head"]["median"] == 0.001
+    assert (fast["head_wins"], fast["head_losses"], fast["ties"]) == (3, 0, 0)
+    assert fast["speedup_of_medians"] == 2.0
+    # the row that raised in the head is recorded as failed, never dropped
+    gone = layers["summary"]["gone"]
+    assert gone["pairs"] == 0 and gone["failed_runs"] == {"base": 0, "head": 3}
+    failed = [r for r in runs if "best_s" not in r]
+    assert len(failed) == 3 and all(r["tree"] == "head" and r["stderr_tail"].endswith("no_such_name")
+                                    for r in failed)
+    assert "gone head: failed (exit 1)" in capsys.readouterr().out
+
+
+def test_a_layer_row_runs_in_its_own_process_from_its_tree(tmp_path):
+    # the real runner: a fresh interpreter that imports the tree's own src/
+    script = _load("bench_layers")
+    pkg = tmp_path / "src" / "layerpkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("def twice(x):\n    return 2 * x\n")
+    proc = script.run_row(tmp_path, "layerpkg.twice", "args = (21,)\nbefore = lambda: None", 4)
+    assert proc.returncode == 0
+    times = json.loads(proc.stdout)
+    assert len(times) == 4 and all(t >= 0 for t in times)
+    proc = script.run_row(tmp_path, "layerpkg.missing", "args = ()", 1)
+    assert proc.returncode != 0 and "AttributeError" in proc.stderr
