@@ -291,25 +291,26 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     """All eigenvalues of the zero-diagonal tridiagonal matrix, certified to ``tol``.
 
     The spectrum is symmetric (see the module docstring), so only the
-    floor(N/2) positive-half values x_k are computed; the result is those
+    floor(N/2) nonnegative-half values x_k are computed; the result is those
     values, their negatives and, for odd N, an exact 0.0, sorted: each e_k is
     bit for bit -e_(N+1-k).  ``tol`` must be positive and the couplings finite.
 
     The x_k are the singular values of the odd-even block of H, which LAPACK's
     dqds returns (:func:`_predict_offdiag`; Fernando and Parlett, Numer. Math.
     67, 1994).  One Sturm count pass at lo_k = x_k - tol/2 and hi_k = x_k +
-    tol/2 (the adjacent floats where these round back to x_k) certifies them
-    when count(lo_k) <= k < count(hi_k) for every k, k counted from 0 over all
-    N eigenvalues.  Proof: the IEEE count is monotone in E and runs from 0 to
-    N (module docstring), so it is the counting function #{j : e_j < E} of N
-    values e_0 <= ... <= e_(N-1), the eigenvalues the count sees (at each E it
-    is the exact count of H with its couplings changed by a few ulps; Kahan);
-    only at an energy equal to some e_j may the count land on either side.  count(lo_k) <= k
-    says that at most k of the e_j lie below lo_k, so e_k >= lo_k, and
-    count(hi_k) > k says that e_k < hi_k.  So a held certificate puts e_k in
-    [x_k - tol/2, x_k + tol/2) (up to that choice at hi_k itself), which is
-    the guarantee a bisection bracket of width tol gives, and x_k is within
-    tol/2 of e_k.
+    tol/2, or at x_k's neighbouring floats where these round back to x_k,
+    certifies them when count(lo_k) <= k < count(hi_k) for every k, k counted
+    from 0 over all N eigenvalues.  Proof: the IEEE count is monotone in E
+    and runs from 0 to N (module docstring), so it is the counting function
+    #{j : e_j < E} of N values e_0 <= ... <= e_(N-1), the eigenvalues the
+    count sees (at each E it is the exact count of H with its couplings
+    changed by a few ulps; Kahan); only at an energy equal to some e_j may it
+    land on either side.  count(lo_k) <= k says that at most k of the e_j lie
+    below lo_k, so e_k >= lo_k, and count(hi_k) > k says that e_k < hi_k.  So
+    a held certificate puts e_k in [x_k - tol/2, x_k + tol/2) (up to that
+    choice at hi_k itself), the guarantee a bisection bracket of width tol
+    gives; with the neighbouring floats it is the one-ulp bracket where
+    bisection stops.
 
     A window falls back to plain bisection (:func:`_bisect`), on its own, when
     dlasq1 is not found (:func:`_dlasq1`), when its values hold a NaN
