@@ -5,10 +5,10 @@ Each row of ``LAYERS`` names one library callable, the code that builds its
 arguments, and k.  A row runs in a fresh ``python`` process from each tree
 (extracted with ``bench_pairs.extract``, so only committed files count): the
 process imports the callable, builds the arguments once, then times k calls
-and prints the best.  Each pair runs one row once from each tree, in an order
-drawn at random per pair; the rows run one at a time.
+and prints the best.  Each of the ``PAIRS`` pairs runs one row once from each
+tree, in an order drawn at random per pair; the rows run one at a time.
 
-    python scripts/bench_layers.py --base HEAD~1 --pairs 10
+    python scripts/bench_layers.py --base HEAD~1
 
 The rows go into BENCH_<head sha>.json under ``layers``, beside what
 ``bench_pairs.py`` wrote for the same two revisions: the table as run, every
@@ -35,6 +35,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_pairs  # noqa: E402
 
 ROOT = bench_pairs.ROOT
+
+#: Pairs of runs per row: ten, the fewest that can support a claimed gain.
+PAIRS = 10
 
 _WINDOW = "from quasilab.jacobi1d import ModelParams, build_window\n"
 
@@ -119,17 +122,14 @@ def summarise(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", required=True, help="the revision HEAD is compared against, e.g. HEAD~1")
-    ap.add_argument("--pairs", type=int, default=10, help="pairs of runs per row (default 10)")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be positive")
     rng = random.Random(0)  # the order within each pair
     table = [{"row": name, "callable": target, "setup": setup, "k": k} for name, target, setup, k in LAYERS]
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_layers_") as tmp:
         shas = {side: bench_pairs.extract(rev, Path(tmp) / side) for side, rev in (("base", args.base), ("head", "HEAD"))}
         out = ROOT / f"BENCH_{shas['head'][:7]}.json"
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             for name, target, setup, k in LAYERS:
                 for position, side in enumerate(rng.sample(["base", "head"], 2)):
                     proc = run_row(Path(tmp) / side, target, setup, k)

@@ -14,8 +14,9 @@ once a coordinate stops being finite.  The covers fix R at coupling + 3
 escape evaluators themselves take R and the step budget as arguments.  Every
 escape pass of a cover, sampling and edge bisection alike, is one vectorised
 ``escape_steps`` call stepping with ``trace_map``; ``escape_time`` is the
-scalar reference, with its own loop, that the tests check it against.  Covers computed this way are outer approximations at the
-sampling resolution; no rigorous inner bound is claimed.
+scalar reference, with its own loop, that the tests check it against.
+Covers computed this way are outer approximations at the sampling resolution;
+no rigorous inner bound is claimed.
 """
 
 from __future__ import annotations

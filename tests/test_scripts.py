@@ -223,7 +223,8 @@ def test_bench_layers_runs_every_row_in_pairs_and_keeps_failed_rows(monkeypatch,
     monkeypatch.setattr(script.bench_pairs, "extract", extract)
     monkeypatch.setattr(script, "run_row", run_row)
     monkeypatch.setattr(script, "LAYERS", rows)
-    assert script.main(["--base", "HEAD~1", "--pairs", "3"]) == 0
+    monkeypatch.setattr(script, "PAIRS", 3)
+    assert script.main(["--base", "HEAD~1"]) == 0
     report = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())
     assert report["summary"] == {"covers": {}} and report["runs"] == []
     layers = report["layers"]
