@@ -10,7 +10,6 @@ the middle-thirds construction this gives the classical value 1 at every stage.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,40 +112,6 @@ class BandCover:
     def contains(self, x: float) -> bool:
         return bool(np.any((self.intervals[:, 0] <= x) & (x <= self.intervals[:, 1])))
 
-    def scaled(self, factor: float) -> "BandCover":
-        """The cover with every endpoint multiplied by ``factor``.
-
-        ``factor`` must be finite and positive.  Each image is the product
-        rounded to nearest.  Raises ValueError, naming the factor and the
-        endpoint, when an image is infinite, when a nonzero endpoint's image
-        is below ``sys.float_info.min`` in magnitude (subnormal or zero), or
-        when two distinct endpoints have the same image.  On success every
-        strict inequality between endpoints is kept and each image is within
-        eps/2 of the exact product, relative to the image.  For ``factor = 2**k``
-        every image is exact, so ``thickness`` is bit-identical.
-        """
-        if not (math.isfinite(factor) and factor > 0):
-            raise ValueError(f"scaling factor must be finite and positive, got {factor!r}")
-        # Python floats, so the messages show plain reprs
-        ends = self.intervals.ravel().tolist()
-        images = [x * factor for x in ends]
-        for x, y in zip(ends, images):
-            if math.isinf(y):
-                raise ValueError(f"scaling by {factor!r} overflows endpoint {x!r} to {y!r}")
-            if x != 0 and abs(y) < sys.float_info.min:
-                raise ValueError(
-                    f"scaling by {factor!r} takes endpoint {x!r} to {y!r}, "
-                    "below the smallest normal float"
-                )
-        # rounding is monotone, so only neighbouring endpoints can collide
-        for x0, x1, y0, y1 in zip(ends, ends[1:], images, images[1:]):
-            if x0 != x1 and y0 == y1:
-                raise ValueError(
-                    f"scaling by {factor!r} gives endpoints {x0!r} and {x1!r} "
-                    f"the same image {y0!r}"
-                )
-        return BandCover(np.reshape(images, (-1, 2)))
-
 
 def gaps(cover: BandCover) -> np.ndarray:
     """Open gaps between consecutive bands, strictly inside the hull, as an (m, 2) array."""
@@ -187,8 +152,9 @@ def thickness(cover: BandCover) -> float:
     For each gap the two bridges extend from its endpoints to the nearest gap at
     least as long (or to the hull boundary); the thickness is the minimum over
     gaps of min(bridge) / gap.  Only ratios of endpoint differences enter, so it
-    is scale invariant: exactly under ``BandCover.scaled`` by a power of two, and
-    up to rounding for other factors (see ``scaled``).  The lengths are
+    is scale invariant: exactly when every endpoint is multiplied by a power of
+    two, and up to rounding for other factors, as long as no product overflows,
+    leaves the normal range or merges two endpoints.  The lengths are
     endpoint differences, exact down to the subnormal range; for a hull longer
     than the largest float they are taken between halved endpoints, which no
     difference overflows and which keep the ratios' bits away from the

@@ -11,12 +11,12 @@ Escape detection is heuristic: an orbit is declared escaped once its sup-norm
 exceeds a radius R while having strictly grown on two consecutive steps, or
 once a coordinate stops being finite.  The covers fix R at coupling + 3
 (``default_escape_radius``) and iterate as many steps as the level; only the
-escape evaluators themselves take R and the step budget as arguments.  Every
-escape pass of a cover, sampling and edge bisection alike, is one vectorised
-``escape_steps`` call stepping with ``trace_map``; ``escape_time`` is the
-scalar reference, with its own loop, that the tests check it against.
-Covers computed this way are outer approximations at the sampling resolution;
-no rigorous inner bound is claimed.
+escape evaluators themselves take R and the step budget as arguments.  There is
+one evaluator, the vectorised ``escape_steps`` stepping with ``trace_map``:
+every escape pass of a cover, sampling and edge bisection alike, is one call,
+and ``escape_time`` is the same call on one point.  Covers computed this way
+are outer approximations at the sampling resolution; no rigorous inner bound is
+claimed.
 """
 
 from __future__ import annotations
@@ -87,49 +87,20 @@ def default_escape_radius(coupling: float) -> float:
     return coupling + 3.0
 
 
-def _check_escape_args(max_iter: int, radius: float) -> None:
-    """The argument check both escape evaluators share."""
+def escape_steps(s: int, x, y, z, max_iter: int, radius: float) -> np.ndarray:
+    """Step at which the orbit under T_s of each initial point is flagged as escaping; -1 = survived.
+
+    Escape at step t requires sup-norm(v_t) > radius together with
+    norm(v_t) > norm(v_{t-1}) > norm(v_{t-2}), or a nonfinite coordinate.  The
+    two-step growth requirement guards against transient excursions.  Each lane
+    reads only itself, so its result does not depend on how lanes are grouped.
+    Escaped lanes keep iterating until every lane has escaped; they may
+    overflow to inf or NaN, but only each lane's first escape is recorded.
+    """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     if not 2.0 < radius < math.inf:
         raise ValueError(f"escape radius must be finite and exceed 2, got {radius}")
-
-
-def escape_time(s: int, v, max_iter: int, radius: float) -> int | None:
-    """Step at which the orbit of ``v`` under T_s is flagged as escaping, else None.
-
-    Escape at step t requires sup-norm(v_t) > radius together with
-    norm(v_t) > norm(v_{t-1}) > norm(v_{t-2}), or a nonfinite coordinate.  The
-    two-step growth requirement guards against transient excursions.
-    """
-    _check_escape_args(max_iter, radius)
-    x, y, z = (float(c) for c in v)
-    prev = max(abs(x), abs(y), abs(z))
-    prev2 = math.inf
-    for t in range(1, max_iter + 1):
-        x, y, z = x, z, y
-        for _ in range(s):
-            x, y, z = 2.0 * x * z - y, x, z
-        norm = max(abs(x), abs(y), abs(z))
-        if not math.isfinite(norm):
-            return t
-        if norm > radius and norm > prev and prev > prev2:
-            return t
-        prev2 = prev
-        prev = norm
-    return None
-
-
-def escape_steps(s: int, x, y, z, max_iter: int, radius: float) -> np.ndarray:
-    """Vectorised :func:`escape_time` over arrays of initial points; -1 = survived.
-
-    Applies the same arithmetic and the same escape rule lane by lane, so the
-    result is identical to the scalar routine on every lane and independent of
-    how lanes are grouped.  Escaped lanes keep iterating until every lane has
-    escaped; they may overflow to inf or NaN, but each lane reads only itself
-    and only its first escape is recorded.
-    """
-    _check_escape_args(max_iter, radius)
     v = TraceVector(np.array(x, dtype=float), np.array(y, dtype=float), np.array(z, dtype=float))
     steps = np.full(v.x.shape, -1, dtype=np.int64)
     alive = np.ones(v.x.shape, dtype=bool)
@@ -147,6 +118,13 @@ def escape_steps(s: int, x, y, z, max_iter: int, radius: float) -> np.ndarray:
                 break
             prev2, prev = prev, norm
     return steps
+
+
+def escape_time(s: int, v, max_iter: int, radius: float) -> int | None:
+    """:func:`escape_steps` on the one point ``v``: the step of its escape, or None when it survives."""
+    x, y, z = v
+    (t,) = escape_steps(s, [x], [y], [z], max_iter, radius).tolist()
+    return None if t < 0 else t
 
 
 def _survivors(params: ModelParams, energies: np.ndarray, level: int, radius: float) -> np.ndarray:

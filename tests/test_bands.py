@@ -72,8 +72,43 @@ def covers(draw, max_bands=5, lo=-5.0, hi=5.0):
 U = sys.float_info.epsilon / 2
 
 
+def scaled(c, factor):
+    """The cover ``c`` with every endpoint multiplied by ``factor``.
+
+    ``factor`` must be finite and positive.  Each image is the product
+    rounded to nearest.  Raises ValueError, naming the factor and the
+    endpoint, when an image is infinite, when a nonzero endpoint's image
+    is below ``sys.float_info.min`` in magnitude (subnormal or zero), or
+    when two distinct endpoints have the same image.  On success every
+    strict inequality between endpoints is kept and each image is within
+    eps/2 of the exact product, relative to the image.  For ``factor = 2**k``
+    every image is exact, so ``thickness`` is bit-identical.
+    """
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError(f"scaling factor must be finite and positive, got {factor!r}")
+    # Python floats, so the messages show plain reprs
+    ends = c.intervals.ravel().tolist()
+    images = [x * factor for x in ends]
+    for x, y in zip(ends, images):
+        if math.isinf(y):
+            raise ValueError(f"scaling by {factor!r} overflows endpoint {x!r} to {y!r}")
+        if x != 0 and abs(y) < sys.float_info.min:
+            raise ValueError(
+                f"scaling by {factor!r} takes endpoint {x!r} to {y!r}, "
+                "below the smallest normal float"
+            )
+    # rounding is monotone, so only neighbouring endpoints can collide
+    for x0, x1, y0, y1 in zip(ends, ends[1:], images, images[1:]):
+        if x0 != x1 and y0 == y1:
+            raise ValueError(
+                f"scaling by {factor!r} gives endpoints {x0!r} and {x1!r} "
+                f"the same image {y0!r}"
+            )
+    return BandCover(np.reshape(images, (-1, 2)))
+
+
 def refusal_causes(c, factor):
-    """What ``c.scaled(factor)`` must name when it raises, recomputed from the images."""
+    """What ``scaled(c, factor)`` must name when it raises, recomputed from the images."""
     pairs = [(x, x * factor) for x in c.intervals.ravel().tolist()]
     causes = [f"overflows endpoint {x!r}" for x, y in pairs if math.isinf(y)]
     causes += [
@@ -90,10 +125,10 @@ def refusal_causes(c, factor):
 
 
 def scaled_or_refused(c, factor):
-    """``c.scaled(factor)``, or None when it raises for a cause that really holds."""
+    """``scaled(c, factor)``, or None when it raises for a cause that really holds."""
     causes = refusal_causes(c, factor)
     try:
-        image = c.scaled(factor)
+        image = scaled(c, factor)
     except ValueError as err:
         msg = str(err)
         assert repr(factor) in msg and any(cause in msg for cause in causes), msg
@@ -116,7 +151,7 @@ def gap_and_bridge_lengths(c):
 
 
 def scaled_thickness_tolerance(M, m):
-    """Relative bound on |thickness(image) - thickness(c)| for ``image = c.scaled(f)``.
+    """Relative bound on |thickness(image) - thickness(c)| for ``image = scaled(c, f)``.
 
     M is the largest endpoint magnitude of the image and m its smallest positive
     gap or bridge.  Each image y of an endpoint x is f*x rounded to nearest and
@@ -231,7 +266,7 @@ class TestBandCover:
 
     def test_every_producer_gives_the_array(self):
         c = BandCover(((-2.0, -1.0), (1.0, 2.0)))
-        made = [product_set(c, c), c.scaled(3.0), log_positive_part(c),
+        made = [product_set(c, c), scaled(c, 3.0), log_positive_part(c),
                 *tracemap.cover_sequence(ModelParams(1, 1.5), [2, 4], 1e-3)]
         for cover in made:
             assert cover.intervals.dtype == np.float64 and cover.intervals.shape == (cover.count, 2)
@@ -259,24 +294,24 @@ class TestBandCover:
     @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_scaled_rejects_non_finite_or_non_positive_factor(self, factor):
         with pytest.raises(ValueError, match="finite and positive"):
-            BandCover(((0.0, 1.0), (2.0, 3.0))).scaled(factor)
+            scaled(BandCover(((0.0, 1.0), (2.0, 3.0))), factor)
 
     def test_scaled_refuses_underflow(self):
         # 5e-324 * 0.5 rounds to 0: the band would collapse to a point
         msg = r"by 0\.5 takes endpoint 5e-324 to 0\.0, below the smallest normal"
         with pytest.raises(ValueError, match=msg):
-            BandCover(((0.0, 5e-324), (1.0, 2.0))).scaled(0.5)
+            scaled(BandCover(((0.0, 5e-324), (1.0, 2.0))), 0.5)
 
     def test_scaled_refuses_gap_closure(self):
         # 1.75 and the next float share the rounded image 0.525: the gap would close
         upper = math.nextafter(1.75, 2.0)
         msg = rf"endpoints 1\.75 and {upper!r} the same image 0\.525"
         with pytest.raises(ValueError, match=msg):
-            BandCover(((0.0, 1.75), (upper, 2.0))).scaled(0.3)
+            scaled(BandCover(((0.0, 1.75), (upper, 2.0))), 0.3)
 
     def test_scaled_refuses_overflow(self):
         with pytest.raises(ValueError, match=r"by 1e\+308 overflows endpoint 2\.0 to inf"):
-            BandCover(((0.0, 1.0), (2.0, 3.0))).scaled(1e308)
+            scaled(BandCover(((0.0, 1.0), (2.0, 3.0))), 1e308)
 
     def test_basic_properties(self):
         c = BandCover(((0, 1), (2, 3)))
@@ -359,7 +394,7 @@ class TestGapsAndThickness:
         # the gap, 1e308, and its image under scaling by 2 are both finite halved
         c = BandCover(((-0.6e308, -0.5e308), (0.5e308, 0.6e308)))
         assert thickness(c) == 0.09999999999999996
-        assert thickness(c.scaled(2.0)) == 0.09999999999999996
+        assert thickness(scaled(c, 2.0)) == 0.09999999999999996
 
     @pytest.mark.parametrize("intervals, want", [
         # a gap of one subnormal ulp: bridge / gap = 1e-15 / 5e-324 is beyond the float range
@@ -373,7 +408,7 @@ class TestGapsAndThickness:
     def test_subnormal_gaps_and_bridges_keep_their_lengths(self, intervals, want):
         c = BandCover(intervals)
         assert thickness(c) == want
-        assert thickness(c.scaled(2.0**200)) == want  # far from the subnormal range
+        assert thickness(scaled(c, 2.0**200)) == want  # far from the subnormal range
 
     @given(covers(), st.sampled_from([0.5, 2.0, 4.0, 2.0**-10, 2.0**13]))
     @example(BandCover(((0.0, 5e-324), (1.0, 2.0))), 0.5)  # a band collapses to a point
