@@ -29,10 +29,8 @@ reached through ctypes in the OpenBLAS that numpy's wheels bundle (builds
 checked: numpy 2.4.6, Linux x86-64), gives them to high relative accuracy, and
 one count pass at x -+ tol/2 proves each within tol/2 of the count's
 eigenvalue (see :func:`eigenvalues_offdiag`).  So the bits depend on that
-OpenBLAS build.  A value whose certificate fails but lies within the count's
-own error of its eigenvalue is bisected in place; a window with a value
-further off, or every window where dlasq1 is missing, falls back to plain
-bisection on the counts.
+OpenBLAS build.  A window whose certificate fails, or every window where
+dlasq1 is missing, falls back to plain bisection on the counts.
 """
 
 from __future__ import annotations
@@ -272,55 +270,20 @@ def _bisect(off, grid, k, tol):
     return mids
 
 
-def _bracket(x, half):
-    """x -+ half, or x's neighbouring floats where these round back to x."""
-    return np.minimum(x - half, np.nextafter(x, -math.inf)), np.maximum(x + half, np.nextafter(x, math.inf))
-
-
-def _holds(counts, k):
-    """count(lo) <= k < count(hi) for each lane, counts being [count(lo), count(hi)] on the last axis."""
-    return (counts[..., : k.size] <= k) & (counts[..., k.size :] > k)
-
-
-def _repaired(off, x, k, bad, tol, slack):
-    """x with its lanes ``bad``, which missed their certificate, bisected in place, or None.
-
-    A missed lane is counted once more at x_k -+ (tol/2 + slack); if every such
-    bracket holds the kth eigenvalue, each is halved, one count pass a step,
-    until its width is at most ``tol`` or its midpoint rounds to an endpoint,
-    and the lane takes the last midpoint.  A lane stops on its own, so its bits
-    depend on the window, x_k and ``tol`` only.
-    """
-    kb = k[bad]
-    lo, hi = _bracket(x[bad], 0.5 * tol + slack)
-    if not _holds(count_below_offdiag(off, np.concatenate([lo, hi])), kb).all():
-        return None
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = np.flatnonzero((hi - lo > tol) & (lo < mid) & (mid < hi))
-        if not live.size:
-            break
-        above = count_below_offdiag(off, mid[live]) > kb[live]
-        hi[live] = np.where(above, mid[live], hi[live])
-        lo[live] = np.where(above, lo[live], mid[live])
-    x = x.copy()
-    x[bad] = mid
-    return x
-
-
-def _certified(off, k, tol, bound):
-    """Each window's dlasq1 values if a count certifies them (see :func:`eigenvalues_offdiag`), else None."""
+def _certified(off, k, tol):
+    """Each window's dlasq1 values if one count pass certifies them (see :func:`eigenvalues_offdiag`), else None."""
     guess = [_predict_offdiag(w) for w in off]
     held = [i for i, x in enumerate(guess) if x is not None and not np.isnan(x).any()]
     out = [None] * len(guess)
     if held:
         x = np.stack([guess[i] for i in held])
-        counts = count_below_offdiag(off[held], np.concatenate(_bracket(x, 0.5 * tol), axis=1))
-        for i, row, good in zip(held, x, _holds(counts, k)):
-            # a count's eigenvalue is that of H with couplings a few ulps off
-            # (Kahan), so it may lie up to about N eps ||H|| from dqds's
-            slack = (off.shape[1] + 1) * np.finfo(float).eps * bound[i]
-            out[i] = row if good.all() else _repaired(off[i], row, k, np.flatnonzero(~good), tol, slack)
+        lo = np.minimum(x - 0.5 * tol, np.nextafter(x, -math.inf))
+        hi = np.maximum(x + 0.5 * tol, np.nextafter(x, math.inf))
+        counts = count_below_offdiag(off[held], np.concatenate([lo, hi], axis=1))
+        ok = ((counts[:, : k.size] <= k) & (counts[:, k.size :] > k)).all(axis=1)
+        for i, row, good in zip(held, x, ok):
+            if good:
+                out[i] = row
     return out
 
 
@@ -349,15 +312,10 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     gives; with the neighbouring floats it is the one-ulp bracket where
     bisection stops.
 
-    A value whose certificate fails is given a second one, wider by the
-    count's own error: a count at x_k -+ (tol/2 + N eps bound), bound as
-    below.  If that holds for every such value, each is bisected inside its
-    wide bracket to width ``tol`` (:func:`_repaired`), a bracket that puts e_k
-    in [mid - tol/2, mid + tol/2) as above; dqds may stray that far from the
-    count's eigenvalue at strong coupling and tol near 1e-12.  A window falls
-    back to plain bisection (:func:`_bisect`), on its own, when dlasq1 is not
-    found (:func:`_dlasq1`), when its values hold a NaN (dlasq1's INFO != 0; a
-    NaN never reaches the count), or when a wide certificate fails.  Plain bisection seeds a bracket for each x_k from a
+    A window falls back to plain bisection (:func:`_bisect`), on its own, when
+    dlasq1 is not found (:func:`_dlasq1`), when its values hold a NaN
+    (dlasq1's INFO != 0; a NaN never reaches the count), or when its
+    certificate fails.  Plain bisection seeds a bracket for each x_k from a
     uniform grid of 2N+1 energies over [0, bound], bound = 2(1 + max|b|) a
     Gershgorin-style bound, and halves it until its width is at most ``tol``
     or its midpoint rounds to an endpoint, every decision a Sturm count.
@@ -373,9 +331,8 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     pass a step for all of them.
 
     Cost: dlasq1 takes O(N^2) time and O(N) memory, the certificate one count
-    over 2 floor(N/2) lanes, a repair one count over two lanes and about
-    five over one for each value it mends, and plain bisection about 30
-    counts over floor(N/2) lanes.
+    over 2 floor(N/2) lanes, and plain bisection about 30 counts over
+    floor(N/2) lanes.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -388,7 +345,7 @@ def eigenvalues_offdiag(offdiag, tol: float = 1e-10) -> np.ndarray:
     if not (bound < math.inf).all():
         raise ValueError("couplings must be finite")
     k = np.arange(n - n // 2, n)
-    pos = _certified(stack, k, tol, bound)
+    pos = _certified(stack, k, tol)
     redo = [i for i, x in enumerate(pos) if x is None]
     if redo:
         grid = np.linspace(0.0, bound[redo], 2 * n + 1, axis=1)
