@@ -26,7 +26,8 @@ and, per name and metric over the pairs whose two runs both finished, each
 side's median and quartiles and the number of pairs the head won, lost and
 tied.  It is rewritten after every run, so a crash keeps what was measured.
 A file already written for the same two revisions keeps its runs of every
-(name, seed) that this invocation does not rerun, and its summary covers them.
+(name, seed, tree) that this invocation does not rerun, and its summary covers
+them.
 """
 
 from __future__ import annotations
@@ -194,13 +195,14 @@ def write_report(out: Path, base: str, head: str, runs: list[dict], better: dict
     """Write ``parts`` and ``runs`` into the BENCH file ``out``, with the summary of every run it keeps.
 
     A file for the same two revisions keeps its other parts and its runs of
-    every (name, seed) that ``runs`` does not hold; ``runs`` replaces the rest.
+    every (name, seed, tree) that ``runs`` does not hold; ``runs`` replaces the
+    rest, so a rerun stopped after one side still leaves a pair.
     """
     report = json.loads(out.read_text()) if out.exists() else {}
     if (report.get("base"), report.get("head")) != (base, head):
         report = {}
-    rerun = {(r["name"], r["seed"]) for r in runs}
-    kept = [r for r in report.get("runs", []) if (r["name"], r["seed"]) not in rerun] + runs
+    rerun = {(r["name"], r["seed"], r["tree"]) for r in runs}
+    kept = [r for r in report.get("runs", []) if (r["name"], r["seed"], r["tree"]) not in rerun] + runs
     report.update(base=base, head=head, **parts, runs=kept, summary=summarise(kept, better))
     out.write_text(json.dumps(report, indent=1) + "\n")
 

@@ -290,6 +290,13 @@ DENSE_SLACK = 1.0
 DENSE_MAX_N = 1100
 
 
+def count_holds(off, x, k, tol):
+    """count(lo) <= k < count(hi) for every value x_k, lo and hi as in :func:`assert_certified`."""
+    lo = np.minimum(x - 0.5 * tol, np.nextafter(x, -math.inf))
+    hi = np.maximum(x + 0.5 * tol, np.nextafter(x, math.inf))
+    return bool(np.all(block_split_reference(off, lo) <= k) and np.all(block_split_reference(off, hi) > k))
+
+
 def assert_certified(off, got, tol):
     """Each value of a solve within tol/2 of the jump of an independent count, and near dense eigvalsh.
 
@@ -298,9 +305,7 @@ def assert_certified(off, got, tol):
     """
     off = np.asarray(off, dtype=float)
     k = np.arange(off.size + 1)
-    lo = np.minimum(got - 0.5 * tol, np.nextafter(got, -math.inf))
-    hi = np.maximum(got + 0.5 * tol, np.nextafter(got, math.inf))
-    assert np.all(block_split_reference(off, lo) <= k) and np.all(block_split_reference(off, hi) > k)
+    assert count_holds(off, got, k, tol)
     if off.size < DENSE_MAX_N:
         dense = np.linalg.eigvalsh(chain_matrix(off))
         norm = float(np.max(np.abs(dense)))
@@ -344,6 +349,7 @@ def _solve_examples(test):
         (1, 1.6, 1e-11, 1023, 0),
         (2, 3.0, 1e-11, 4096, 0),
         (3, 0.2, 1e-12, 1500, 3),
+        (1, 44.75, 1e-12, 509, 0),  # dqds 5.8e-13 from the count's eigenvalue near 63.33: falls back
     ]:
         test = example(*args)(test)
     return test
@@ -375,16 +381,27 @@ class TestPredictedBisection:
     @given(*_SOLVES)
     @_solve_examples
     def test_certified_by_an_independent_count(self, s, lam, tol, n, cut):
+        # every solve is certified, and it keeps dlasq1's values exactly where an
+        # independent count holds each within tol/2; elsewhere it falls back, which
+        # dqds's error may force at strong coupling and tol 1e-12
         off = _solve_window(s, lam, n, cut)
+        n = off.size + 1
+        guess = jacobi1d._predict_offdiag(off)
+        held = guess is not None and not np.isnan(guess).any() and count_holds(off, guess, np.arange(n - n // 2, n), tol)
+        bisect, fell_back = jacobi1d._bisect, []
 
-        def refuse(*args):
-            raise AssertionError("a certificate failed and the window fell back to bisection")
+        def recording(*args):
+            fell_back.append(args[0].shape[0])
+            return bisect(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(jacobi1d, "_bisect", refuse)
+            mp.setattr(jacobi1d, "_bisect", recording)
             got = eigenvalues_offdiag(off, tol)
         assert np.array_equal(got, -got[::-1]) and np.all(np.diff(got) >= 0)
         assert_certified(off, got, tol)
+        assert fell_back == ([] if held else [1])
+        if held:
+            assert got[n - n // 2 :].tobytes() == guess.tobytes()
 
     @pytest.mark.parametrize("s,lam,n", [(1, 2.0, 500), (1, 5.0, 500), (3, 2.0, 300)])
     def test_decisions_close_to_a_guess_are_counted(self, fell_back, s, lam, n):

@@ -252,6 +252,24 @@ def test_bench_pairs_keeps_the_runs_of_earlier_invocations(monkeypatch, tmp_path
     _assert_one_pair_per_seed(again["runs"], "identities", (1, 2))
     assert again["summary"]["identities"]["pairs"] == 2
     assert again["summary"] == report["summary"]
+    # a rerun of identities seed 2 stopped after its first run replaces that side only
+    jobs_per_s["base", 2] = jobs_per_s["head", 2] = 20.0
+    finish = script.run
+
+    def stopped(tree, name, seed, seconds):
+        if len(seen) == 19:
+            raise KeyboardInterrupt
+        return finish(tree, name, seed, seconds)
+
+    monkeypatch.setattr(script, "run", stopped)
+    with pytest.raises(KeyboardInterrupt):
+        script.main(["--base", "HEAD~1", "--workload", "identities", "--seeds", "2"])
+    cut = json.loads(out.read_text())
+    pair = [r for r in cut["runs"] if (r["name"], r["seed"]) == ("identities", 2)]
+    values = sorted(r["result"]["metrics"]["jobs_per_s"]["value"] for r in pair)
+    assert len(cut["runs"]) == 16 and sorted(r["tree"] for r in pair) == ["base", "head"]
+    assert values[0] != values[1] == 20.0
+    assert cut["summary"]["identities"]["pairs"] == 2
 
 
 def test_every_layer_row_names_a_callable_that_exists():
