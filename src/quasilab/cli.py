@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twin-k", type=int, default=None, help="also emit a twin witness report for C(k)")
     _add_output_options(p, formats=("csv", "json"))
 
-    p = sub.add_parser("spectrum1d", help="outer band cover of a 1D spectrum")
+    p = sub.add_parser("spectrum1d", help="band cover of a 1D spectrum")
     p.set_defaults(run=_cmd_spectrum1d)
     _add_model(p, "")
     p.add_argument("--level", type=int, default=15)
@@ -405,7 +405,7 @@ def _cmd_dos2d(args) -> int:
 
 def _cmd_thickness(args) -> int:
     args.a = _resolve_a(args)
-    args.levels = _chosen_levels(args, tracemap.thickness_levels(args.level))
+    args.levels = _chosen_levels(args, sorted({max(1, args.level - 10), max(1, args.level - 5), args.level}))
     covers = tracemap.cover_sequence(ModelParams(args.s, args.a), args.levels, args.resolution)
     finest = covers[-1]
     gap_list = bands.gaps(finest)

@@ -92,9 +92,12 @@ def build_window(params: ModelParams, n: int, source: str = "substitution", *, b
 
     ``source="substitution"`` takes the first N letters of u_s (at most the word
     cap); ``source="rotation"`` codes the circle rotation at phase ``beta`` over
-    the same indices.  Letters map a -> params.a, b -> 1.  The N-site Dirichlet
-    restriction drops omega(1), the bond leaving the box on the left, and keeps
-    the N-1 couplings ``w[1:]``.
+    the same indices.  Letters map a -> params.a, b -> 1.  The toolkit uses two
+    N-site Dirichlet restrictions.  :func:`ids_curve`, ``dos1d`` and acceptance
+    criterion 5 drop omega(1), the bond leaving the box on the left, and keep
+    the N-1 couplings ``w[1:]``, omega(2 .. N).  The Labyrinth's axes keep
+    omega(1 .. N-1): ``w[:-1]`` in ``labyrinth._axis_lists``, and the window of
+    length N-1 in ``labyrinth.build_2d``.
     """
     if n < 1:
         raise ValueError("window length must be positive")

@@ -56,10 +56,6 @@ class LabyrinthParams:
             ModelParams(self.s, a)
 
     @property
-    def couplings(self) -> tuple[float, float]:
-        return (self.axis1.coupling, self.axis2.coupling)
-
-    @property
     def axis1(self) -> ModelParams:
         return ModelParams(self.s, self.a1)
 
@@ -71,9 +67,11 @@ class LabyrinthParams:
 def build_2d(p: LabyrinthParams, n: int, sublattice: str = "full") -> np.ndarray:
     """The Labyrinth operator on [0, N-1]^2 with Dirichlet boundary, as a dense matrix.
 
-    The basis is the sites (m, k) in row-major order; ``sublattice`` keeps only
-    those of even or odd parity of m + k, and the full operator is the direct
-    sum of the two restrictions.  Sides above DENSE_SIDE_CAP raise
+    The full operator is the Kronecker product A1 (x) A2, where A_i is the N x N
+    zero-diagonal Jacobi matrix of axis i's couplings omega_i(1 .. N-1), in the
+    basis of the sites (m, k) in row-major order.  ``sublattice`` keeps the
+    principal submatrix of the sites of even or odd parity of m + k; the full
+    operator is the direct sum of the two.  Sides above DENSE_SIDE_CAP raise
     ResourceLimitError before anything is allocated.
     """
     if n < 2:
@@ -82,21 +80,12 @@ def build_2d(p: LabyrinthParams, n: int, sublattice: str = "full") -> np.ndarray
         raise ValueError(f"unknown sublattice {sublattice!r}")
     if n > DENSE_SIDE_CAP:
         raise ResourceLimitError(f"dense solves are capped at side {DENSE_SIDE_CAP}, got {n}")
-    # omega_i(1 .. N-1): the in-box couplings along each axis; both bonds of the
-    # plaquette [m, m+1] x [j, j+1] carry omega1(m+1) * omega2(j+1)
     w1, w2 = (build_window(axis, n - 1) for axis in (p.axis1, p.axis2))
-    weight = np.multiply.outer(w1, w2).ravel()
-    m, j = np.divmod(np.arange((n - 1) ** 2), n - 1)
-    skip = {"full": 2, "even": 1, "odd": 0}[sublattice]
-    keep = np.add.outer(np.arange(n), np.arange(n)).ravel() % 2 != skip
-    index = np.cumsum(keep) - 1  # basis position of site (m, k), flat index m * n + k
-    size = int(keep.sum())
-    mat = np.zeros((size, size))
-    for a, b in ((m * n + j, (m + 1) * n + j + 1), (m * n + j + 1, (m + 1) * n + j)):
-        on = keep[a]  # a diagonal bond joins two sites of the same parity
-        mat[index[a[on]], index[b[on]]] = weight[on]
-        mat[index[b[on]], index[a[on]]] = weight[on]
-    return mat
+    mat = np.kron(np.diag(w1, 1) + np.diag(w1, -1), np.diag(w2, 1) + np.diag(w2, -1))
+    if sublattice == "full":
+        return mat
+    keep = np.add.outer(np.arange(n), np.arange(n)).ravel() % 2 == (sublattice == "odd")
+    return mat[np.ix_(keep, keep)]
 
 
 def dense_eigs_2d(matrix: np.ndarray) -> EmpiricalMeasure:
@@ -308,7 +297,7 @@ def log_convolution_cdf(p: LabyrinthParams, interval: tuple[float, float], n: in
 
 def spectrum_2d(p: LabyrinthParams, level: int, resolution: float, *,
                 initial_grid: int = tracemap.DEFAULT_GRID) -> BandCover:
-    """Product of the two 1D outer band covers at the given level."""
+    """Product of the two 1D band covers at the given level (see :func:`tracemap.spectrum_cover`)."""
     c1 = tracemap.spectrum_cover(p.axis1, level, resolution, initial_grid=initial_grid)
     if p.a2 == p.a1:
         c2 = c1

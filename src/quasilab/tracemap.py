@@ -5,7 +5,7 @@ P(x,y,z) = (x,z,y); it conserves the Fricke-Vogt invariant
 G = x^2 + y^2 + z^2 - 2xyz - 1.  An energy E enters through the initial point
 line_point(params, E), which sits on the level surface G = lambda^2 / 4; the
 spectrum consists of the energies whose forward orbit stays bounded, and finite
-iteration depth turns that into computable outer band covers.
+iteration depth turns that into computable band covers.
 
 Escape detection is heuristic: an orbit is declared escaped once its sup-norm
 exceeds a radius R while having strictly grown on two consecutive steps, or
@@ -14,9 +14,10 @@ once a coordinate stops being finite.  The covers fix R at coupling + 3
 escape evaluators themselves take R and the step budget as arguments.  There is
 one evaluator, the vectorised ``escape_steps`` stepping with ``trace_map``:
 every escape pass of a cover, sampling and edge bisection alike, is one call,
-and ``escape_time`` is the same call on one point.  Covers computed this way
-are outer approximations at the sampling resolution; no rigorous inner bound is
-claimed.
+and ``escape_time`` is the same call on one point.  A cover holds the energies
+that this escape rule keeps for ``level`` steps, at the sampling resolution; it
+is no rigorous bound on either side, and at strong coupling it can miss
+spectrum (README's caveats give an example at lambda = 3 and 5).
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def spectrum_cover(
     *,
     initial_grid: int = DEFAULT_GRID,
 ) -> BandCover:
-    """Outer cover of the energies surviving ``level`` trace-map iterations.
+    """Cover of the energies surviving ``level`` trace-map iterations.
 
     The one-level case of :func:`cover_sequence`.
     """
@@ -236,7 +237,7 @@ def cover_sequence(
     *,
     initial_grid: int = DEFAULT_GRID,
 ) -> list[BandCover]:
-    """One nested outer cover per entry of the increasing ``levels``, each inside the previous.
+    """One nested cover per entry of the increasing ``levels``, each inside the previous.
 
     The first level samples the search interval [-2(1+a), 2(1+a)] on a uniform
     grid.  Deeper levels only resample inside the bands already found, which
@@ -276,11 +277,6 @@ def cover_sequence(
             e, sizes = np.linspace(-bound, bound, initial_grid), np.array([initial_grid])
         out.append(BandCover(_level_bands(params, e, sizes, lvl, radius, resolution)))
     return out
-
-
-def thickness_levels(level: int) -> list[int]:
-    """The default levels of a thickness run: L - 10, L - 5 and L, each at least 1, ascending."""
-    return sorted({max(1, level - 10), max(1, level - 5), level})
 
 
 # ---------------------------------------------------------------------------

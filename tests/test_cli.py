@@ -212,8 +212,8 @@ class TestDosCommands:
 class TestDos2dMatchesEnumeration:
     # dos2d counts products without forming them; its artifacts must equal
     # what the sorted N^2 product list gives, bit for bit
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
-    @pytest.mark.parametrize("bins", [1, 4, 256])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 256])
+    @pytest.mark.parametrize("bins", [1, 4, 256, 512])
     def test_json_and_histogram_csv(self, n, bins, tmp_path):
         import numpy as np
 
@@ -267,6 +267,24 @@ class TestThicknessCommand:
                                                    "total_length", "hull_lo", "hull_hi",
                                                    "band_count", "gap_count"]
         assert rows[1:3] == ["thickness_estimate,inf", "box_dim_estimate,"]
+
+    @pytest.mark.parametrize("level, levels", [(1, [1]), (6, [1, 6]), (15, [5, 10, 15])])
+    def test_default_levels_are_the_ladder_below_level(self, level, levels):
+        # L - 10, L - 5 and L, each at least 1, ascending and without repeats
+        code, out, _ = run_cli(["thickness", "--lambda", "1", "--level", str(level), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["meta"]["levels"] == levels
+
+    def test_thickness_falls_and_bands_rise_with_the_coupling(self):
+        data = []
+        for lam in ("0.1", "1"):
+            code, out, _ = run_cli(["thickness", "--lambda", lam, "--level", "10", "--format", "json"])
+            assert code == 0
+            data.append(json.loads(out)["data"])
+        small, large = data
+        assert small["thickness_estimate"] > large["thickness_estimate"] > 0
+        assert 1 <= small["band_count"] < large["band_count"]
+        assert 0 < small["box_dim_estimate"] <= 1 and 0 < large["box_dim_estimate"] <= 1
 
 
 class TestSweepCommand:
