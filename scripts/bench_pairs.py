@@ -46,6 +46,10 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("covers", "dos-fresh", "identities")
 
 _WINDOW = "from quasilab.jacobi1d import ModelParams, build_window\n"
+#: The trace-map rows run the s = 1 chain at coupling 1, inside the covers workload's range.
+_COVER = ("import numpy as np\nfrom quasilab import tracemap\n"
+          "from quasilab.jacobi1d import ModelParams, hopping_from_coupling\n"
+          "p = ModelParams(1, hopping_from_coupling(1.0))\n")
 
 #: (name, callable, setup, k): ``setup`` defines ``args``, and ``before``, which
 #: runs untimed before each call when the row sets it.  s = 1, a = 1.6 and
@@ -64,6 +68,14 @@ LAYERS = [
      "from quasilab import labyrinth\nargs = (1, 1.0, 2583)\nbefore = labyrinth.axis_eigenvalues.cache_clear", 5),
     ("axis_eigenvalues(1, 1, 17710) cold", "quasilab.labyrinth.axis_eigenvalues",
      "from quasilab import labyrinth\nargs = (1, 1.0, 17710)\nbefore = labyrinth.axis_eigenvalues.cache_clear", 3),
+    ("escape_steps s=1 level 15 x 4097 lanes", "quasilab.tracemap.escape_steps",
+     _COVER + "v = tracemap.line_point(p, np.linspace(-2 * (1 + p.a), 2 * (1 + p.a), 4097))\n"
+     "args = (1, v.x, v.y, v.z, 15, tracemap.default_escape_radius(1.0))", 9),
+    ("_level_bands s=1 level 15 on the 4097-point grid", "quasilab.tracemap._level_bands",
+     _COVER + "args = (p, np.linspace(-2 * (1 + p.a), 2 * (1 + p.a), 4097), np.array([4097]), 15,\n"
+     "        tracemap.default_escape_radius(1.0), 1e-4)", 9),
+    ("cover_sequence s=1 levels 1..15", "quasilab.tracemap.cover_sequence",
+     _COVER + "args = (p, range(1, 16), 1e-4)", 5),
     # a control: the certificate and the bisection count through it, but the count itself is unchanged
     ("count_below_offdiag N=2048 x 401 energies", "quasilab.jacobi1d.count_below_offdiag",
      _WINDOW + "import numpy as np\n"

@@ -187,7 +187,8 @@ def box_dimension_estimate(covers) -> float:
         raise ValueError("need at least three refinement levels")
     counts = np.array([c.count for c in covers], dtype=float)
     scales = np.array([c.total_length / c.count for c in covers])
-    if np.unique(scales).size < 2:
+    # one distinct scale, all-NaN included, as np.unique would count it without importing numpy.ma
+    if (scales == scales[0]).all() or np.isnan(scales).all():
         raise ValueError("degenerate fit: all scales identical")
     slope = np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0]
     return float(slope)

@@ -198,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model(p, "")
     p.add_argument("--level", type=int, default=15)
     p.add_argument("--levels", type=_int_list, default=None,
-                   help="comma-separated refinement levels (default three up to --level)")
+                   help="comma-separated refinement levels (default L-10, L-5 and L for L = --level, "
+                        "each at least 1 and without repeats, so fewer than three at --level 6 and below; "
+                        "with fewer than three levels box_dim_estimate is null)")
     p.add_argument("--resolution", type=float, default=1e-4)
     p.add_argument("--gaps-output", default=None, help="also write the gap list as CSV")
     _add_output_options(p, formats=("csv", "json"))

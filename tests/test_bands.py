@@ -472,6 +472,22 @@ class TestBoxDimension:
             box_dimension_estimate([middle_thirds_cover(2)] * 3)
 
 
+    @pytest.mark.parametrize("scales", [
+        [0.5, 0.5, 0.5], [0.5, 0.5, 0.25], [math.nan] * 3, [math.nan, math.nan, 0.5],
+        [0.5, 0.5, math.nan], [math.inf] * 3, [math.inf, 0.5, 0.5], [0.0, -0.0, 0.0],
+    ])
+    def test_degenerate_exactly_when_unique_finds_one_scale(self, scales):
+        # the test np.unique(scales).size < 2 made, NaNs counted as one value, without numpy.ma
+        covers = [mock.Mock(count=1, total_length=np.float64(v)) for v in scales]
+        degenerate = np.unique(np.array(scales)).size < 2
+        try:
+            with np.errstate(all="ignore"):
+                box_dimension_estimate(covers)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            assert ("degenerate" in str(exc)) == degenerate
+        else:
+            assert not degenerate
+
 class TestProductSet:
     def test_symmetric_squares(self):
         c = BandCover(((-2.0, 2.0),))

@@ -275,6 +275,25 @@ class TestThicknessCommand:
         assert code == 0
         assert json.loads(out)["meta"]["levels"] == levels
 
+    def test_help_states_the_default_ladder_and_the_null_dimension(self):
+        code, out, _ = run_cli(["thickness", "--help"])
+        assert code == 0
+        text = " ".join(out.split())
+        assert "default L-10, L-5 and L for L = --level" in text
+        assert "fewer than three levels box_dim_estimate is null" in text
+
+    def test_covers_path_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use, which costs a fresh process ~16 ms
+        program = ("import sys\nfrom quasilab.cli import main\n"
+                   "try:\n    main(['thickness', '--lambda', '0.5', '--level', '12'])\n"
+                   "finally:\n    sys.stderr.write(repr('numpy.ma' in sys.modules))\n")
+        src = str(Path(quasilab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                              timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.endswith("False")
+
     def test_thickness_falls_and_bands_rise_with_the_coupling(self):
         data = []
         for lam in ("0.1", "1"):

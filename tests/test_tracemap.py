@@ -260,6 +260,24 @@ class TestSinglePass:
                 v = trace_map(1, v)
         assert not np.isfinite(v.x)
 
+    @pytest.mark.parametrize("s, lanes", [(1, 2000), (2, 1000), (1, 5001), (2, 5001)])
+    def test_blocks_and_wide_passes_match_the_scalar_rule(self, s, lanes):
+        # the first two fill blocks of many steps, and the last two take more lanes than a block holds;
+        # max_iter runs up to, onto and past a block boundary
+        p = ModelParams.from_coupling(s, 1.0)
+        radius = default_escape_radius(1.0)
+        rng = np.random.default_rng(lanes)
+        scaled = np.concatenate([rng.uniform(-1.2, 1.2, lanes - 100), rng.uniform(10.0, 1e6, 100)])
+        energies = 2.0 * (1.0 + p.a) * rng.permutation(scaled)
+        pts = line_point(p, energies)
+        block = max(2, (tracemap._BLOCK_DOUBLES // lanes - (s + 2)) // s)  # steps a block holds
+        sample = rng.choice(lanes, 80, replace=False)
+        for max_iter in (1, block - 1, block, block + 1, 40):
+            steps = escape_steps(s, pts.x, pts.y, pts.z, max_iter, radius)
+            expected = [escape_time_reference(s, line_point(p, e), max_iter, radius)
+                        for e in energies[sample].tolist()]
+            assert steps[sample].tolist() == [-1 if t is None else t for t in expected]
+
     def test_covers_never_call_the_scalar_evaluator(self, monkeypatch):
         sizes = []
         vectorised = tracemap.escape_steps
@@ -395,6 +413,37 @@ class TestSpectrumCover:
         monkeypatch.setattr(bands, "INTERVAL_CAP", flat.count - 1)
         with pytest.raises(ResourceLimitError, match="bands exceed the cap"):
             spectrum_cover(p, 9, 1e-4)
+
+    @pytest.mark.parametrize("resolution", [1e-4, 1e-12, 1e-17])
+    def test_bisection_trees_match_scalar_bisection(self, resolution):
+        # 1500 brackets at first: more than one tree pass holds at any depth above one; the narrow
+        # ones close at once, then deeper trees finish the wide ones, in either orientation
+        p = ModelParams(1, hopping_from_coupling(1.0))
+        level, radius = 8, default_escape_radius(1.0)
+        rng = np.random.default_rng(7)
+        n_wide = 120
+        centre = rng.uniform(-3.0, 3.0, 1500)
+        width = np.concatenate([rng.uniform(1.0, 2.0, 1500 - n_wide) * resolution,
+                                rng.uniform(1e-3, 1e-2, n_wide)])
+        other = centre + rng.choice([-1.0, 1.0], 1500) * width
+        got = tracemap._refine_edges(p, centre, other, level, radius, resolution)
+        want = [_ref_refine_edge(p, a, b, level, radius, resolution)
+                for a, b in zip(centre.tolist(), other.tolist())]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_few_brackets_take_one_bisection_pass(self, monkeypatch):
+        sizes = []
+        vectorised = tracemap.escape_steps
+
+        def counted(s, x, *rest):
+            sizes.append(np.size(x))
+            return vectorised(s, x, *rest)
+
+        monkeypatch.setattr(tracemap, "escape_steps", counted)
+        cover = spectrum_cover(ModelParams(1, hopping_from_coupling(1.0)), 5, 1e-4)
+        assert cover.count <= 4  # at most 8 edges to bisect
+        assert len(sizes) == 2  # the sample pass, then one tree pass for every edge
+        assert sizes[0] == DEFAULT_GRID
 
     def test_validation(self):
         with pytest.raises(ValueError):
