@@ -49,7 +49,8 @@ GRID_CAP = 10**6
 #: Levels not yet sampled count at their least, so a ladder stops before the
 #: first pass that cannot fit.  A free-chain cover just below the cap (s = 1,
 #: level 194 552, grid 257, resolution 1e-4) took 0.8 s on a 2-core x86 machine
-#: with numpy 2.4 (2.9 s with the escape rule tested after every step).
+#: with numpy 2.4 (2.9 s testing the rule after every step and bisecting one
+#: midpoint per pass).
 TRACE_WORK_CAP = 5 * 10**7
 
 #: Below this many grid points a pass costs about as much per level as at it
