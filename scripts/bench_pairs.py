@@ -76,10 +76,23 @@ LAYERS = [
      "        tracemap.default_escape_radius(1.0), 1e-4)", 9),
     ("cover_sequence s=1 levels 1..15", "quasilab.tracemap.cover_sequence",
      _COVER + "args = (p, range(1, 16), 1e-4)", 5),
-    # a control: the certificate and the bisection count through it, but the count itself is unchanged
+    # one window, and a dos1d pass of 5 windows over dos1d's default energies (2 max(a, 1) + 0.5)
     ("count_below_offdiag N=2048 x 401 energies", "quasilab.jacobi1d.count_below_offdiag",
      _WINDOW + "import numpy as np\n"
      "args = (build_window(ModelParams(1, 1.6), 2048)[1:], np.linspace(-4.0, 4.0, 401))", 7),
+    ("count_below_offdiag 5 windows N=8192 x 401 energies", "quasilab.jacobi1d.count_below_offdiag",
+     _WINDOW + "import numpy as np\np = ModelParams(1, 1.6)\n"
+     "args = (np.stack([build_window(p, 8192)[1:]] + [build_window(p, 8192, 'rotation', beta=b)[1:]\n"
+     "                                              for b in (0.1, 0.3, 0.55, 0.8)]),\n"
+     "        np.linspace(-3.7, 3.7, 401))", 5),
+    # dos2d's 401 grid energies and the bounds of its 256 histogram bins
+    ("count_products_leq N=1000 axes x 658 energies", "quasilab.labyrinth.count_products_leq",
+     "import numpy as np\nfrom quasilab import labyrinth\n"
+     "e1, e2 = labyrinth.eigs_1d_axes(labyrinth.LabyrinthParams(1, 1.3, 2.1), 1000)\n"
+     "lim = 1.05 * float(np.max(e1)) * float(np.max(e2))\n"
+     "edges = np.histogram_bin_edges([], 256, range=(-lim, lim))\n"
+     "args = (e1, e2, np.concatenate([np.linspace(-lim, lim, 401),\n"
+     "                                np.nextafter(edges[:-1], -np.inf), edges[-1:]]))", 7),
 ]
 
 #: The program each row runs in its fresh process: TARGET, SETUP and K come first.

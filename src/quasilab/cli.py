@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import itertools
 import json
 import math
 import os
@@ -45,7 +46,9 @@ DOS1D_FLOOR = 1024
 #: lane-site a pass cost 4.4 ns at 401 lanes, 2.5 ns at 2005 and 2.7-2.8 ns at
 #: 3208-6416 (N = 2048, 2-core x86, see jacobi1d.count_below_offdiag).  At 2048
 #: lanes the pivot and coupling blocks of a pass take 1 MiB; more lanes gain
-#: nothing and hold more.
+#: nothing and hold more.  The budget counts energies as asked for: the count
+#: answers the tail and mirror-pair energies without its loop, so a pass runs
+#: fewer lanes than this.
 DOS1D_LANES = 2048
 
 #: Namespace attributes written into every artifact's metadata, in this order,
@@ -362,7 +365,13 @@ def _cmd_dos1d(args) -> int:
         header, rows = "energy,ids", zip(grid, curves[0][1])
     else:
         header = "window,energy,ids"
-        rows = ((name, e, v) for name, curve in curves for e, v in zip(grid, curve))
+
+        def window_rows():
+            energies = [_fmt(e) for e in grid.tolist()]  # formatted once for all the windows
+            for name, curve in curves:
+                yield from zip(itertools.repeat(name), energies, curve)
+
+        rows = window_rows()
     _emit(args, header, rows,
           lambda: {"energies": grid.tolist(),
                    "curves": [{"window": name, "ids": c.tolist()} for name, c in curves],
@@ -392,9 +401,11 @@ def _cmd_dos2d(args) -> int:
         _fail("invalid-config", f"the energy range [-{lim:.3g}, {lim:.3g}] is wider than the "
               "largest float; use smaller hopping values", 2)
     grid = np.linspace(-lim, lim, args.grid)
-    cdf = labyrinth.count_products_leq(e1, e2, grid) / (args.n * args.n)
     edges = np.histogram_bin_edges([], args.bins, range=(-lim, lim))
-    hist = labyrinth.product_histogram(e1, e2, edges) / (args.n * args.n)
+    # the CDF grid and the histogram's bin bounds in one count (see product_histogram)
+    counts = labyrinth.count_products_leq(e1, e2, np.concatenate([grid, labyrinth.histogram_bounds(edges)]))
+    cdf = counts[:grid.size] / (args.n * args.n)
+    hist = np.diff(counts[grid.size:]) / (args.n * args.n)
     centers = 0.5 * (edges[:-1] + edges[1:])
     meta = _emit(args, "energy,cdf", zip(grid, cdf),
                  lambda: {"energies": grid.tolist(), "cdf": cdf.tolist(),

@@ -23,6 +23,11 @@ b^2 / inf = 0 makes the one after it -E again, and a pivot counts as negative
 when its sign bit is set, so -0.0 and -inf count.  Kahan's analysis, carried
 over to IEEE infinities by Demmel, Dhillon and Ren (ETNA 1995), shows that this
 count is monotone in the energy, which the certificate and bisection need.
+Energies shared by every window skip the loop where its answer is fixed: past
+(2 + 2^-20) max|b| every pivot has the sign of -E, so the count is N or 0, and
+a negative energy whose mirror is also asked for takes N minus the mirror's
+count, less one where the mirror's last pivot is exactly 0 (both proofs are in
+:func:`count_below_offdiag`).
 
 The eigenvalues are dqds's, certified by one Sturm count: LAPACK's dlasq1,
 reached through ctypes in the OpenBLAS that numpy's wheels bundle (builds
@@ -118,11 +123,83 @@ def build_window(params: ModelParams, n: int, source: str = "substitution", *, b
 #: 255, so that a block's per-energy count fits the uint8 accumulator).
 _COUNT_BLOCK = 32
 
+#: An energy with |E| above this many times max|b| has every pivot of the sign
+#: of -E, so its count is N or 0 (see :func:`count_below_offdiag`); the 2^-20
+#: over 2 absorbs the rounding of the bound itself.
+_TAIL_FACTOR = 2.0 + 2.0**-20
+
 
 def _count_sign_bits(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Per-column number of entries with the sign bit set (-0.0 and -inf count)."""
     signs = np.signbit(rows, out=signs[: rows.shape[0]])
     return np.add.reduce(signs.view(np.uint8), axis=0, dtype=np.uint8)
+
+
+def _coupling_rows(stack: np.ndarray, m: int, block: int) -> list | None:
+    """Each site's couplings copied across its windows' m lanes each, as rows of one table.
+
+    The table holds one row per distinct coupling column of the (P, N-1)
+    stack, found by a lexsort: windows over {a, 1} have at most 2^P such
+    columns, and rotation codings at most 2P.  Site k gets a view of its
+    column's row, so each row is copied once per call.  None when the table
+    would hold more than ``block`` rows, a pivot block's worth.
+    """
+    order = np.lexsort(stack)
+    cols = stack[:, order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (cols[:, 1:] != cols[:, :-1]).any(axis=0)
+    if np.count_nonzero(new) > block:
+        return None
+    ids = np.empty(order.size, dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    table = list(np.repeat(cols[:, new].T, m, axis=1))
+    return [table[i] for i in ids.tolist()]
+
+
+def _pivot_counts(stack: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Sturm count loop over the (P, M) lanes of (window, energy): counts and last pivots, both (P, M)."""
+    p, m = energies.shape
+    sites = stack.shape[1] + 1
+    neg_e = np.negative(energies).reshape(-1)  # lanes in window-major order
+    block = min(_COUNT_BLOCK, sites)
+    buf = np.empty((block, neg_e.size))
+    rows = list(buf)
+    signs = np.empty(buf.shape, dtype=bool)
+    t = np.empty_like(neg_e)
+    count = np.zeros(neg_e.size, dtype=np.int64)
+    # the blocks holding a zero coupling of some window
+    cut_blocks = {i - i % block for i in np.nonzero(stack == 0.0)[1].tolist()}
+    # one window broadcasts its couplings as Python floats, at no cost a step;
+    # a stack indexes a table of its distinct coupling columns, or copies each block
+    couplings = stack[0].tolist() if p == 1 else _coupling_rows(stack, m, block)
+    spread = couplings is None
+    if spread:
+        couplings = stack.T
+    q = rows[0]
+    np.copyto(q, neg_e)
+    row = 1
+    divide, subtract = np.divide, np.subtract
+    with np.errstate(divide="ignore", over="ignore"):
+        for lo in range(0, sites - 1, block):
+            b2s = couplings[lo:lo + block]
+            if spread:
+                b2s = np.repeat(b2s, m, axis=1)
+            cut = lo in cut_blocks
+            for b2 in b2s:
+                if row == block:
+                    count += _count_sign_bits(buf, signs)
+                    row = 0
+                if cut:
+                    # -E - (+0.0) is -E bit for bit, signed zeros included
+                    t.fill(0.0)
+                    divide(b2, q, out=t, where=np.not_equal(b2, 0.0))
+                else:
+                    divide(b2, q, out=t)
+                q = rows[row]
+                subtract(neg_e, t, out=q)
+                row += 1
+    count += _count_sign_bits(buf[:row], signs)
+    return count.reshape(p, m), q.reshape(p, m)
 
 
 def count_below_offdiag(offdiag, energies) -> np.ndarray:
@@ -144,6 +221,34 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
     At an energy that is itself an eigenvalue of a leading submatrix the count
     may land on either side of the jump.  NaN energies raise ``ValueError``.
 
+    Shared energies (a scalar or 1-D array) skip the loop in two kinds of
+    lanes, with the bits the loop would give:
+
+    - *Tails.* With B^2 = max b^2 over the stack finite, every lane with
+      |E| > (2 + 2^-20) B counts N for E > 0 and 0 for E < 0.  Proof for
+      E > 2B (E < 0 is its mirror, with pivots >= |E|/2 > 0): every IEEE pivot
+      lies in [-E, -E/2].  q_1 = -E; if q_(k-1) <= -E/2, then b^2/|q_(k-1)| <=
+      2B^2/E < E/2 (1 - 2^-22), the bound's own rounding included, so its
+      rounding is at most E/2, a float (B > 0 puts E in the normal range); so
+      -E - b^2/q_(k-1) = -E + t with 0 <= t <= E/2, whose rounding lies in
+      [-E, -E/2] since both ends are floats and rounding is monotone (a zero
+      coupling gives t = 0).  Every pivot has its sign bit set, so the count
+      is N; at E = +-inf every pivot is -+inf.  B^2 = inf or NaN skips nothing.
+    - *Mirror pairs.* With every b^2 in (0, inf), a lane -E whose E > 0 is
+      also among the energies counts N - count(E) - [q_N(E) = 0].  Proof:
+      negating an operand negates a rounded quotient or difference exactly, so
+      the pivots at -E are those at E negated, and the two sign bits of each
+      pair sum to 1, except where -E - t cancels exactly: that gives +0 at
+      both energies (t = -E at E, t = E at -E), and neither counts.  The next
+      pivot is -E - b^2/(+0) = -inf at both, which both count, so that pair
+      of sites still counts 2; b^2/(-inf) = -0 then restarts the pivots at -E
+      and E, negatives of each other again.  Only a cancellation at the last
+      site has no site after it, which the correction term takes off.  A
+      pivot is zero only by such a cancellation (q_1 = -E is not), so
+      q_N(E) = 0 is exactly that case.  E = +-0 and unpaired energies run the
+      loop, and so do per-window energies, as the certificate and the
+      bisection pass them.
+
     Cost: each site takes a few numpy calls whatever the number of lanes, so
     at small lane counts a pass is bound by numpy's per-call cost, not by its
     arithmetic.  At N = 2048 on a 2-core x86 machine (best of 7) one window
@@ -151,12 +256,15 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
     2005.  Stacks of 401-energy windows cost 4.4 / 3.3 / 2.8 / 2.5 / 2.7 /
     2.8 ns a lane-site at P = 1 / 2 / 3 / 5 / 8 / 16: the saving ends near
     2000 lanes, which sets the lane budget of ``dos1d`` (``cli.DOS1D_LANES``).
-    Within a block of _COUNT_BLOCK sites each coupling of a stack is copied
-    across its window's lanes, so that every step is a full-length
-    elementwise divide: against P separate passes over 401 energies, one pass
-    gained 1.3 / 1.6 / 2.3x at P = 2 / 3 / 5, where broadcasting a (P, 1)
-    coupling column gained 1.1 / 1.3 / 1.8x (median of 9).  One window's
-    couplings enter as Python floats, which numpy broadcasts at no cost.
+    Each coupling of a stack is copied across its window's lanes, so that
+    every step is a full-length elementwise divide: against P separate passes
+    over 401 energies, one pass gained 1.3 / 1.6 / 2.3x at P = 2 / 3 / 5,
+    where broadcasting a (P, 1) coupling column gained 1.1 / 1.3 / 1.8x
+    (median of 9).  The copies come from a table of the stack's distinct
+    coupling columns, made once per call (:func:`_coupling_rows`); a stack
+    with more distinct columns than a pivot block has rows copies each block's
+    couplings instead.  One window's couplings enter as Python floats, which
+    numpy broadcasts at no cost.
     """
     off2 = np.square(np.asarray(offdiag, dtype=float))
     if off2.ndim > 2:
@@ -166,41 +274,28 @@ def count_below_offdiag(offdiag, energies) -> np.ndarray:
     if np.isnan(e).any():
         raise ValueError("energies must not be NaN")
     p, sites, m = stack.shape[0], stack.shape[1] + 1, e.shape[-1]
-    neg_e = np.negative(np.broadcast_to(e, (p, m))).reshape(-1)  # lanes in window-major order
-    block = min(_COUNT_BLOCK, sites)
-    buf = np.empty((block, neg_e.size))
-    rows = list(buf)
-    signs = np.empty(buf.shape, dtype=bool)
-    t = np.empty_like(neg_e)
-    count = np.zeros(neg_e.size, dtype=np.int64)
-    # the blocks holding a zero coupling of some window
-    cut_blocks = {i - i % block for i in np.nonzero(stack == 0.0)[1].tolist()}
-    # one window broadcasts its couplings as Python floats, at no cost a step
-    couplings = stack[0].tolist() if p == 1 else stack.T
-    q = rows[0]
-    np.copyto(q, neg_e)
-    row = 1
-    divide, subtract = np.divide, np.subtract
-    with np.errstate(divide="ignore", over="ignore"):
-        for lo in range(0, sites - 1, block):
-            b2s = couplings[lo:lo + block]
-            if p > 1:
-                b2s = np.repeat(b2s, m, axis=1)
-            cut = lo in cut_blocks
-            for b2 in b2s:
-                if row == block:
-                    count += _count_sign_bits(buf, signs)
-                    row = 0
-                if cut:
-                    # -E - (+0.0) is -E bit for bit, signed zeros included
-                    t.fill(0.0)
-                    divide(b2, q, out=t, where=np.not_equal(b2, 0.0))
-                else:
-                    divide(b2, q, out=t)
-                q = rows[row]
-                subtract(neg_e, t, out=q)
-                row += 1
-    count += _count_sign_bits(buf[:row], signs)
+    if e.ndim > 1:
+        count, _ = _pivot_counts(stack, np.broadcast_to(e, (p, m)))
+        return count.reshape(off2.shape[:-1] + (m,))
+    count = np.empty((p, m), dtype=np.int64)
+    b2max = float(stack.max()) if stack.size else 0.0
+    tail = np.abs(e) > _TAIL_FACTOR * math.sqrt(b2max)
+    count[:, tail] = np.where(e[tail] > 0, sites, 0)
+    run = ~tail
+    mirror = np.zeros(0, dtype=np.intp)
+    if np.all((stack > 0.0) & (stack < math.inf)):
+        pos = np.flatnonzero(run & (e > 0))
+        pos = pos[np.argsort(e[pos])]
+        neg = np.flatnonzero(run & (e < 0))
+        j = np.minimum(np.searchsorted(e[pos], -e[neg]), pos.size - 1)
+        paired = e[pos[j]] == -e[neg] if pos.size else np.zeros(neg.size, dtype=bool)
+        mirror, partner = neg[paired], pos[j[paired]]
+        run[mirror] = False
+    if run.any():
+        last = np.empty((p, m))
+        count[:, run], last[:, run] = _pivot_counts(stack, np.broadcast_to(e[run], (p, np.count_nonzero(run))))
+        if mirror.size:
+            count[:, mirror] = sites - count[:, partner] - (last[:, partner] == 0.0)
     return count.reshape(off2.shape[:-1] + (m,))
 
 

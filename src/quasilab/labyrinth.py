@@ -158,36 +158,77 @@ def product_eigs(p: LabyrinthParams, n: int) -> EmpiricalMeasure:
 
 
 def _row_counts(a: np.ndarray, b: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """#{j: fl(a[i] * b[j]) <= e[k]} as an (i, k) array, for a >= 0 and ascending b."""
+    """#{j: fl(a[i] * b[j]) <= e[k]} as an (i, k) array, for a >= 0 and ascending b, guessed and verified."""
     x = a[:, None]
     c = np.searchsorted(b, e / x, side="right")
-    below = (c == 0) | (x * b[np.maximum(c, 1) - 1] <= e)
-    above = (c == b.size) | (x * b[np.minimum(c, b.size - 1)] > e)
-    i, k = np.nonzero(~(below & above))
-    # bisect the other entries on the actual products: the largest m with fl(a * b[m-1]) <= e
-    ai, ek, m = a[i], e[k], np.zeros(i.size, dtype=np.intp)
-    bit = 1 << (b.size.bit_length() - 1)
-    while bit:
-        t = m + bit
-        m += bit * ((t <= b.size) & (ai * b[np.minimum(t, b.size) - 1] <= ek))
-        bit >>= 1
-    c[i, k] = m
+    # the products on either side of each guess must straddle e; with the -+inf
+    # sentinels an end needs no clamp, and a zero row (0 * inf is NaN) fails
+    padded = np.concatenate([[-np.inf], b, [np.inf]])
+    i, k = np.nonzero(~((x * padded[c] <= e) & (x * padded[c + 1] > e)))
+    if i.size:
+        # bisect the other entries on the actual products: the largest m with fl(a * b[m-1]) <= e
+        ai, ek, m = a[i], e[k], np.zeros(i.size, dtype=np.intp)
+        bit = 1 << (b.size.bit_length() - 1)
+        while bit:
+            t = m + bit
+            m += bit * ((t <= b.size) & (ai * b[np.minimum(t, b.size) - 1] <= ek))
+            bit >>= 1
+        c[i, k] = m
     return c
+
+
+def _searched_counts(a: np.ndarray, b: np.ndarray, e: np.ndarray, twice: bool) -> np.ndarray:
+    """Sum over i of #{j: fl(a[i] * b[j]) <= e[k]}, for a >= 0 and ascending b, by a search of each row of products.
+
+    Each row's products are nondecreasing, so ``searchsorted`` on them is the
+    count itself.  With ``twice`` the rows a[i] > 0 count twice.  NaN energies
+    count 0.
+    """
+    order = np.argsort(e)  # sorted needles search faster; NaNs sort last and are left out
+    order = order[: e.size - np.count_nonzero(np.isnan(e))]
+    keys = e[order]
+    total = np.zeros(keys.size, dtype=np.int64)
+    prod = np.empty_like(b)
+    for x in a.tolist():
+        c = np.searchsorted(np.multiply(x, b, out=prod), keys, side="right")
+        total += c
+        if twice and x > 0:
+            total += c
+    counts = np.zeros(e.size, dtype=np.int64)
+    counts[order] = total
+    return counts
+
+
+#: From this many energies on, :func:`count_products_leq` searches each row of
+#: products (a few numpy calls a row); below it, it guesses each (row, energy)
+#: count and verifies it (a few passes over rows x energies arrays).  On two
+#: mirrored axes of N = 136-1024 (2-core x86, best of 9) the two cost the same
+#: near 192 energies; at 128 the guess took 0.67-0.87 of the search's time, at
+#: 256 the search took 0.86-0.88 of the guess's.  dos2d asks for 658 energies
+#: at its defaults, a dos2d_cdf query for 1-33.
+ROW_SEARCH_ENERGIES = 256
 
 
 def count_products_leq(e1, e2, energies):
     """#{(i, j): fl(e1[i] * e2[j]) <= E} for a scalar energy E or each of an array.
 
-    Exact without forming the products.  Rounding is monotone and negation is
-    exact, so with a = |e1[i]| the row's products fl(a * e2[j]), or fl(a * -e2[j])
-    when e1[i] < 0, are nondecreasing along e2 ascending (along -e2 ascending),
-    and the pairs with product <= E form a prefix of that order.  Its length is
-    guessed by ``searchsorted`` on E / a and kept where the actual products on
-    either side of it straddle E; other entries (zero rows, a quotient rounded
-    across the split, NaN) are bisected on the actual products.  So the count is
-    the one the N1 x N2 comparison gives, and #{p < E} is the count at
-    ``np.nextafter(E, -inf)``.  Energies go in chunks of about _COUNT_BLOCK
-    rows x energies elements.
+    Exact without forming all products at once.  Rounding is monotone and
+    negation is exact, so with a = |e1[i]| the row's products fl(a * e2[j]),
+    or fl(a * -e2[j]) when e1[i] < 0, are nondecreasing along e2 ascending
+    (along -e2 ascending), and the pairs with product <= E form a prefix of
+    that order.  Two formulations find its length, chosen by the number of
+    energies (ROW_SEARCH_ENERGIES):
+
+    - *many energies*: each row's N2 products are formed and searched for
+      every energy, so each count is exact as found;
+    - *few energies*: the length is guessed by ``searchsorted`` on E / a and
+      kept where the actual products on either side of it straddle E; other
+      entries (zero rows, a quotient rounded across the split, NaN) are
+      bisected on the actual products.  Energies go in chunks of about
+      _COUNT_BLOCK rows x energies elements.
+
+    Both give the count the N1 x N2 comparison gives, NaN energies counting 0,
+    and #{p < E} is the count at ``np.nextafter(E, -inf)``.
 
     When both lists are mirrored, -e[::-1] == e (as ``eigenvalues_offdiag``
     returns them, bit for bit), a row -x of e1 against -e2[::-1] counts what
@@ -204,9 +245,12 @@ def count_products_leq(e1, e2, energies):
     for a, b in halves[:1] if mirrored else halves:
         if a.size == 0 or b.size == 0:
             continue
-        step = max(1, _COUNT_BLOCK // a.size)
         # E / 0, E / tiny and overflowing products are guesses or the very floats compared
         with np.errstate(all="ignore"):
+            if flat.size >= ROW_SEARCH_ENERGIES:
+                counts += _searched_counts(a, b, flat, mirrored)
+                continue
+            step = max(1, _COUNT_BLOCK // a.size)
             for k in range(0, flat.size, step):
                 rows = _row_counts(a, b, flat[k:k + step])
                 counts[k:k + step] += rows.sum(axis=0)
@@ -215,16 +259,25 @@ def count_products_leq(e1, e2, energies):
     return int(counts[0]) if energies.ndim == 0 else counts.reshape(energies.shape)
 
 
+def histogram_bounds(edges) -> np.ndarray:
+    """The energies whose :func:`count_products_leq` counts difference into np.histogram's bins over ``edges``.
+
+    Bin [edge_k, edge_k+1) holds the products <= the float below edge_k+1 and
+    not <= the float below edge_k; the last bin is closed, so its upper bound
+    is the last edge itself.
+    """
+    edges = np.asarray(edges, dtype=float)
+    return np.append(np.nextafter(edges[:-1], -np.inf), edges[-1])
+
+
 def product_histogram(e1, e2, edges) -> np.ndarray:
     """Counts of the products fl(e1[i] * e2[j]) in np.histogram's bins over ``edges``.
 
     The bins are [edge_k, edge_k+1), the last one closed, as in ``np.histogram``
     of the N1 x N2 products, which are never formed: each bin is a difference
-    of two :func:`count_products_leq` counts.
+    of two :func:`count_products_leq` counts at :func:`histogram_bounds`.
     """
-    edges = np.asarray(edges, dtype=float)
-    below = count_products_leq(e1, e2, np.append(np.nextafter(edges[:-1], -np.inf), edges[-1]))
-    return np.diff(below)
+    return np.diff(count_products_leq(e1, e2, histogram_bounds(edges)))
 
 
 def dos2d_cdf(p: LabyrinthParams, energy, n: int) -> float | np.ndarray:

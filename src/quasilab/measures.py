@@ -37,8 +37,10 @@ class EmpiricalMeasure:
 
 def ks_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
     """Exact sup-norm distance between two empirical CDFs."""
-    pts = np.union1d(m1.support, m2.support)
-    # both CDFs are constant between consecutive points of the union, so their
-    # left limits at a point are their values at the point before it (0 at the
-    # first): the sup over the right values is the sup over both sides
+    # both CDFs are constant between consecutive points of the union of the
+    # supports, so their left limits at a point are their values at the point
+    # before it (0 at the first): the sup over the right values is the sup over
+    # both sides.  Points held twice change no sup, and np.union1d would
+    # import numpy.ma (about 12 ms in a fresh process)
+    pts = np.sort(np.concatenate([m1.support, m2.support]))
     return float(np.max(np.abs(m1.cdf(pts) - m2.cdf(pts))))

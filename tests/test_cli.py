@@ -239,6 +239,24 @@ class TestDos2dMatchesEnumeration:
         assert [[float(c), float(m)] for c, m in rows[1:]] == [list(pair) for pair in zip(centers, mass)]
 
 
+def assert_leaves_numpy_ma_unimported(statement: str) -> None:
+    """Run ``statement`` in a fresh process and check that numpy.ma stayed out of sys.modules."""
+    program = (f"import sys\ntry:\n    {statement}\n"
+               "finally:\n    sys.stderr.write(repr('numpy.ma' in sys.modules))\n")
+    src = str(Path(quasilab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("False")
+
+
+def test_sublattice_comparison_leaves_numpy_ma_unimported():
+    # np.union1d imports numpy.ma too; the first comparison of a process paid ~12 ms for it
+    assert_leaves_numpy_ma_unimported("from quasilab import labyrinth as lab; "
+                                      "lab.sublattice_dos_compare(lab.LabyrinthParams(1, 1.3, 1.7), 8)")
+
+
 class TestThicknessCommand:
     def test_json_stats(self):
         code, out, _ = run_cli([
@@ -284,15 +302,8 @@ class TestThicknessCommand:
 
     def test_covers_path_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use, which costs a fresh process ~16 ms
-        program = ("import sys\nfrom quasilab.cli import main\n"
-                   "try:\n    main(['thickness', '--lambda', '0.5', '--level', '12'])\n"
-                   "finally:\n    sys.stderr.write(repr('numpy.ma' in sys.modules))\n")
-        src = str(Path(quasilab.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
-                              timeout=120, env=dict(os.environ, PYTHONPATH=path))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.endswith("False")
+        assert_leaves_numpy_ma_unimported(
+            "from quasilab.cli import main; main(['thickness', '--lambda', '0.5', '--level', '12'])")
 
     def test_thickness_falls_and_bands_rise_with_the_coupling(self):
         data = []

@@ -533,6 +533,92 @@ class TestStackedCount:
                 count_below_offdiag(windows, energies)
 
 
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved by |k| floats, up for k > 0."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+def loop_free_reference(windows, energies) -> np.ndarray:
+    """Each window's count from the reference loop, split where a square coupling is 0, as the count splits."""
+    with np.errstate(all="ignore"):
+        return np.stack([block_split_reference(np.where(np.square(w) == 0.0, 0.0, w), energies) for w in windows])
+
+
+#: The window kinds of the loop-free lanes, by the coupling one window gets: none,
+#: a zero, one whose square underflows to 0 (no mirror pairs) and one whose
+#: square overflows (no tails either).
+_SPOILS = {"none": None, "zero": 0.0, "underflow": 1e-170, "overflow": 2e154}
+
+
+@st.composite
+def _loop_free_cases(draw):
+    """A stack of rotation windows, one of them spoiled, and shared energies with exact
+    mirror pairs, the tail bound a few floats either way, +-0 and +-inf."""
+    p, n = draw(st.integers(1, 4)), draw(st.integers(2, 150))
+    params = ModelParams(draw(st.sampled_from([1, 2, 3])), draw(st.floats(0.2, 5.0)))
+    windows = np.stack([build_window(params, n, "rotation", beta=draw(st.floats(0.0, 1.0)))[1:] for _ in range(p)])
+    spoil = _SPOILS[draw(st.sampled_from(sorted(_SPOILS)))]
+    if spoil is not None:
+        windows[draw(st.integers(0, p - 1)), draw(st.integers(0, n - 2))] = spoil
+    with np.errstate(over="ignore"):
+        bound = jacobi1d._TAIL_FACTOR * math.sqrt(float(np.max(np.square(windows))))
+    hull = bound if math.isfinite(bound) else 2.0 * (1.0 + float(np.max(windows)))
+    xs = draw(st.lists(st.one_of(st.floats(-1.2 * hull, 1.2 * hull), st.sampled_from([1.0, -1.0])), max_size=16))
+    near = [_ulps(hull, k) for k in draw(st.lists(st.integers(-3, 3), max_size=4))]
+    specials = draw(st.lists(st.sampled_from([0.0, -0.0, math.inf, -math.inf]), max_size=4))
+    energies = xs + [-x for x in xs if draw(st.booleans())] + near + [-x for x in near] + specials
+    return windows, np.array(draw(st.permutations(energies)) or [1.0])
+
+
+class TestLanesWithoutLoop:
+    """Shared energies in the tails and in mirror pairs take their counts without the loop, with its bits."""
+
+    @settings(max_examples=80)
+    @given(_loop_free_cases())
+    def test_same_bits_as_the_reference_loop(self, case):
+        windows, energies = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # squares that overflow
+            got = count_below_offdiag(windows, energies)
+            one = count_below_offdiag(windows[0], energies)
+        want = loop_free_reference(windows, energies)
+        assert got.tobytes() == want.tobytes()
+        assert one.tobytes() == want[0].tobytes()
+
+    def test_exact_cancellation_at_the_last_site(self):
+        # free chain, N = 380: the last pivot at E = 1 is exactly +0 and counts at
+        # neither energy, so the pair counts N - 1; N - count(1) alone reads one too many
+        off, energies = np.ones(379), np.array([1.0, -1.0])
+        got = count_below_offdiag(off, energies)
+        assert got.tolist() == count_below_reference(off, energies).tolist() == [253, 126]
+
+    @pytest.mark.parametrize("spoil, runs", [(None, [1.0, 0.0, -0.0]), (0.0, [-1.0, 1.0, 0.0, -0.0]),
+                                             (1e-170, [-1.0, 1.0, 0.0, -0.0]),
+                                             (2e154, [-5e154, -1.0, 1.0, 0.0, -0.0, 5e154])])
+    def test_the_loop_runs_only_the_lanes_it_must(self, monkeypatch, spoil, runs):
+        lanes = []
+        loop = jacobi1d._pivot_counts
+
+        def recording(stack, energies):
+            lanes.append(energies[0].tolist())
+            return loop(stack, energies)
+
+        monkeypatch.setattr(jacobi1d, "_pivot_counts", recording)
+        off = build_window(ModelParams(1, 1.6), 64)[1:]
+        if spoil is not None:
+            off[10] = spoil
+        energies = [-5e154, -1.0, 1.0, 0.0, -0.0, 5e154]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            count_below_offdiag(np.stack([off, off[::-1]]), energies)
+            assert lanes == [runs]
+            lanes.clear()
+            count_below_offdiag(np.stack([off, off[::-1]]), [energies] * 2)  # per-window energies: every lane
+        assert lanes == [energies]
+
+
 class TestLockStep:
     """A stack of windows certified in one count pass, or bisected in lock-step, against each window alone."""
 

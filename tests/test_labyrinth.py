@@ -302,6 +302,34 @@ class TestProductCounting:
         assert np.array_equal(got, want)
 
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("side", [-1, 0])
+    def test_both_formulations_match_enumeration(self, monkeypatch, mirror, side):
+        # side -1 is one energy below ROW_SEARCH_ENERGIES (guess and verify), 0 at it (search each row)
+        ran = []
+
+        def recording(name):
+            fn = getattr(labyrinth, name)
+            return lambda *args: ran.append(name) or fn(*args)
+
+        for name in ("_row_counts", "_searched_counts"):
+            monkeypatch.setattr(labyrinth, name, recording(name))
+        rng = np.random.default_rng(7)
+        specials = [-2.0, -0.0, 0.0, 1.0, 5e-324, -1e-170, 3e-160, 1e200, -1e200]
+        e1, e2 = (np.concatenate([rng.normal(size=size), specials]) for size in (40, 31))
+        if mirror:
+            e1, e2 = (np.concatenate([-np.sort(np.abs(e))[::-1], np.sort(np.abs(e))]) for e in (e1, e2))
+        with np.errstate(over="ignore"):  # the products of +-1e200
+            prods = _enumerated(e1, e2)
+        m = labyrinth.ROW_SEARCH_ENERGIES + side
+        pool = np.concatenate([prods, np.nextafter(prods, -math.inf), rng.normal(scale=3.0, size=50),
+                               [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]])
+        energies = np.append(rng.choice(pool, m - 2), [math.nan, -math.nan])
+        want = np.where(np.isnan(energies), 0, np.searchsorted(prods, energies, side="right"))
+        assert count_products_leq(e1, e2, energies).tolist() == want.tolist()
+        assert set(ran) == {"_row_counts" if side < 0 else "_searched_counts"}
+
+
 _POSITIVE = st.one_of(st.floats(min_value=1e-3, max_value=4.0), st.sampled_from([0.5, 1.0, 2.0, 5e-324, 1e-170]))
 
 
